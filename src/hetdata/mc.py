@@ -17,7 +17,6 @@ from .model import ModelParams
 from .numerics import RandomStream
 from .statics import aggregate_output
 from .threshold import (
-    Role,
     ThresholdSolution,
     provider_utility,
     solve_threshold,
@@ -67,9 +66,6 @@ class PopulationSample:
     n: int
     threshold: ThresholdSolution
 
-    def user_mask(self) -> np.ndarray:
-        return self.roles
-
 
 def draw_population(
     n: int, params: ModelParams, stream: RandomStream
@@ -98,7 +94,7 @@ def lln_check(
     params: ModelParams,
 ) -> List[CheckReport]:
     """Sample aggregate of user output vs the m * tail_mean continuum limit."""
-    users = sample.user_mask()
+    users = sample.roles
     if not np.any(users):
         raise DegenerateInputError("population contains no data users")
     terms = np.where(users, np.exp(sample.abilities + sample.idio_shocks), 0.0)
@@ -157,7 +153,7 @@ def _portfolio_consumption(sample: PopulationSample, params: ModelParams):
     C_i = theta y_i (1-tau) + (1-theta)(1-tau) D e^mu_i e^eps
           * (sum_j e^(mu_j + eps_j)) / (sum_p e^(mu_p)),   j, p over users.
     """
-    users = sample.user_mask()
+    users = sample.roles
     mu = sample.abilities[users]
     eps_i = sample.idio_shocks[users]
     scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
@@ -168,7 +164,7 @@ def _portfolio_consumption(sample: PopulationSample, params: ModelParams):
 
 
 def _closed_form_consumption(sample: PopulationSample, params: ModelParams):
-    users = sample.user_mask()
+    users = sample.roles
     mu = sample.abilities[users]
     eps_i = sample.idio_shocks[users]
     scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
@@ -199,7 +195,7 @@ def consumption_convergence(
         # error of its mean.  Algebraically the mean gap equals
         # (1-theta) * scale * mean_j[e^mu_j (e^eps_j - 1)] whose terms are
         # i.i.d.; the SE comes from those terms.
-        users = sample.user_mask()
+        users = sample.roles
         mu = sample.abilities[users]
         eps_i = sample.idio_shocks[users]
         scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
@@ -215,7 +211,7 @@ def consumption_convergence(
         )
     # provider consumption: pooled costs spread over the provider mass
     sample = last_sample
-    users = sample.user_mask()
+    users = sample.roles
     m_hat = float(np.mean(users))
     if not (0.0 < m_hat < 1.0):
         raise DegenerateInputError("population is all users or all providers")
@@ -270,11 +266,3 @@ def role_sorting_check(
         se=0.0,
         passed=fraction == 1.0,
     )
-
-
-def classify_roles(sample: PopulationSample) -> List[Role]:
-    """Role labels for a drawn sample (HighUser above the threshold)."""
-    return [
-        Role.HIGH_USER if is_user else Role.LOW_PROVIDER
-        for is_user in sample.roles
-    ]

@@ -66,11 +66,6 @@ def normal_cdf(x: float, spec: GaussianSpec) -> float:
     return float(ndtr(_standardize(x, spec)))
 
 
-def normal_sf(x: float, spec: GaussianSpec) -> float:
-    """Right tail P(X > x), computed as cdf(-z) to avoid cancellation."""
-    return float(ndtr(-_standardize(x, spec)))
-
-
 def log_normal_cdf(x: float, spec: GaussianSpec) -> float:
     """log P(X <= x); stable arbitrarily deep in the left tail."""
     return float(log_ndtr(_standardize(x, spec)))

@@ -127,19 +127,12 @@ def aggregate_output(mu_k: float, eps_agg: float, params: ModelParams) -> float:
     """Total user output D e^eps m e^(mu_bar + sigma^2/2) * tail ratio.
 
     With m = SF(mu_k; 0, sigma^2) the expression collapses to
-    D e^eps e^(mu_bar + sigma^2/2) SF(mu_k; sigma^2, sigma^2); both forms
-    are evaluated and must agree to 1e-12 relative.
+    D e^eps e^(mu_bar + sigma^2/2) SF(mu_k; sigma^2, sigma^2), which is
+    the form evaluated here.
     """
     v = params.sigma_mu ** 2
-    m = math.exp(log_normal_sf(mu_k, GaussianSpec(0.0, v)))
     prefactor = params.D * math.exp(eps_agg) * math.exp(params.mu_bar + 0.5 * v)
-    full = prefactor * m * output_ratio(mu_k, params.sigma_mu)
-    simplified = prefactor * math.exp(log_normal_sf(mu_k, GaussianSpec(v, v)))
-    if abs(full - simplified) > 1e-12 * max(abs(simplified), 1e-300):
-        raise ArithmeticError(
-            f"aggregate-output forms disagree: {full} vs {simplified}"
-        )
-    return simplified
+    return prefactor * math.exp(log_normal_sf(mu_k, GaussianSpec(v, v)))
 
 
 def tech_from_tau(tau: float, params: ModelParams) -> Tuple[float, float]:

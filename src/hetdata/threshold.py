@@ -94,15 +94,24 @@ def _moment_term(params: ModelParams) -> float:
     return math.log(m) / (1.0 - params.gamma)
 
 
+def _rhs(logit: float, v: float, moment: float):
+    """F(tau, .) as a function of mu, built from its mu-free parts: the
+    logit of tau, the ability variance v and the precomputed moment term."""
+    spec_hi = GaussianSpec(v, v)
+    spec_lo = GaussianSpec(0.0, v)
+
+    def F(mu: float) -> float:
+        log_ratio = log_normal_sf(mu, spec_hi) - log_normal_cdf(mu, spec_lo)
+        return logit + 0.5 * v + log_ratio - moment
+
+    return F
+
+
 def F_threshold(tau: float, mu: float, params: ModelParams) -> float:
     """Right-hand side of the fixed-point equation; decreasing in mu."""
     _check_tau(tau)
-    v = params.sigma_mu ** 2
     logit = math.log(tau) - math.log1p(-tau)
-    log_ratio = log_normal_sf(mu, GaussianSpec(v, v)) - log_normal_cdf(
-        mu, GaussianSpec(0.0, v)
-    )
-    return logit + 0.5 * v + log_ratio - _moment_term(params)
+    return _rhs(logit, params.sigma_mu ** 2, _moment_term(params))(mu)
 
 
 def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
@@ -115,13 +124,12 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     _check_tau(tau)
     moment = _moment_term(params)
     v = params.sigma_mu ** 2
-    spec_hi = GaussianSpec(v, v)
-    spec_lo = GaussianSpec(0.0, v)
     logit = math.log(tau) - math.log1p(-tau)
 
+    F = _rhs(logit, v, moment)
+
     def G(mu: float) -> float:
-        log_ratio = log_normal_sf(mu, spec_hi) - log_normal_cdf(mu, spec_lo)
-        return mu - (logit + 0.5 * v + log_ratio - moment)
+        return mu - F(mu)
 
     # The root sits near the logit for sigma_mu = O(1) but collapses toward
     # zero as sigma_mu -> 0, so seed the bracket with both anchors and grow
@@ -145,7 +153,7 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
 
     mu_k = solve_bracketed(G, lo, hi, _ROOT_TOL)
     K = mu_k + params.mu_bar
-    m = math.exp(log_normal_sf(mu_k, spec_lo))
+    m = math.exp(log_normal_sf(mu_k, GaussianSpec(0.0, v)))
     return ThresholdSolution(
         mu_k=mu_k,
         K=K,

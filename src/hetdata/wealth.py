@@ -47,7 +47,6 @@ class WealthPath:
 class LambdaSolution:
     lam: float
     residual: float
-    branch_ok: bool  # lambda * t_star > 1, i.e. on the increasing branch
 
 
 def _drift_continuous(params: ModelParams, lam: float) -> float:
@@ -190,17 +189,12 @@ def f_mu(
     if shocks is None:
         shocks = (params.agg_shock_spec.mean, params.idio_shock_spec.mean)
     eps0, eps_i0 = shocks
-    rate = (
-        params.r_f
-        + params.alpha * params.mu_hat
-        - params.w * params.alpha * params.loss.mean
-    )
     return (
         math.exp(mu_i + eps0 + eps_i0)
         * params.D
         * (1.0 - params.tau)
         / params.EK_target
-        * math.exp(rate * params.t_star)
+        * math.exp(_mean_rate(params, 0.0) * params.t_star)
     )
 
 
@@ -238,7 +232,7 @@ def solve_lambda(
                     f"lambda bracket exceeds overflow bound at lambda={hi}"
                 )
         lam = solve_bracketed(g, lam_min, hi, 1e-12)
-    return LambdaSolution(lam=lam, residual=g(lam), branch_ok=lam * t > 1.0)
+    return LambdaSolution(lam=lam, residual=g(lam))
 
 
 @dataclass(frozen=True)

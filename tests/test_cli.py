@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,61 +11,68 @@ from hetdata.cli import (
     main,
 )
 from hetdata.errors import ConfigError
+from hetdata.model import load_params
+
+
+def _write_params(tmp_path):
+    record = dict(
+        gamma=2.0, sigma_mu=1.0, sigma_agg=0.2, sigma_idio=0.5, theta=0.1,
+        tau=0.4, D=1.0, eta=0.5, d0=1.0, r_f=0.02, alpha=0.5, mu0=0.08,
+        w=0.1, loss=0.2, sigma_w=0.3, W0=1.0, t_star=2.0, EK_target=0.02,
+    )
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(record))
+    return path
 
 
 class TestLoadConfig:
     def test_defaults(self):
-        config = load_config(["threshold"], {})
+        config = load_config(["threshold"])
         assert config.command == "threshold"
         assert config.seed is None
         assert config.n_paths == 100_000
         assert config.population == 1_000_000
-        assert config.threads == 1
 
     def test_grid_parsing(self):
-        config = load_config(["threshold", "--tau-grid", "0.1:0.5:0.1"], {})
+        config = load_config(["threshold", "--tau-grid", "0.1:0.5:0.1"])
         assert config.tau_grid == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
 
     @pytest.mark.parametrize("spec", ["0.1:0.5", "a:b:c", "0.5:0.1:0.1",
                                       "0.1:0.5:-0.1"])
     def test_bad_grid_rejected(self, spec):
         with pytest.raises(ConfigError):
-            load_config(["threshold", "--tau-grid", spec], {})
+            load_config(["threshold", "--tau-grid", spec])
 
     @pytest.mark.parametrize("command", ["wealth", "verify", "report"])
     def test_seed_required_for_stochastic(self, command):
         with pytest.raises(ConfigError, match="seed"):
-            load_config([command], {})
+            load_config([command])
 
     def test_seed_optional_for_deterministic(self):
-        assert load_config(["statics"], {}).seed is None
+        assert load_config(["statics"]).seed is None
 
     def test_tau_override(self):
-        config = load_config(["threshold", "--tau", "0.7"], {})
+        config = load_config(["threshold", "--tau", "0.7"])
         assert config.params.tau == 0.7
 
     def test_tau_out_of_range(self):
         with pytest.raises(ConfigError, match="tau"):
-            load_config(["threshold", "--tau", "1.5"], {})
+            load_config(["threshold", "--tau", "1.5"])
 
     def test_unknown_command(self):
         with pytest.raises(ConfigError):
-            load_config(["frobnicate"], {})
-
-    def test_threads_from_env(self):
-        config = load_config(["threshold"], {"HETDATA_THREADS": "4"})
-        assert config.threads == 4
+            load_config(["frobnicate"])
 
     def test_params_file(self, tmp_path):
-        record = dict(
-            gamma=2.0, sigma_mu=1.0, sigma_agg=0.2, sigma_idio=0.5, theta=0.1,
-            tau=0.4, D=1.0, eta=0.5, d0=1.0, r_f=0.02, alpha=0.5, mu0=0.08,
-            w=0.1, loss=0.2, sigma_w=0.3, W0=1.0, t_star=2.0, EK_target=0.02,
-        )
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps(record))
-        config = load_config(["threshold", "--params", str(path)], {})
+        path = _write_params(tmp_path)
+        config = load_config(["threshold", "--params", str(path)])
         assert config.params.tau == 0.4
+
+    def test_params_file_with_tau_override(self, tmp_path):
+        path = _write_params(tmp_path)
+        config = load_config(["threshold", "--params", str(path),
+                              "--tau", "0.7"])
+        assert config.params == replace(load_params(path), tau=0.7)
 
 
 class TestExitCodes:
@@ -88,6 +96,15 @@ class TestExitCodes:
         code = main(["statics", "--tau-grid", "0.9:1.2:0.3",
                      "--out", str(tmp_path)])
         assert code == EXIT_SOLVER
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--seed", "1", "--paths", "50"],
+        ["verify", "--seed", "1", "--population", "1"],
+    ])
+    def test_bad_sample_size_exits_2_without_outputs(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_threshold_ok(self, tmp_path):
         assert main(["threshold", "--out", str(tmp_path)]) == EXIT_OK

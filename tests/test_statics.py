@@ -97,6 +97,21 @@ class TestOutputRatio:
 
 
 class TestAggregateOutput:
+    @pytest.mark.parametrize("sigma_mu", [0.25, 0.5, 1.0, 2.0])
+    def test_equals_participation_times_output_ratio(self, sigma_mu):
+        # m * e^(mu_bar + v/2) * tail ratio collapses to the returned form
+        params = default_params(sigma_mu=sigma_mu)
+        v = sigma_mu ** 2
+        eps = -0.02
+        scale = params.D * math.exp(eps) * math.exp(params.mu_bar + 0.5 * v)
+        for mu_k in np.linspace(-6.0, 6.0, 121):
+            mu_k = float(mu_k)
+            m = 0.5 * math.erfc(mu_k / (sigma_mu * math.sqrt(2.0)))
+            full = scale * m * output_ratio(mu_k, sigma_mu)
+            assert aggregate_output(mu_k, eps, params) == pytest.approx(
+                full, rel=1e-12
+            )
+
     def test_full_participation_limit(self):
         params = default_params()
         eps = -0.5 * params.sigma_agg ** 2

@@ -178,7 +178,7 @@ class TestSolveLambda:
         mu = params.t_star - math.log(f_mu(0.0, params))
         sol = solve_lambda(mu, params)
         assert sol.lam == pytest.approx(1.0, abs=1e-10)
-        assert sol.branch_ok
+        assert sol.lam * params.t_star > 1.0
 
     def test_monotone_in_ability(self):
         params = default_params()
