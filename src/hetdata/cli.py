@@ -153,7 +153,7 @@ def _run_statics(config: RunConfig) -> int:
     lines = ["tau,mu_k,dmu_dtau,output_ratio"]
     for tau in taus:
         sol = threshold.solve_threshold(tau, params)
-        sens = statics.threshold_sensitivity(tau, params)
+        sens = statics.threshold_sensitivity(tau, params, solution=sol)
         ratio = statics.output_ratio(sol.mu_k, params.sigma_mu)
         lines.append(f"{tau!r},{sol.mu_k!r},{sens!r},{ratio!r}")
     (config.output_dir / "sensitivity.csv").write_text(

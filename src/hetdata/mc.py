@@ -147,28 +147,28 @@ def market_clearing_check(
     ]
 
 
-def _portfolio_consumption(sample: PopulationSample, params: ModelParams):
+def _user_consumption_inputs(sample: PopulationSample, params: ModelParams):
+    """User abilities, user idiosyncratic shocks and the consumption scale
+    D e^eps (1 - tau) shared by every user."""
+    users = sample.roles
+    scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
+    return sample.abilities[users], sample.idio_shocks[users], scale
+
+
+def _portfolio_consumption(mu, eps_i, scale: float, theta: float):
     """Finite-n user consumption from the portfolio definition.
 
     C_i = theta y_i (1-tau) + (1-theta)(1-tau) D e^mu_i e^eps
           * (sum_j e^(mu_j + eps_j)) / (sum_p e^(mu_p)),   j, p over users.
     """
-    users = sample.roles
-    mu = sample.abilities[users]
-    eps_i = sample.idio_shocks[users]
-    scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
-    own = params.theta * scale * np.exp(mu + eps_i)
+    own = theta * scale * np.exp(mu + eps_i)
     pool_ratio = float(np.sum(np.exp(mu + eps_i)) / np.sum(np.exp(mu)))
-    diversified = (1.0 - params.theta) * scale * np.exp(mu) * pool_ratio
+    diversified = (1.0 - theta) * scale * np.exp(mu) * pool_ratio
     return own + diversified
 
 
-def _closed_form_consumption(sample: PopulationSample, params: ModelParams):
-    users = sample.roles
-    mu = sample.abilities[users]
-    eps_i = sample.idio_shocks[users]
-    scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
-    return scale * np.exp(mu) * (params.theta * np.exp(eps_i) + 1.0 - params.theta)
+def _closed_form_consumption(mu, eps_i, scale: float, theta: float):
+    return scale * np.exp(mu) * (theta * np.exp(eps_i) + 1.0 - theta)
 
 
 def consumption_convergence(
@@ -187,18 +187,15 @@ def consumption_convergence(
     for n in sizes:
         sample = draw_population(n, params, stream)
         last_sample = sample
-        built = _portfolio_consumption(sample, params)
-        closed = _closed_form_consumption(sample, params)
+        mu, eps_i, scale = _user_consumption_inputs(sample, params)
+        built = _portfolio_consumption(mu, eps_i, scale, params.theta)
+        closed = _closed_form_consumption(mu, eps_i, scale, params.theta)
         diff = built - closed
         # Every user's gap shares the single pool factor, so the
         # cross-sectional spread of diff says nothing about the sampling
         # error of its mean.  Algebraically the mean gap equals
         # (1-theta) * scale * mean_j[e^mu_j (e^eps_j - 1)] whose terms are
         # i.i.d.; the SE comes from those terms.
-        users = sample.roles
-        mu = sample.abilities[users]
-        eps_i = sample.idio_shocks[users]
-        scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
         pool_terms = np.exp(mu + eps_i) - np.exp(mu)
         se = (
             (1.0 - params.theta) * scale

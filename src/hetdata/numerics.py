@@ -10,9 +10,10 @@ Every other module builds on these four pieces:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -21,6 +22,7 @@ from scipy.special import erfcx, log_ndtr, ndtr
 
 from .errors import (
     BracketingError,
+    ConvergenceError,
     EvaluationError,
     InvalidInputError,
     NumericalRangeError,
@@ -111,6 +113,18 @@ class QuadratureRule:
             raise InvalidInputError("normalized weights must sum to 1")
 
 
+@functools.lru_cache(maxsize=32)
+def _hermite_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """hermgauss(order), built once per order (it costs an eigensolve).
+
+    The arrays are shared by every caller, so they are made read-only.
+    """
+    x, w = hermgauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_hermite_rule(spec: GaussianSpec, order: int) -> QuadratureRule:
     """Gauss-Hermite rule transformed to the N(mean, variance) measure.
 
@@ -119,7 +133,7 @@ def gauss_hermite_rule(spec: GaussianSpec, order: int) -> QuadratureRule:
     """
     if order < 2:
         raise InvalidInputError(f"order must be >= 2, got {order}")
-    x, w = hermgauss(order)
+    x, w = _hermite_nodes(order)
     nodes = spec.mean + spec.std * _SQRT2 * x
     weights = w / math.sqrt(math.pi)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
@@ -143,18 +157,25 @@ def expect_gauss_hermite(
 
 
 # Gauss-Hermite order: start at 40 (the integrand below is smooth, so
-# convergence is spectral) and double until the value is stable.
+# convergence is spectral) and double until the value is stable.  320 is
+# the last order doubling reaches at which hermgauss gives finite, positive
+# weights: at 640 it returns non-finite ones.
 _GH_ORDER_START = 40
-_GH_ORDER_MAX = 1280
+_GH_ORDER_MAX = 320
 _GH_DOUBLING_TOL = 1e-10
 
 
+# Memoised on the (theta, sigma1, gamma) triple, so equal inputs from
+# different ModelParams share one evaluation; typed, so that a float32 or
+# int argument never answers for a float one.  Exceptions are not cached.
+@functools.lru_cache(maxsize=256, typed=True)
 def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
     """Moment of the mixed own/diversified return ϑe^ε + (1-ϑ).
 
     ε ~ N(-σ₁²/2, σ₁²) so that E[e^ε] = 1.  Returns
     E[(ϑe^ε + 1-ϑ)^(1-γ)] for γ != 1 and E[log(ϑe^ε + 1-ϑ)] for γ = 1,
     with the quadrature order doubled until the change falls below 1e-10.
+    Raises ConvergenceError if it has not by order 320.
     """
     if not 0.0 <= theta <= 1.0:
         raise InvalidInputError(f"theta must be in [0, 1], got {theta}")
@@ -171,10 +192,11 @@ def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
     value = expect_gauss_hermite(g, spec, order)
     while order < _GH_ORDER_MAX:
         refined = expect_gauss_hermite(g, spec, 2 * order)
-        if abs(refined - value) < _GH_DOUBLING_TOL:
+        change = abs(refined - value)
+        if change < _GH_DOUBLING_TOL:
             return refined
         value, order = refined, 2 * order
-    return value
+    raise ConvergenceError(theta, sigma1, gamma, order, float(change))
 
 
 def solve_bracketed(

@@ -19,7 +19,7 @@ from typing import Tuple
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
 from .numerics import GaussianSpec, hazard_rate, log_normal_sf, normal_cdf, normal_pdf
-from .threshold import solve_threshold
+from .threshold import ThresholdSolution, solve_threshold
 from . import wealth
 
 
@@ -96,9 +96,16 @@ def partials(tau: float, mu_k: float, params: ModelParams) -> Tuple[float, float
     return dF_dtau, dF_dmu
 
 
-def threshold_sensitivity(tau: float, params: ModelParams) -> float:
-    """d mu_k / d tau > 0 via the implicit-function formula."""
-    solution = solve_threshold(tau, params)
+def threshold_sensitivity(
+    tau: float, params: ModelParams, solution: ThresholdSolution = None
+) -> float:
+    """d mu_k / d tau > 0 via the implicit-function formula.
+
+    `solution` is the threshold already solved at (tau, params); it is
+    solved here when not given.
+    """
+    if solution is None:
+        solution = solve_threshold(tau, params)
     dF_dtau, dF_dmu = partials(tau, solution.mu_k, params)
     return dF_dtau / (1.0 - dF_dmu)
 

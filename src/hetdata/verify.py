@@ -13,7 +13,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import mc, statics, threshold, wealth
-from .errors import NoSolutionError
+from .errors import DegenerateInputError, NoSolutionError
 from .model import ModelParams, default_params, validate
 from .numerics import GaussianSpec, hazard_rate, make_stream, portfolio_moment
 
@@ -150,7 +150,13 @@ def check_lln_and_clearing(seed: int, population: int = 1_000_000) -> CheckResul
     """LLN aggregation (default n=1e6) plus exact market clearing."""
     params = default_params()
     sample = mc.draw_population(population, params, make_stream(seed, 1))
-    reports = mc.lln_check(sample, sample.threshold, params)
+    try:
+        reports = mc.lln_check(sample, sample.threshold, params)
+    except DegenerateInputError as exc:
+        # a small population can draw no user by chance: a failed check
+        return CheckResult(
+            "lln_and_clearing", False, {"error": str(exc), "population": population}
+        )
     reports += mc.market_clearing_check(sample, params.theta)
     return CheckResult(
         "lln_and_clearing",

@@ -7,6 +7,7 @@ from hetdata.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
+    EXIT_VERIFY_FAIL,
     load_config,
     main,
 )
@@ -14,12 +15,13 @@ from hetdata.errors import ConfigError
 from hetdata.model import load_params
 
 
-def _write_params(tmp_path):
+def _write_params(tmp_path, **overrides):
     record = dict(
         gamma=2.0, sigma_mu=1.0, sigma_agg=0.2, sigma_idio=0.5, theta=0.1,
         tau=0.4, D=1.0, eta=0.5, d0=1.0, r_f=0.02, alpha=0.5, mu0=0.08,
         w=0.1, loss=0.2, sigma_w=0.3, W0=1.0, t_star=2.0, EK_target=0.02,
     )
+    record.update(overrides)
     path = tmp_path / "params.json"
     path.write_text(json.dumps(record))
     return path
@@ -96,6 +98,28 @@ class TestExitCodes:
         code = main(["statics", "--tau-grid", "0.9:1.2:0.3",
                      "--out", str(tmp_path)])
         assert code == EXIT_SOLVER
+
+    def test_unconverged_moment_exits_3_naming_inputs(self, tmp_path, capsys):
+        path = _write_params(tmp_path, theta=0.9, sigma_idio=2.0, gamma=8.0)
+        code = main(["threshold", "--params", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "RuntimeWarning" not in err
+        for text in ("theta=0.9", "sigma_idio=2.0", "gamma=8.0"):
+            assert text in err
+
+    def test_population_without_users_fails_verify(self, tmp_path, capsys):
+        # seed 6 draws no data user among 2 agents: a failed check, not exit 3
+        code = main(["verify", "--seed", "6", "--population", "2",
+                     "--paths", "100", "--out", str(tmp_path)])
+        assert code == EXIT_VERIFY_FAIL
+        assert "[FAIL] lln_and_clearing" in capsys.readouterr().out
+        results = json.loads((tmp_path / "verify.json").read_text())
+        lln = next(r for r in results if r["name"] == "lln_and_clearing")
+        assert lln["pass"] is False
+        assert lln["detail"] == {"error": "population contains no data users",
+                                 "population": 2}
 
     @pytest.mark.parametrize("argv", [
         ["report", "--seed", "1", "--paths", "50"],

@@ -1,4 +1,6 @@
+import collections
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetdata import numerics
 from hetdata.errors import (
     BracketingError,
+    ConvergenceError,
     EvaluationError,
+    HetdataError,
     InvalidInputError,
 )
 from hetdata.numerics import (
@@ -171,6 +176,63 @@ class TestPortfolioMoment:
             portfolio_moment(-0.1, 0.5, 2.0)
         with pytest.raises(InvalidInputError):
             portfolio_moment(0.5, 0.0, 2.0)
+
+    def test_unconverged_corner_raises_named_error(self):
+        # hermgauss gives non-finite weights past order 320, so the doubling
+        # stops there; no numpy warning may escape on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as err:
+                portfolio_moment(0.9, 2.0, 8.0)
+        exc = err.value
+        assert (exc.theta, exc.sigma1, exc.gamma, exc.order) == (0.9, 2.0, 8.0, 320)
+        assert exc.change >= 1e-10
+        for text in ("theta=0.9", "sigma_idio=2.0", "gamma=8.0"):
+            assert text in str(exc)
+
+
+class TestQuadratureCaches:
+    GRID = [(theta, sigma1, gamma)
+            for theta in (0.0, 0.1, 0.5, 1.0)
+            for sigma1 in (0.1, 0.5, 1.0)
+            for gamma in (0.5, 1.0, 2.0, 5.0)]
+
+    def test_memo_bitwise_equals_uncached(self):
+        for args in self.GRID:
+            for _ in range(2):  # a miss, then a hit
+                assert float(portfolio_moment(*args)).hex() == float(
+                    portfolio_moment.__wrapped__(*args)).hex()
+
+    def test_cached_nodes_read_only(self):
+        for array in numerics._hermite_nodes(40):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_hermgauss_built_once_per_order(self, monkeypatch):
+        calls = collections.Counter()
+        real = numerics.hermgauss
+
+        def counting(order):
+            calls[order] += 1
+            return real(order)
+
+        monkeypatch.setattr(numerics, "hermgauss", counting)
+        numerics._hermite_nodes.cache_clear()
+        portfolio_moment.cache_clear()
+        for _ in range(3):
+            for order in (20, 40):
+                gauss_hermite_rule(STD, order)
+            portfolio_moment(0.3, 0.7, 3.0)
+            portfolio_moment.__wrapped__(0.3, 0.7, 3.0)
+        assert calls[20] == 1 and calls[40] == 1
+        assert set(calls.values()) == {1}
+
+    def test_failed_call_leaves_no_entry(self):
+        portfolio_moment.cache_clear()
+        for args in [(-0.1, 0.5, 2.0), (0.9, 2.0, 8.0)]:
+            with pytest.raises(HetdataError):
+                portfolio_moment(*args)
+        assert portfolio_moment.cache_info().currsize == 0
 
 
 class TestSolveBracketed:
