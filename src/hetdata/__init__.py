@@ -2,21 +2,18 @@
 statics, jump-diffusion friction matching, and brute-force verification."""
 
 from .model import ModelParams, LossSpec, default_params, load_params, validate
-from .numerics import GaussianSpec, RandomStream, make_stream
-from .threshold import Role, ThresholdSolution, solve_threshold
+from .numerics import GaussianSpec, make_stream
+from .threshold import ThresholdSolution, solve_threshold
 from .statics import Theorem1Report, theorem1_report
-from .wealth import LambdaSolution, WealthPath, expected_capital, solve_lambda
+from .wealth import LambdaSolution, expected_capital, solve_lambda
 
 __all__ = [
     "GaussianSpec",
     "LambdaSolution",
     "LossSpec",
     "ModelParams",
-    "RandomStream",
-    "Role",
     "Theorem1Report",
     "ThresholdSolution",
-    "WealthPath",
     "default_params",
     "expected_capital",
     "load_params",

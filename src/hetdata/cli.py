@@ -54,6 +54,13 @@ def _parse_grid(text: str, name: str) -> List[float]:
     return [float(x) for x in np.arange(a, b + 0.5 * step, step)]
 
 
+def _check_unit_interval(flag: str, values: List[float]) -> None:
+    """Every cost rate given on the command line lies in (0, 1)."""
+    for value in values:
+        if not (0.0 < value < 1.0):
+            raise ConfigError(f"--{flag} must be in (0, 1), got {value}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetdata",
@@ -101,18 +108,30 @@ def load_config(argv: List[str]) -> RunConfig:
     else:
         params = default_params()
     if args.tau is not None:
-        if not (0.0 < args.tau < 1.0):
-            raise ConfigError(f"--tau must be in (0, 1), got {args.tau}")
+        _check_unit_interval("tau", [args.tau])
         params = validate(replace(params, tau=args.tau))
+
+    tau_grid = _parse_grid(args.tau_grid, "tau-grid") if args.tau_grid else None
+    if tau_grid is not None:
+        _check_unit_interval("tau-grid", tau_grid)
+        # statics compares the grid's first and last points as tau_L < tau_H
+        if len(tau_grid) < 2 and args.command in ("statics", "report"):
+            raise ConfigError(f"--tau-grid needs two or more points for "
+                              f"{args.command}, got {args.tau_grid!r}")
+    lambda_grid = (_parse_grid(args.lambda_grid, "lambda-grid")
+                   if args.lambda_grid else None)
+    if lambda_grid is not None and args.command in ("wealth", "report"):
+        if lambda_grid[0] < 1.0:
+            raise ConfigError(f"--lambda-grid points must be >= 1 for "
+                              f"{args.command}, got {lambda_grid[0]}")
 
     return RunConfig(
         command=args.command,
         params=params,
         output_dir=Path(args.out),
         seed=args.seed,
-        tau_grid=_parse_grid(args.tau_grid, "tau-grid") if args.tau_grid else None,
-        lambda_grid=_parse_grid(args.lambda_grid, "lambda-grid")
-        if args.lambda_grid else None,
+        tau_grid=tau_grid,
+        lambda_grid=lambda_grid,
         mu_grid=_parse_grid(args.mu_grid, "mu-grid") if args.mu_grid else None,
         n_paths=args.paths,
         population=args.population,

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
-from .numerics import RandomStream
 from .statics import aggregate_output
 from .threshold import (
     ThresholdSolution,
@@ -68,16 +67,19 @@ class PopulationSample:
 
 
 def draw_population(
-    n: int, params: ModelParams, stream: RandomStream
+    n: int, params: ModelParams, stream: np.random.Generator
 ) -> PopulationSample:
     """n i.i.d. agents with roles assigned at the solved threshold."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     solution = solve_threshold(params.tau, params)
-    abilities = stream.gaussians(params.ability_spec, n)
-    idio = stream.gaussians(params.idio_shock_spec, n)
-    agg = float(stream.gaussians(params.agg_shock_spec, 1)[0])
-    roles = abilities > solution.K  # ties (measure zero) go to provider
+    ability, idio_spec, agg_spec = (
+        params.ability_spec, params.idio_shock_spec, params.agg_shock_spec
+    )
+    abilities = ability.mean + ability.std * stream.standard_normal(n)
+    idio = idio_spec.mean + idio_spec.std * stream.standard_normal(n)
+    agg = float((agg_spec.mean + agg_spec.std * stream.standard_normal(1))[0])
+    roles = solution.is_user(abilities)
     return PopulationSample(
         abilities=abilities,
         roles=roles,
@@ -172,7 +174,7 @@ def _closed_form_consumption(mu, eps_i, scale: float, theta: float):
 
 
 def consumption_convergence(
-    params: ModelParams, sizes: Sequence[int], stream: RandomStream
+    params: ModelParams, sizes: Sequence[int], stream: np.random.Generator
 ) -> List[CheckReport]:
     """Portfolio-built consumption converges to its closed form as n grows.
 

@@ -6,8 +6,7 @@ Field conventions:
 * aggregate shock N(-sigma_agg^2/2, sigma_agg^2) and idiosyncratic shock
   N(-sigma_idio^2/2, sigma_idio^2), so both have E[e^shock] = 1,
 * sigma_agg (output shock) and sigma_w (wealth diffusion) are distinct
-  parameters even though they play similar roles in their own equations,
-* pi_depr is a passive field, normalized to 1 (stock price standardized).
+  parameters even though they play similar roles in their own equations.
 """
 from __future__ import annotations
 
@@ -17,10 +16,8 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from .errors import InvalidInputError, ParamError
-from .numerics import GaussianSpec, RandomStream
+from .numerics import GaussianSpec
 
 
 @dataclass(frozen=True)
@@ -54,12 +51,6 @@ class LossSpec:
     @property
     def maximum(self) -> float:
         return max(self.values)
-
-    def sample(self, stream: RandomStream, n: int) -> np.ndarray:
-        if len(self.values) == 1:
-            return np.full(n, self.values[0])
-        picks = stream.gen.random(n) < self.probs[0]
-        return np.where(picks, self.values[0], self.values[1])
 
 
 def _parse_loss(raw) -> LossSpec:
@@ -100,7 +91,6 @@ class ModelParams:
     t_star: float         # matching horizon
     EK_target: float      # target expected capital in the friction match
     mu_bar: float = 0.0   # ability mean
-    pi_depr: float = 1.0  # depreciation index, normalized to 1
 
     # -- derived specs ----------------------------------------------------
     @property
@@ -131,7 +121,6 @@ _RANGE_CHECKS = [
     ("theta", lambda p: 0.0 < p["theta"] < 1.0, "must be in (0, 1)"),
     ("tau", lambda p: 0.0 < p["tau"] < 1.0, "must be in (0, 1)"),
     ("D", lambda p: p["D"] > 0.0, "must be > 0"),
-    ("pi_depr", lambda p: p["pi_depr"] > 0.0, "must be > 0"),
     ("eta", lambda p: 0.0 < p["eta"] < 1.0, "must be in (0, 1)"),
     ("d0", lambda p: p["d0"] > 0.0, "must be > 0"),
     ("alpha", lambda p: 0.0 <= p["alpha"] <= 1.0, "must be in [0, 1]"),
@@ -145,7 +134,7 @@ _RANGE_CHECKS = [
 ]
 
 _FIELD_NAMES = tuple(f.name for f in dc_fields(ModelParams))
-_REQUIRED = tuple(n for n in _FIELD_NAMES if n not in ("mu_bar", "pi_depr"))
+_REQUIRED = tuple(n for n in _FIELD_NAMES if n != "mu_bar")
 
 
 def validate(raw: Union[dict, ModelParams]) -> ModelParams:
@@ -164,7 +153,6 @@ def validate(raw: Union[dict, ModelParams]) -> ModelParams:
 
     vals = dict(raw)
     vals.setdefault("mu_bar", 0.0)
-    vals.setdefault("pi_depr", 1.0)
     try:
         vals["loss"] = _parse_loss(vals["loss"])
     except InvalidInputError as exc:

@@ -24,6 +24,7 @@ from .errors import (
     BracketingError,
     ConvergenceError,
     EvaluationError,
+    HetdataError,
     InvalidInputError,
     NumericalRangeError,
 )
@@ -144,12 +145,19 @@ def expect_gauss_hermite(
 ) -> float:
     """Gauss-Hermite approximation of E[g(X)], X ~ N(mean, variance).
 
-    Exact for polynomials of degree <= 2*order - 1.
+    Exact for polynomials of degree <= 2*order - 1.  An integrand that
+    returns a non-finite value, or raises an arithmetic or value error,
+    gives EvaluationError naming the node.
     """
     rule = gauss_hermite_rule(spec, order)
     total = 0.0
     for node, weight in zip(rule.nodes, rule.weights):
-        val = g(float(node))
+        try:
+            val = g(float(node))
+        except HetdataError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationError(f"integrand raised {exc!r} at node {node}") from exc
         if not math.isfinite(val):
             raise EvaluationError(f"integrand returned {val} at node {node}")
         total += weight * val
@@ -222,55 +230,14 @@ def solve_bracketed(
     return float(min(max(root, lo), hi))
 
 
-class RandomStream:
-    """Deterministic sub-stream keyed by (master_seed, stream_index).
+def make_stream(master_seed: int, index: int) -> np.random.Generator:
+    """Deterministic sub-stream keyed by (master_seed, index).
 
     Counter-based Philox generator: identical keys reproduce identical
     sequences, distinct stream indices give statistically independent
-    ones.  Single-owner: never share one instance between workers.
+    ones.  Single-owner: never share one generator between workers.
     """
-
-    def __init__(self, master_seed: int, stream_index: int):
-        if stream_index < 0:
-            raise InvalidInputError(f"stream_index must be >= 0, got {stream_index}")
-        self.master_seed = int(master_seed)
-        self.stream_index = int(stream_index)
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_index,)
-        )
-        self.gen = np.random.Generator(np.random.Philox(seq))
-
-    def normals(self, n: int) -> np.ndarray:
-        """n i.i.d. standard normal draws."""
-        return self.gen.standard_normal(n)
-
-    def gaussians(self, spec: GaussianSpec, n: int) -> np.ndarray:
-        """n i.i.d. draws from N(mean, variance)."""
-        return spec.mean + spec.std * self.gen.standard_normal(n)
-
-    def poisson_counts(self, rate_times_t: float, n: int) -> np.ndarray:
-        """n Poisson event counts with mean rate*t."""
-        if rate_times_t < 0.0:
-            raise InvalidInputError("Poisson mean must be >= 0")
-        return self.gen.poisson(rate_times_t, n)
-
-    def exponential_arrivals(self, rate: float, horizon: float) -> np.ndarray:
-        """Event times of a rate-`rate` Poisson process on (0, horizon)."""
-        if rate < 0.0:
-            raise InvalidInputError("arrival rate must be >= 0")
-        if rate == 0.0:
-            return np.empty(0)
-        times = []
-        t = self.gen.exponential(1.0 / rate)
-        while t < horizon:
-            times.append(t)
-            t += self.gen.exponential(1.0 / rate)
-        return np.array(times)
-
-    def binomials(self, n_trials: np.ndarray, p: float) -> np.ndarray:
-        return self.gen.binomial(n_trials, p)
-
-
-def make_stream(master_seed: int, index: int) -> RandomStream:
-    """Factory for independent reproducible streams."""
-    return RandomStream(master_seed, index)
+    if index < 0:
+        raise InvalidInputError(f"stream index must be >= 0, got {index}")
+    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+    return np.random.Generator(np.random.Philox(seq))

@@ -151,19 +151,15 @@ def tech_from_tau(tau: float, params: ModelParams) -> Tuple[float, float]:
 
 
 def theorem1_report(
-    tau_L: float,
-    tau_H: float,
-    params: ModelParams,
-    delta: float = None,
-    eps_agg: float = None,
+    tau_L: float, tau_H: float, params: ModelParams
 ) -> Theorem1Report:
     """High/Low ordering report for a pair of data cost rates.
 
-    High-type ability sits `delta` above the threshold solved at tau_H,
-    low-type `delta` below the threshold at tau_L (default delta =
-    0.5*sigma_mu).  Outputs are compared with a common aggregate shock
-    and a common participation scale, so the ordering is carried entirely
-    by the increasing tail ratio, as in the underlying monotonicity
+    High-type ability sits delta = 0.5*sigma_mu above the threshold solved
+    at tau_H, low-type delta below the threshold at tau_L.  Outputs are
+    compared with a common aggregate shock, fixed at its mean, and a
+    common participation scale, so the ordering is carried entirely by
+    the increasing tail ratio, as in the underlying monotonicity
     argument; lambda comes from the friction match at each ability.
     """
     if tau_L == tau_H:
@@ -172,12 +168,8 @@ def theorem1_report(
         raise InvalidInputError(
             f"tau_L must be < tau_H, got tau_L={tau_L}, tau_H={tau_H}"
         )
-    if delta is None:
-        delta = 0.5 * params.sigma_mu
-    if delta <= 0.0:
-        raise InvalidInputError(f"delta must be > 0, got {delta}")
-    if eps_agg is None:
-        eps_agg = params.agg_shock_spec.mean
+    delta = 0.5 * params.sigma_mu
+    eps_agg = params.agg_shock_spec.mean
 
     sol_L = solve_threshold(tau_L, params)
     sol_H = solve_threshold(tau_H, params)

@@ -13,7 +13,6 @@ two expected utilities coincide exactly at the threshold.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -32,17 +31,6 @@ _TAU_MIN, _TAU_MAX = 1e-6, 1.0 - 1e-6
 _ROOT_TOL = 1e-13
 
 
-class Role(enum.Enum):
-    HIGH_USER = "HighUser"
-    LOW_PROVIDER = "LowProvider"
-
-
-@dataclass(frozen=True)
-class Classification:
-    role: Role
-    tie: bool
-
-
 @dataclass(frozen=True)
 class ThresholdSolution:
     mu_k: float        # centered threshold
@@ -51,6 +39,11 @@ class ThresholdSolution:
     tail_mean: float   # E[e^mu | mu > K]
     residual: float
     iterations: int
+
+    def is_user(self, ability):
+        """Data user iff the (uncentered) ability exceeds K; a tie goes to
+        the provider.  Takes a scalar or an array of abilities."""
+        return ability > self.K
 
     def to_dict(self) -> dict:
         return {
@@ -220,14 +213,3 @@ def provider_utility(
         * (m / (1.0 - m)) ** a
         / a
     )
-
-
-def classify(mu_i: float, solution: ThresholdSolution) -> Classification:
-    """HighUser iff centered ability exceeds mu_k; ties go to the provider."""
-    mu_bar = solution.K - solution.mu_k
-    centered = mu_i - mu_bar
-    if centered == solution.mu_k:
-        return Classification(Role.LOW_PROVIDER, tie=True)
-    if centered > solution.mu_k:
-        return Classification(Role.HIGH_USER, tie=False)
-    return Classification(Role.LOW_PROVIDER, tie=False)

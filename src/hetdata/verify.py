@@ -42,7 +42,7 @@ def check_symmetry_fixed_point() -> CheckResult:
 
 
 def _random_param_sets(seed: int, count: int) -> List[ModelParams]:
-    gen = make_stream(seed, 900).gen
+    gen = make_stream(seed, 900)
     sets = []
     for _ in range(count):
         sets.append(

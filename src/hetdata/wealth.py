@@ -21,26 +21,16 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidInputError, NoSolutionError, NumericalRangeError
 from .model import ModelParams
-from .numerics import RandomStream, make_stream, solve_bracketed
+from .numerics import make_stream, solve_bracketed
 
 _EXP_ARG_MAX = 700.0  # exp overflows just above this
 _MC_BATCH = 16384     # paths per stream; fixed so results are seed-reproducible
-
-
-@dataclass(frozen=True)
-class WealthPath:
-    """One exact trajectory of log K with its jump events."""
-
-    times: np.ndarray
-    logK: np.ndarray
-    jump_times: np.ndarray
-    jump_losses: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -74,55 +64,20 @@ def expected_capital(params: ModelParams, t: float, lam: float) -> float:
     return lam * params.W0 * math.exp(_mean_rate(params, lam) * t)
 
 
-def simulate_path(
-    params: ModelParams, lam: float, horizon: float, stream: RandomStream
-) -> WealthPath:
-    """Exact path: Poisson jump times, exact Gaussian bridge increments."""
-    if horizon <= 0.0:
-        raise InvalidInputError(f"horizon must be > 0, got {horizon}")
-    if lam < 1.0:
-        raise InvalidInputError(f"lambda must be >= 1, got {lam}")
-    jump_times = stream.exponential_arrivals(params.w, horizon)
-    losses = params.loss.sample(stream, len(jump_times))
-
-    drift = _drift_continuous(params, lam)
-    vol = params.alpha * params.sigma_w
-    times = [0.0]
-    logK = [math.log(lam * params.W0)]
-    t_prev = 0.0
-    for t_jump, loss in zip(jump_times, losses):
-        dt = t_jump - t_prev
-        increment = drift * dt + vol * math.sqrt(dt) * stream.normals(1)[0]
-        times.append(t_jump)
-        logK.append(logK[-1] + increment + math.log1p(-params.alpha * loss))
-        t_prev = t_jump
-    dt = horizon - t_prev
-    if dt > 0.0:
-        increment = drift * dt + vol * math.sqrt(dt) * stream.normals(1)[0]
-        times.append(horizon)
-        logK.append(logK[-1] + increment)
-    return WealthPath(
-        times=np.array(times),
-        logK=np.array(logK),
-        jump_times=jump_times,
-        jump_losses=losses,
-    )
-
-
 def _terminal_capital(
-    params: ModelParams, lam: float, t: float, n: int, stream: RandomStream
+    params: ModelParams, lam: float, t: float, n: int, stream: np.random.Generator
 ) -> np.ndarray:
     """Vectorized exact terminal K for n paths (one stream)."""
     drift = _drift_continuous(params, lam)
     vol = params.alpha * params.sigma_w
     logK = math.log(lam * params.W0) + drift * t
-    logK = logK + vol * math.sqrt(t) * stream.normals(n)
-    counts = stream.poisson_counts(params.w * t, n)
+    logK = logK + vol * math.sqrt(t) * stream.standard_normal(n)
+    counts = stream.poisson(params.w * t, n)
     loss = params.loss
     if len(loss.values) == 1:
         logK += counts * math.log1p(-params.alpha * loss.values[0])
     else:
-        k1 = stream.binomials(counts, loss.probs[0])
+        k1 = stream.binomial(counts, loss.probs[0])
         logK += k1 * math.log1p(-params.alpha * loss.values[0])
         logK += (counts - k1) * math.log1p(-params.alpha * loss.values[1])
     return np.exp(logK)
@@ -174,21 +129,15 @@ def f_lambda(lam: float, t: float) -> float:
     return math.exp(lam * t) / lam
 
 
-def f_mu(
-    mu_i: float,
-    params: ModelParams,
-    shocks: Optional[Tuple[float, float]] = None,
-) -> float:
+def f_mu(mu_i: float, params: ModelParams) -> float:
     """Ability side of the friction match, at the target capital level.
 
     f(mu_i, t*) = e^(mu_i + eps0 + eps_i0) D (1 - tau) / EK_target
                   * exp{(r_f + alpha*mu_hat + w[E(1 - alpha L) - 1]) t*},
-    with initial wealth W0 = y_0 (1 - tau) built from a single realized
-    shock pair; shocks default to their means.
+    with initial wealth W0 = y_0 (1 - tau) built from the shock pair
+    (eps0, eps_i0) fixed at its means.
     """
-    if shocks is None:
-        shocks = (params.agg_shock_spec.mean, params.idio_shock_spec.mean)
-    eps0, eps_i0 = shocks
+    eps0, eps_i0 = params.agg_shock_spec.mean, params.idio_shock_spec.mean
     return (
         math.exp(mu_i + eps0 + eps_i0)
         * params.D
@@ -198,11 +147,7 @@ def f_mu(
     )
 
 
-def solve_lambda(
-    mu_i: float,
-    params: ModelParams,
-    shocks: Optional[Tuple[float, float]] = None,
-) -> LambdaSolution:
+def solve_lambda(mu_i: float, params: ModelParams) -> LambdaSolution:
     """Root of e^(lambda t*)/lambda = f(mu_i, t*) on the increasing branch.
 
     The branch starts at lambda = max(1, 1/t*) = 1 (t* > 1 is enforced at
@@ -210,7 +155,7 @@ def solve_lambda(
     that minimum have no solution and are reported, never fabricated.
     """
     t = params.t_star
-    target = f_mu(mu_i, params, shocks)
+    target = f_mu(mu_i, params)
     lam_min = max(1.0, 1.0 / t)
     f_min = f_lambda(lam_min, t)
     if target < f_min * (1.0 - 1e-12):
@@ -261,7 +206,6 @@ def figure1_curves(
     params: ModelParams,
     lambda_grid: Sequence[float],
     mu_values: Sequence[float],
-    shocks: Optional[Tuple[float, float]] = None,
 ) -> Figure1Table:
     """Curve/level data for the f(lambda, t*) = f(mu_i, t*) intersection."""
     lambdas = np.asarray(list(lambda_grid), dtype=float)
@@ -269,11 +213,11 @@ def figure1_curves(
     if lambdas.size == 0 or mus.size == 0:
         raise InvalidInputError("lambda grid and mu values must be non-empty")
     f_values = np.array([f_lambda(l, params.t_star) for l in lambdas])
-    levels = np.array([f_mu(m, params, shocks) for m in mus])
+    levels = np.array([f_mu(m, params) for m in mus])
     stars = []
     for mu in mus:
         try:
-            stars.append(solve_lambda(float(mu), params, shocks).lam)
+            stars.append(solve_lambda(float(mu), params).lam)
         except NoSolutionError:
             stars.append(None)
     return Figure1Table(

@@ -93,11 +93,13 @@ class TestExitCodes:
     def test_missing_seed_exits_2(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_solver_failure_exits_3(self, tmp_path):
-        # grid reaches tau = 1.2, outside the solvable band
-        code = main(["statics", "--tau-grid", "0.9:1.2:0.3",
-                     "--out", str(tmp_path)])
+    def test_solver_failure_exits_3(self, tmp_path, capsys):
+        # at this target capital the friction match has no root
+        path = _write_params(tmp_path, EK_target=1.0)
+        code = main(["statics", "--params", str(path),
+                     "--out", str(tmp_path / "out")])
         assert code == EXIT_SOLVER
+        assert "no root exists" in capsys.readouterr().err
 
     def test_unconverged_moment_exits_3_naming_inputs(self, tmp_path, capsys):
         path = _write_params(tmp_path, theta=0.9, sigma_idio=2.0, gamma=8.0)
@@ -126,6 +128,16 @@ class TestExitCodes:
         ["verify", "--seed", "1", "--population", "1"],
     ])
     def test_bad_sample_size_exits_2_without_outputs(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--tau-grid", "0.5:1.5:0.5"],  # reaches tau = 1
+        ["statics", "--tau-grid", "0.3:0.4:1.0"],    # one point: tau_L = tau_H
+        ["wealth", "--seed", "1", "--lambda-grid", "0.5:1.0:0.5"],
+    ])
+    def test_bad_grid_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()

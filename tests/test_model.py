@@ -27,7 +27,7 @@ class TestValidate:
     def test_accepts_in_range(self):
         params = validate(base_record())
         assert isinstance(params, ModelParams)
-        assert params.mu_bar == 0.0 and params.pi_depr == 1.0
+        assert params.mu_bar == 0.0
 
     def test_tau_out_of_range(self):
         with pytest.raises(ParamError, match="tau"):

@@ -151,6 +151,18 @@ class TestQuadrature:
         with pytest.raises(EvaluationError, match="node"):
             expect_gauss_hermite(lambda x: math.inf, STD, 10)
 
+    def test_raising_integrand_reported(self):
+        with pytest.raises(EvaluationError, match="ZeroDivisionError.*node"):
+            expect_gauss_hermite(lambda x: 0.0 ** -1.0, STD, 10)
+        with pytest.raises(EvaluationError, match="math domain error.*node"):
+            expect_gauss_hermite(lambda x: math.log(x), STD, 10)
+
+        def typed(x):
+            raise InvalidInputError("already typed")
+
+        with pytest.raises(InvalidInputError, match="^already typed$"):
+            expect_gauss_hermite(typed, STD, 10)
+
 
 class TestPortfolioMoment:
     def test_theta_zero_constant(self):
@@ -229,9 +241,14 @@ class TestQuadratureCaches:
 
     def test_failed_call_leaves_no_entry(self):
         portfolio_moment.cache_clear()
-        for args in [(-0.1, 0.5, 2.0), (0.9, 2.0, 8.0)]:
-            with pytest.raises(HetdataError):
+        # at theta = 1, (theta e^eps + 1) - theta cancels to 0.0 on deep nodes
+        for args, error in [((-0.1, 0.5, 2.0), InvalidInputError),
+                            ((0.9, 2.0, 8.0), ConvergenceError),
+                            ((1.0, 1.2, 5.0), EvaluationError),
+                            ((1.0, 3.0, 1.0), EvaluationError)]:
+            with pytest.raises(HetdataError) as err:
                 portfolio_moment(*args)
+            assert type(err.value) is error
         assert portfolio_moment.cache_info().currsize == 0
 
 
@@ -259,20 +276,20 @@ class TestSolveBracketed:
 
 class TestRandomStream:
     def test_determinism(self):
-        a = make_stream(123, 4).normals(1000)
-        b = make_stream(123, 4).normals(1000)
+        a = make_stream(123, 4).standard_normal(1000)
+        b = make_stream(123, 4).standard_normal(1000)
         assert np.array_equal(a, b)
 
     def test_stream_independence(self):
         n = 100_000
-        a = make_stream(7, 0).normals(n)
-        b = make_stream(7, 1).normals(n)
+        a = make_stream(7, 0).standard_normal(n)
+        b = make_stream(7, 1).standard_normal(n)
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) < 3.0 / math.sqrt(n)
 
     def test_poisson_moment(self):
         n = 100_000
-        counts = make_stream(11, 2).poisson_counts(2.0, n)
+        counts = make_stream(11, 2).poisson(2.0, n)
         assert abs(float(np.mean(counts)) - 2.0) < 3.0 * math.sqrt(2.0 / n)
 
     def test_negative_index_rejected(self):

@@ -140,8 +140,9 @@ class TestAggregateOutput:
         mu_k, eps = 0.5, -0.02
         n = 1_000_000
         stream = make_stream(41, 0)
-        mu = stream.gaussians(params.ability_spec, n)
-        eps_i = stream.gaussians(params.idio_shock_spec, n)
+        ability, idio = params.ability_spec, params.idio_shock_spec
+        mu = stream.normal(ability.mean, ability.std, n)
+        eps_i = stream.normal(idio.mean, idio.std, n)
         y = params.D * math.exp(eps) * np.exp(mu + eps_i) * (mu > mu_k)
         observed = float(np.mean(y))
         se = float(np.std(y, ddof=1) / math.sqrt(n))

@@ -9,8 +9,6 @@ from hetdata.model import default_params
 from hetdata.numerics import make_stream
 from hetdata.threshold import (
     F_threshold,
-    Role,
-    classify,
     provider_utility,
     solve_threshold,
     tail_expectation,
@@ -38,7 +36,7 @@ class TestTailExpectation:
 
     def test_monte_carlo_cross_check(self):
         n = 1_000_000
-        draws = make_stream(5, 0).normals(n)
+        draws = make_stream(5, 0).standard_normal(n)
         kept = np.exp(draws[draws > 0.0])
         observed = float(np.mean(kept))
         se = float(np.std(kept, ddof=1) / math.sqrt(len(kept)))
@@ -70,7 +68,7 @@ class TestFThreshold:
         log_ratio = math.log(mp_sf(mu, 1.0, 1.0)) - math.log(
             1.0 - mp_sf(mu, 0.0, 1.0)
         )
-        eps = -0.125 + 0.5 * make_stream(17, 0).normals(1_000_000)
+        eps = -0.125 + 0.5 * make_stream(17, 0).standard_normal(1_000_000)
         g = (0.1 * np.exp(eps) + 0.9) ** (-1.0)
         mc_moment = float(np.mean(g))
         mc_se = float(np.std(g, ddof=1) / 1000.0)
@@ -174,8 +172,9 @@ class TestUtilities:
         params = default_params(gamma=2.0)
         n = 1_000_000
         stream = make_stream(23, 0)
-        eps = stream.gaussians(params.agg_shock_spec, n)
-        eps_i = stream.gaussians(params.idio_shock_spec, n)
+        agg, idio = params.agg_shock_spec, params.idio_shock_spec
+        eps = stream.normal(agg.mean, agg.std, n)
+        eps_i = stream.normal(idio.mean, idio.std, n)
         c = (
             0.5 * params.D * math.exp(0.3)
             * np.exp(eps)
@@ -205,7 +204,8 @@ class TestUtilities:
         params = default_params(gamma=2.0)
         m, tail, tau = 0.3, 2.5, 0.4
         n = 1_000_000
-        eps = make_stream(29, 0).gaussians(params.agg_shock_spec, n)
+        agg = params.agg_shock_spec
+        eps = make_stream(29, 0).normal(agg.mean, agg.std, n)
         c = tau * params.D * np.exp(eps) * m * tail / (1.0 - m)
         u = c ** (-1.0) / (-1.0)
         observed = float(np.mean(u))
@@ -220,27 +220,35 @@ class TestUtilities:
 
 
 class TestClassify:
+    """The one role rule: data user iff ability > K, ties to the provider."""
+
     def test_above_and_below(self):
         params = default_params()
         sol = solve_threshold(0.5, params)
-        assert classify(sol.K + 1.0, sol).role is Role.HIGH_USER
-        assert classify(sol.K - 1.0, sol).role is Role.LOW_PROVIDER
+        assert sol.is_user(sol.K + 1.0)
+        assert not sol.is_user(sol.K - 1.0)
+        roles = sol.is_user(np.array([sol.K - 1.0, sol.K + 1.0]))
+        assert roles.tolist() == [False, True]
 
-    def test_tie_goes_to_provider_with_flag(self):
-        sol = solve_threshold(0.5, default_params())
-        result = classify(sol.K, sol)
-        assert result.role is Role.LOW_PROVIDER and result.tie
+    # at mu_bar = -2.3, tau = 0.2 re-centring K gives K - (K - mu_k) != mu_k
+    # in floating point, so a rule on the centred ability breaks the tie
+    @pytest.mark.parametrize("overrides", [{}, {"mu_bar": -2.3, "tau": 0.2}],
+                             ids=["default", "recentring_rounds"])
+    def test_tie_goes_to_provider(self, overrides):
+        params = default_params(**overrides)
+        sol = solve_threshold(params.tau, params)
+        assert not sol.is_user(sol.K)
+        assert not sol.is_user(np.array([sol.K]))[0]
 
     def test_agrees_with_utility_comparison(self):
         params = default_params()
         sol = solve_threshold(params.tau, params)
         v_s = provider_utility(params.tau, sol.m, sol.tail_mean, params)
-        abilities = make_stream(31, 0).gaussians(params.ability_spec, 10_000)
-        for mu_i in abilities:
-            mu_i = float(mu_i)
-            v_i = user_utility(mu_i, params.tau, params)
-            expected = Role.HIGH_USER if v_i > v_s else Role.LOW_PROVIDER
-            assert classify(mu_i, sol).role is expected
+        spec = params.ability_spec
+        abilities = make_stream(31, 0).normal(spec.mean, spec.std, 10_000)
+        for mu_i, is_user in zip(abilities, sol.is_user(abilities)):
+            v_i = user_utility(float(mu_i), params.tau, params)
+            assert (v_i > v_s) == is_user
 
 
 class TestIndifference:

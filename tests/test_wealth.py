@@ -15,8 +15,8 @@ from hetdata.wealth import (
     f_lambda,
     f_mu,
     figure1_curves,
+    _terminal_capital,
     mc_expected_capital,
-    simulate_path,
     solve_lambda,
 )
 
@@ -46,50 +46,46 @@ class TestExpectedCapital:
         )
 
 
-class TestSimulatePath:
+class TestTerminalCapital:
+    """The vectorized exact paths behind mc_expected_capital."""
+
     def test_deterministic_case(self):
         params = default_params(sigma_w=0.0, w=0.0)
-        path = simulate_path(params, 1.5, 2.0, make_stream(1, 0))
+        logK = np.log(_terminal_capital(params, 1.5, 2.0, 100, make_stream(1, 0)))
         drift = params.r_f + 0.5 * params.mu_hat - 1.5
-        assert path.logK[0] == pytest.approx(math.log(1.5))
-        assert path.logK[-1] == pytest.approx(math.log(1.5) + drift * 2.0, abs=1e-12)
-        assert len(path.jump_times) == 0
+        assert np.allclose(logK, math.log(1.5) + drift * 2.0, rtol=0.0, atol=1e-12)
 
     def test_diffusion_moments(self):
+        # w = 0: log K_t - log(lambda W0) ~ N(drift t, (alpha sigma_w)^2 t)
         params = default_params(w=0.0)
         n, t, lam = 100_000, 2.0, 1.5
         drift = (
             params.r_f + 0.5 * params.mu_hat
             - 0.5 * 0.25 * params.sigma_w ** 2 - lam
         )
-        terminals = np.array([
-            simulate_path(params, lam, t, make_stream(3, i)).logK[-1]
-            for i in range(2000)
-        ])
-        increments = terminals - math.log(lam)
+        terminals = _terminal_capital(params, lam, t, n, make_stream(3, 0))
+        increments = np.log(terminals) - math.log(lam * params.W0)
         var = (0.5 * params.sigma_w) ** 2 * t
-        se_mean = math.sqrt(var / len(increments))
+        se_mean = math.sqrt(var / n)
         assert abs(float(np.mean(increments)) - drift * t) <= 3.0 * se_mean
         sample_var = float(np.var(increments, ddof=1))
-        se_var = var * math.sqrt(2.0 / (len(increments) - 1))
+        se_var = var * math.sqrt(2.0 / (n - 1))
         assert abs(sample_var - var) <= 3.0 * se_var
 
     def test_jump_count_mean(self):
-        params = default_params(w=0.5)
-        counts = [
-            len(simulate_path(params, 1.5, 4.0, make_stream(9, i)).jump_times)
-            for i in range(5000)
-        ]
-        se = math.sqrt(2.0 / len(counts))
-        assert abs(float(np.mean(counts)) - 2.0) <= 3.0 * se
-
-    def test_invariants(self):
-        params = default_params()
-        path = simulate_path(params, 2.0, 3.0, make_stream(4, 7))
-        assert path.logK[0] == pytest.approx(math.log(2.0 * params.W0))
-        assert np.all(np.diff(path.times) > 0.0)
-        assert np.all(path.jump_losses >= 0.0)
-        assert np.all(path.jump_losses <= params.loss.maximum)
+        # sigma_w = 0 and a constant loss: each jump moves log K by
+        # log(1 - alpha L), so the jump count is recoverable from log K_t
+        params = default_params(w=0.5, sigma_w=0.0, loss=0.2)
+        n, t, lam = 100_000, 4.0, 1.5
+        drift = params.r_f + 0.5 * params.mu_hat - lam
+        terminals = _terminal_capital(params, lam, t, n, make_stream(9, 0))
+        jumps = (np.log(terminals) - math.log(lam * params.W0) - drift * t) / (
+            math.log1p(-0.5 * 0.2)
+        )
+        counts = np.round(jumps)
+        assert np.max(np.abs(jumps - counts)) <= 1e-9
+        se = math.sqrt(params.w * t / n)
+        assert abs(float(np.mean(counts)) - params.w * t) <= 3.0 * se
 
 
 class TestMcExpectedCapital:
@@ -109,7 +105,7 @@ class TestMcExpectedCapital:
         params = default_params()
         w, t, n = 0.1, 2.0, 200_000
         stream = make_stream(15, 0)
-        counts = stream.poisson_counts(w * t, n)
+        counts = stream.poisson(w * t, n)
         products = (1.0 - 0.5 * 0.2) ** counts
         observed = float(np.mean(products))
         se = float(np.std(products, ddof=1) / math.sqrt(n))
@@ -161,14 +157,16 @@ class TestFMu:
 
     def test_term_by_term_assembly(self):
         params = default_params()
-        shocks = (-0.3, 0.1)
+        # both shocks sit at their means -sigma^2/2
+        eps0 = -0.5 * params.sigma_agg ** 2
+        eps_i0 = -0.5 * params.sigma_idio ** 2
         rate = params.r_f + 0.5 * params.mu_hat - params.w * 0.5 * 0.2
         expected = (
-            math.exp(0.7 - 0.3 + 0.1)
+            math.exp(0.7 + eps0 + eps_i0)
             * params.D * (1.0 - params.tau) / params.EK_target
             * math.exp(rate * params.t_star)
         )
-        assert f_mu(0.7, params, shocks) == pytest.approx(expected, rel=1e-12)
+        assert f_mu(0.7, params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSolveLambda:
