@@ -54,11 +54,32 @@ def _parse_grid(text: str, name: str) -> List[float]:
     return [float(x) for x in np.arange(a, b + 0.5 * step, step)]
 
 
-def _check_unit_interval(flag: str, values: List[float]) -> None:
-    """Every cost rate given on the command line lies in (0, 1)."""
+def _check_tau_band(flag: str, values: List[float]) -> None:
+    """Every cost rate given on the command line lies in the band the
+    threshold solver accepts."""
+    lo, hi = threshold._TAU_MIN, threshold._TAU_MAX
     for value in values:
-        if not (0.0 < value < 1.0):
-            raise ConfigError(f"--{flag} must be in (0, 1), got {value}")
+        if not (lo <= value <= hi):
+            raise ConfigError(f"--{flag} must lie in [{lo}, {hi}], got {value}")
+
+
+def _check_lambda_grid(command: str, grid: List[float], t_star: float) -> None:
+    """wealth and report match lambda >= 1; figure1 and report evaluate
+    e^(lambda t*)/lambda, which needs lambda > 0 and lambda t* within
+    exp's range.  The grid increases, so its ends are its extremes."""
+    low, high = grid[0], grid[-1]
+    if command in ("wealth", "report") and low < 1.0:
+        raise ConfigError(f"--lambda-grid points must be >= 1 for "
+                          f"{command}, got {low}")
+    if command in ("figure1", "report"):
+        if low <= 0.0:
+            raise ConfigError(f"--lambda-grid points must be > 0 for "
+                              f"{command}, got {low}")
+        if high * t_star > wealth._EXP_ARG_MAX:
+            raise ConfigError(
+                f"--lambda-grid points times t_star must be <= "
+                f"{wealth._EXP_ARG_MAX} for {command}, got {high} * {t_star}"
+            )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,22 +129,20 @@ def load_config(argv: List[str]) -> RunConfig:
     else:
         params = default_params()
     if args.tau is not None:
-        _check_unit_interval("tau", [args.tau])
+        _check_tau_band("tau", [args.tau])
         params = validate(replace(params, tau=args.tau))
 
     tau_grid = _parse_grid(args.tau_grid, "tau-grid") if args.tau_grid else None
     if tau_grid is not None:
-        _check_unit_interval("tau-grid", tau_grid)
+        _check_tau_band("tau-grid", tau_grid)
         # statics compares the grid's first and last points as tau_L < tau_H
         if len(tau_grid) < 2 and args.command in ("statics", "report"):
             raise ConfigError(f"--tau-grid needs two or more points for "
                               f"{args.command}, got {args.tau_grid!r}")
     lambda_grid = (_parse_grid(args.lambda_grid, "lambda-grid")
                    if args.lambda_grid else None)
-    if lambda_grid is not None and args.command in ("wealth", "report"):
-        if lambda_grid[0] < 1.0:
-            raise ConfigError(f"--lambda-grid points must be >= 1 for "
-                              f"{args.command}, got {lambda_grid[0]}")
+    if lambda_grid is not None:
+        _check_lambda_grid(args.command, lambda_grid, params.t_star)
 
     return RunConfig(
         command=args.command,

@@ -52,8 +52,13 @@ class GaussianSpec:
         return math.sqrt(self.variance)
 
 
-def _standardize(x: float, spec: GaussianSpec) -> float:
-    if not math.isfinite(x):
+def _standardize(x, spec: GaussianSpec):
+    """(x - mean) / std for a scalar or a numpy array of points."""
+    if isinstance(x, np.ndarray):
+        finite = np.isfinite(x)
+        if not np.all(finite):
+            raise InvalidInputError(f"non-finite evaluation point: {x[~finite][0]}")
+    elif not math.isfinite(x):
         raise InvalidInputError(f"non-finite evaluation point: {x}")
     return (x - spec.mean) / spec.std
 
@@ -74,27 +79,47 @@ def log_normal_cdf(x: float, spec: GaussianSpec) -> float:
     return float(log_ndtr(_standardize(x, spec)))
 
 
-def log_normal_sf(x: float, spec: GaussianSpec) -> float:
-    """log P(X > x); stable arbitrarily deep in the right tail."""
-    return float(log_ndtr(-_standardize(x, spec)))
+def log_normal_sf(x, spec: GaussianSpec):
+    """log P(X > x); stable arbitrarily deep in the right tail.
+
+    Takes a scalar or a numpy array of points (elementwise, same bits)."""
+    out = log_ndtr(-_standardize(x, spec))
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
-def hazard_rate(x: float, spec: GaussianSpec) -> float:
+def _left_tail_hazard(z: float, std: float) -> float:
+    # survival function is 1 within 1e-16: the hazard is the pdf
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / std
+
+
+def hazard_rate(x, spec: GaussianSpec):
     """pdf / (1 - cdf), via the scaled complementary error function.
 
     h(z) = sqrt(2/pi) / erfcx(z / sqrt 2) for the standard normal, which
     stays accurate deep in the right tail where pdf and 1-cdf both
     underflow.  erfcx overflows for very negative arguments, where the
     hazard equals the pdf to machine precision.
+
+    Takes a scalar or a numpy array of points; an array gives the scalar
+    values elementwise, bit for bit (the z < -8 points still use
+    math.exp, whose last bit np.exp does not always match).
     """
     z = _standardize(x, spec)
-    if z < -8.0:
-        # survival function is 1 within 1e-16
-        return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / spec.std
+    if not isinstance(z, np.ndarray):
+        if z < -8.0:
+            return _left_tail_hazard(z, spec.std)
+        denom = erfcx(z / _SQRT2)
+        if not np.isfinite(denom) or denom <= 0.0:
+            raise NumericalRangeError(f"hazard evaluation failed at z={z}")
+        return _SQRT_2_OVER_PI / float(denom) / spec.std
+    left = z < -8.0
     denom = erfcx(z / _SQRT2)
-    if not np.isfinite(denom) or denom <= 0.0:
-        raise NumericalRangeError(f"hazard evaluation failed at z={z}")
-    return _SQRT_2_OVER_PI / float(denom) / spec.std
+    bad = ~left & ~(np.isfinite(denom) & (denom > 0.0))
+    if np.any(bad):
+        raise NumericalRangeError(f"hazard evaluation failed at z={z[bad][0]}")
+    h = _SQRT_2_OVER_PI / denom / spec.std
+    h[left] = [_left_tail_hazard(v, spec.std) for v in z[left].tolist()]
+    return h
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,10 @@ def threshold_sensitivity(
     return dF_dtau / (1.0 - dF_dmu)
 
 
-def log_output_ratio(mu_k: float, sigma_mu: float) -> float:
+def log_output_ratio(mu_k, sigma_mu: float):
     """log of the tail ratio; keeps full relative resolution in the far
-    left tail where the ratio itself rounds to 1 in double precision."""
+    left tail where the ratio itself rounds to 1 in double precision.
+    Takes a scalar or a numpy array of thresholds."""
     if sigma_mu <= 0.0:
         raise InvalidInputError(f"sigma_mu must be > 0, got {sigma_mu}")
     v = sigma_mu * sigma_mu

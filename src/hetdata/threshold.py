@@ -13,6 +13,7 @@ two expected utilities coincide exactly at the threshold.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,6 +108,11 @@ def F_threshold(tau: float, mu: float, params: ModelParams) -> float:
     return _rhs(logit, params.sigma_mu ** 2, _moment_term(params))(mu)
 
 
+# Memoised on (tau, params): ModelParams is frozen and hashable, and the
+# solution is frozen, so every caller with equal inputs shares one solve.
+# 512 entries hold a whole tau grid at several parameter sets; typed, so
+# that an int tau never answers for a float one.  Exceptions are not cached.
+@functools.lru_cache(maxsize=512, typed=True)
 def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     """Unique root of G(mu) = mu - F(tau, mu).
 

@@ -18,6 +18,7 @@ increasing branch.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -83,6 +84,11 @@ def _terminal_capital(
     return np.exp(logK)
 
 
+# Memoised like threshold.solve_threshold: the estimate is a pure function
+# of its arguments (each batch stream is keyed by the master seed), so a
+# repeated case, such as wealth.csv's lambda = 1.5 row and verify's
+# diffusion_and_jumps case, is simulated once.  Exceptions are not cached.
+@functools.lru_cache(maxsize=512, typed=True)
 def mc_expected_capital(
     params: ModelParams,
     lam: float,

@@ -136,6 +136,11 @@ class TestExitCodes:
         ["threshold", "--tau-grid", "0.5:1.5:0.5"],  # reaches tau = 1
         ["statics", "--tau-grid", "0.3:0.4:1.0"],    # one point: tau_L = tau_H
         ["wealth", "--seed", "1", "--lambda-grid", "0.5:1.0:0.5"],
+        ["figure1", "--lambda-grid", "0.0:1.0:0.5"],  # f(lambda) needs lambda > 0
+        ["figure1", "--lambda-grid", "100:400:100"],  # e^(lambda t*) overflows
+        ["report", "--seed", "1", "--lambda-grid", "1:400:100"],
+        ["threshold", "--tau", "0.0000001"],          # below the solver's band
+        ["threshold", "--tau-grid", "0.0000001:0.5:0.1"],
     ])
     def test_bad_grid_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"

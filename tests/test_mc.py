@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hetdata.errors import InvalidInputError
+from hetdata.errors import DegenerateInputError, InvalidInputError
 from hetdata.mc import (
     consumption_convergence,
     draw_population,
@@ -14,6 +14,7 @@ from hetdata.mc import (
 )
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
+from hetdata.statics import aggregate_output
 
 
 class TestDrawPopulation:
@@ -87,6 +88,82 @@ class TestMarketClearing:
         sample = draw_population(1, default_params(), make_stream(4, 2))
         with pytest.raises(InvalidInputError):
             market_clearing_check(sample, 0.1)
+
+
+def _hex_rows(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row)
+            for row in rows]
+
+
+class TestInPlacePasses:
+    """The in-place passes give the bits of the plain array expressions."""
+
+    PARAMS = [default_params(),
+              default_params(sigma_mu=0.5, mu_bar=0.3, sigma_idio=0.8,
+                             theta=0.4, tau=0.3)]
+    CASES = [(params, seed, n) for params in PARAMS
+             for seed in (1, 2, 7, 42) for n in (2, 3, 17, 1000, 4097)]
+
+    @staticmethod
+    def _reference_draw(n, params, stream):
+        ability, idio_spec, agg_spec = (
+            params.ability_spec, params.idio_shock_spec, params.agg_shock_spec
+        )
+        abilities = ability.mean + ability.std * stream.standard_normal(n)
+        idio = idio_spec.mean + idio_spec.std * stream.standard_normal(n)
+        agg = float((agg_spec.mean + agg_spec.std * stream.standard_normal(1))[0])
+        return abilities, idio, agg
+
+    @staticmethod
+    def _reference_lln(abilities, idio, agg, users, sol, params):
+        terms = np.where(users, np.exp(abilities + idio), 0.0)
+        observed = float(np.mean(terms))
+        se = float(np.std(terms, ddof=1) / math.sqrt(len(terms)))
+        scale = params.D * math.exp(agg)
+        return [
+            ("lln_user_aggregate", sol.m * sol.tail_mean, observed, se),
+            ("lln_aggregate_output", aggregate_output(sol.mu_k, agg, params),
+             scale * observed, scale * se),
+        ]
+
+    @staticmethod
+    def _reference_clearing(abilities, theta):
+        weights = np.exp(abilities)
+        shares = (1.0 - theta) * weights / float(np.sum(weights))
+        risk_free = 0.0 * weights
+        return [float(np.sum(shares)), float(np.max(np.abs(risk_free)))]
+
+    @pytest.mark.parametrize("params, seed, n", CASES)
+    def test_bitwise_equal_to_array_expressions(self, params, seed, n):
+        sample = draw_population(n, params, make_stream(seed, 1))
+        abilities, idio, agg = self._reference_draw(n, params, make_stream(seed, 1))
+        assert sample.abilities.tobytes() == abilities.tobytes()
+        assert sample.idio_shocks.tobytes() == idio.tobytes()
+        assert sample.agg_shock.hex() == agg.hex()
+        users = sample.roles
+        if np.any(users):
+            got = [(r.statistic, r.expected, r.observed, r.se)
+                   for r in lln_check(sample, sample.threshold, params)]
+            want = self._reference_lln(abilities, idio, agg, users,
+                                       sample.threshold, params)
+            assert _hex_rows(got) == _hex_rows(want)
+        else:
+            with pytest.raises(DegenerateInputError):
+                lln_check(sample, sample.threshold, params)
+        got = [r.observed for r in market_clearing_check(sample, params.theta)]
+        want = self._reference_clearing(abilities, params.theta)
+        assert _hex_rows([got]) == _hex_rows([want])
+
+    def test_inputs_left_untouched(self):
+        params = default_params()
+        sample = draw_population(1000, params, make_stream(5, 1))
+        before = [sample.abilities.copy(), sample.idio_shocks.copy(),
+                  sample.roles.copy()]
+        lln_check(sample, sample.threshold, params)
+        market_clearing_check(sample, params.theta)
+        for old, new in zip(before, [sample.abilities, sample.idio_shocks,
+                                     sample.roles]):
+            assert old.tobytes() == new.tobytes()
 
 
 class TestConsumptionConvergence:

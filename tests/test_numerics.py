@@ -116,6 +116,22 @@ class TestHazard:
         h = hazard_rate(50.0, STD)
         assert 50.0 < h < 50.03
 
+    @pytest.mark.parametrize("var", [0.25, 1.0, 4.0])
+    def test_array_equals_scalar_calls_bitwise(self, var):
+        # verify's grid and its shift by var, which reaches z < -8 at var
+        # 0.25, plus a wide grid deep into both tails
+        grid = np.arange(-4.0, 4.0 + 1e-12, 0.01)
+        spec = GaussianSpec(0.0, var)
+        for points in (grid, grid - var, np.linspace(-60.0, 60.0, 1201)):
+            values = hazard_rate(points, spec)
+            assert isinstance(values, np.ndarray) and values.shape == points.shape
+            for x, h in zip(points.tolist(), values.tolist()):
+                assert h.hex() == hazard_rate(x, spec).hex()
+
+    def test_array_with_non_finite_point_rejected(self):
+        with pytest.raises(InvalidInputError):
+            hazard_rate(np.array([0.0, np.inf]), STD)
+
 
 class TestQuadrature:
     def test_weights_normalized(self):

@@ -104,6 +104,14 @@ class TestOutputRatio:
             values = [log_output_ratio(float(m), sigma) for m in grid]
             assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_log_ratio_array_equals_scalar_calls_bitwise(self):
+        grid = np.arange(-4.0, 4.0 + 1e-12, 0.01)
+        for sigma in (0.5, 1.0, 2.0):  # the variances verify checks
+            values = log_output_ratio(grid, sigma)
+            assert isinstance(values, np.ndarray) and values.shape == grid.shape
+            for m, r in zip(grid.tolist(), values.tolist()):
+                assert r.hex() == log_output_ratio(m, sigma).hex()
+
 
 class TestAggregateOutput:
     @pytest.mark.parametrize("sigma_mu", [0.25, 0.5, 1.0, 2.0])

@@ -4,7 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from hetdata.errors import DegenerateInputError, InvalidInputError
+from hetdata.errors import (
+    ConvergenceError,
+    DegenerateInputError,
+    InvalidInputError,
+)
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
 from hetdata.threshold import (
@@ -151,6 +155,43 @@ class TestSolveThreshold:
                 )
                 sol = solve_threshold(0.5, params)
                 assert abs(sol.mu_k - 0.5 * sigma_mu ** 2) <= 1e-10
+
+
+def _bits(sol):
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in sol.to_dict().values())
+
+
+class TestSolveThresholdMemo:
+    CASES = [(tau, default_params(gamma=gamma, sigma_mu=sigma_mu))
+             for tau in (0.05, 0.5, 0.93)
+             for gamma in (1.0, 2.0, 5.0)
+             for sigma_mu in (0.25, 1.0)]
+
+    def test_memo_bitwise_equals_uncached(self):
+        solve_threshold.cache_clear()
+        for tau, params in self.CASES:
+            for _ in range(2):  # a miss, then a hit
+                assert _bits(solve_threshold(tau, params)) == _bits(
+                    solve_threshold.__wrapped__(tau, params))
+        info = solve_threshold.cache_info()
+        assert (info.misses, info.hits) == (len(self.CASES), len(self.CASES))
+
+    def test_equal_params_share_an_entry(self):
+        solve_threshold.cache_clear()
+        first = solve_threshold(0.4, default_params())
+        assert solve_threshold(0.4, default_params()) is first
+        assert solve_threshold.cache_info().currsize == 1
+
+    def test_failed_call_leaves_no_entry(self):
+        solve_threshold.cache_clear()
+        unconverged = default_params(theta=0.9, sigma_idio=2.0, gamma=8.0)
+        for tau, params, error in [(1e-7, default_params(), InvalidInputError),
+                                   (0.5, unconverged, ConvergenceError)]:
+            for _ in range(2):
+                with pytest.raises(error):
+                    solve_threshold(tau, params)
+        assert solve_threshold.cache_info().currsize == 0
 
 
 class TestUtilities:

@@ -120,6 +120,27 @@ class TestMcExpectedCapital:
         with pytest.raises(InvalidInputError):
             mc_expected_capital(REFERENCE, 1.5, 2.0, 50, 1)
 
+    def test_memo_bitwise_equals_uncached(self):
+        mc_expected_capital.cache_clear()
+        cases = [(REFERENCE, 1.5, 2.0, 20_000, 3),
+                 (default_params(w=0.0), 1.5, 2.0, 20_000, 3),
+                 (default_params(alpha=0.0, w=0.0), 1.5, 2.0, 1000, 3),
+                 (REFERENCE, 2.0, 1.0, 1000, 4)]
+        for args in cases:
+            for _ in range(2):  # a miss, then a hit
+                est, se = mc_expected_capital(*args)
+                ref_est, ref_se = mc_expected_capital.__wrapped__(*args)
+                assert (est.hex(), se.hex()) == (ref_est.hex(), ref_se.hex())
+        info = mc_expected_capital.cache_info()
+        assert (info.misses, info.hits) == (len(cases), len(cases))
+
+    def test_failed_call_leaves_no_entry(self):
+        mc_expected_capital.cache_clear()
+        for args in [(REFERENCE, 1.5, 2.0, 50, 1), (REFERENCE, 1.5, 0.0, 1000, 1)]:
+            with pytest.raises(InvalidInputError):
+                mc_expected_capital(*args)
+        assert mc_expected_capital.cache_info().currsize == 0
+
 
 class TestFLambda:
     def test_values(self):
