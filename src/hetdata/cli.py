@@ -16,7 +16,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import statics, threshold, verify, wealth
-from .errors import ConfigError, HetdataError, ParamError
+from .errors import (
+    ConfigError,
+    HetdataError,
+    InvalidInputError,
+    NumericalRangeError,
+    ParamError,
+)
 from .model import ModelParams, default_params, load_params, validate
 
 COMMANDS = ("threshold", "statics", "wealth", "figure1", "verify", "report")
@@ -54,32 +60,28 @@ def _parse_grid(text: str, name: str) -> List[float]:
     return [float(x) for x in np.arange(a, b + 0.5 * step, step)]
 
 
-def _check_tau_band(flag: str, values: List[float]) -> None:
-    """Every cost rate given on the command line lies in the band the
-    threshold solver accepts."""
-    lo, hi = threshold._TAU_MIN, threshold._TAU_MAX
-    for value in values:
-        if not (lo <= value <= hi):
-            raise ConfigError(f"--{flag} must lie in [{lo}, {hi}], got {value}")
+def _with_tau(params: ModelParams, flag: str, tau: float) -> ModelParams:
+    """params at cost rate tau, which must pass the parameter checks."""
+    try:
+        return validate(replace(params, tau=tau))
+    except ParamError as exc:
+        raise ConfigError(f"--{flag}: {exc}") from exc
 
 
 def _check_lambda_grid(command: str, grid: List[float], t_star: float) -> None:
     """wealth and report match lambda >= 1; figure1 and report evaluate
-    e^(lambda t*)/lambda, which needs lambda > 0 and lambda t* within
-    exp's range.  The grid increases, so its ends are its extremes."""
+    f_lambda on the grid.  The grid increases, so its ends are its
+    extremes."""
     low, high = grid[0], grid[-1]
     if command in ("wealth", "report") and low < 1.0:
         raise ConfigError(f"--lambda-grid points must be >= 1 for "
                           f"{command}, got {low}")
     if command in ("figure1", "report"):
-        if low <= 0.0:
-            raise ConfigError(f"--lambda-grid points must be > 0 for "
-                              f"{command}, got {low}")
-        if high * t_star > wealth._EXP_ARG_MAX:
-            raise ConfigError(
-                f"--lambda-grid points times t_star must be <= "
-                f"{wealth._EXP_ARG_MAX} for {command}, got {high} * {t_star}"
-            )
+        try:
+            wealth.f_lambda(low, t_star)
+            wealth.f_lambda(high, t_star)
+        except (InvalidInputError, NumericalRangeError) as exc:
+            raise ConfigError(f"--lambda-grid for {command}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,12 +131,12 @@ def load_config(argv: List[str]) -> RunConfig:
     else:
         params = default_params()
     if args.tau is not None:
-        _check_tau_band("tau", [args.tau])
-        params = validate(replace(params, tau=args.tau))
+        params = _with_tau(params, "tau", args.tau)
 
     tau_grid = _parse_grid(args.tau_grid, "tau-grid") if args.tau_grid else None
     if tau_grid is not None:
-        _check_tau_band("tau-grid", tau_grid)
+        for tau in tau_grid:
+            _with_tau(params, "tau-grid", tau)
         # statics compares the grid's first and last points as tau_L < tau_H
         if len(tau_grid) < 2 and args.command in ("statics", "report"):
             raise ConfigError(f"--tau-grid needs two or more points for "

@@ -113,13 +113,17 @@ class ModelParams:
         return self.mu0 + self.w * self.loss.mean
 
 
+# log(tau/(1-tau)) overflows floats outside this band
+TAU_MIN, TAU_MAX = 1e-6, 1.0 - 1e-6
+
 _RANGE_CHECKS = [
     ("gamma", lambda p: p["gamma"] > 0.0, "must be > 0"),
     ("sigma_mu", lambda p: p["sigma_mu"] > 0.0, "must be > 0"),
     ("sigma_agg", lambda p: p["sigma_agg"] > 0.0, "must be > 0"),
     ("sigma_idio", lambda p: p["sigma_idio"] > 0.0, "must be > 0"),
     ("theta", lambda p: 0.0 < p["theta"] < 1.0, "must be in (0, 1)"),
-    ("tau", lambda p: 0.0 < p["tau"] < 1.0, "must be in (0, 1)"),
+    ("tau", lambda p: TAU_MIN <= p["tau"] <= TAU_MAX,
+     f"must be in [{TAU_MIN}, {TAU_MAX}]"),
     ("D", lambda p: p["D"] > 0.0, "must be > 0"),
     ("eta", lambda p: 0.0 < p["eta"] < 1.0, "must be in (0, 1)"),
     ("d0", lambda p: p["d0"] > 0.0, "must be > 0"),

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, InvalidInputError, SolverError
-from .model import ModelParams
+from .model import TAU_MAX, TAU_MIN, ModelParams
 from .numerics import (
     GaussianSpec,
     log_normal_cdf,
@@ -27,8 +27,6 @@ from .numerics import (
     solve_bracketed,
 )
 
-# log(tau/(1-tau)) overflows floats outside this band
-_TAU_MIN, _TAU_MAX = 1e-6, 1.0 - 1e-6
 _ROOT_TOL = 1e-13
 
 
@@ -58,9 +56,9 @@ class ThresholdSolution:
 
 
 def _check_tau(tau: float) -> None:
-    if not (_TAU_MIN <= tau <= _TAU_MAX):
+    if not (TAU_MIN <= tau <= TAU_MAX):
         raise InvalidInputError(
-            f"tau must lie in [{_TAU_MIN}, {_TAU_MAX}], got {tau}"
+            f"tau must lie in [{TAU_MIN}, {TAU_MAX}], got {tau}"
         )
 
 

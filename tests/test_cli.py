@@ -90,6 +90,13 @@ class TestExitCodes:
         path.write_text("{\"tau\": 2.0}")
         assert main(["threshold", "--params", str(path)]) == EXIT_CONFIG
 
+    def test_params_tau_below_solver_band_exits_2_without_outputs(self, tmp_path):
+        path = _write_params(tmp_path, tau=1e-7)
+        out = tmp_path / "out"
+        code = main(["threshold", "--params", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_seed_exits_2(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == EXIT_CONFIG
 

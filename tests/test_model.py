@@ -33,6 +33,11 @@ class TestValidate:
         with pytest.raises(ParamError, match="tau"):
             validate(base_record(tau=1.2))
 
+    @pytest.mark.parametrize("tau", [1e-7, 1.0 - 1e-7])
+    def test_tau_outside_solver_band(self, tau):
+        with pytest.raises(ParamError, match="tau"):
+            validate(base_record(tau=tau))
+
     def test_alpha_loss_log_domain(self):
         with pytest.raises(ParamError, match="loss"):
             validate(base_record(alpha=0.5, loss=2.5))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from hetdata import numerics
 from hetdata.errors import (
@@ -127,6 +128,15 @@ class TestHazard:
             assert isinstance(values, np.ndarray) and values.shape == points.shape
             for x, h in zip(points.tolist(), values.tolist()):
                 assert h.hex() == hazard_rate(x, spec).hex()
+                # the scalar formula, left tail through math.exp
+                z = (x - spec.mean) / spec.std
+                if z < -8.0:
+                    expected = (1.0 / math.sqrt(2.0 * math.pi)
+                                * math.exp(-0.5 * z * z) / spec.std)
+                else:
+                    expected = (math.sqrt(2.0 / math.pi)
+                                / float(erfcx(z / math.sqrt(2.0))) / spec.std)
+                assert h.hex() == expected.hex()
 
     def test_array_with_non_finite_point_rejected(self):
         with pytest.raises(InvalidInputError):
