@@ -84,6 +84,18 @@ def _check_lambda_grid(command: str, grid: List[float], t_star: float) -> None:
             raise ConfigError(f"--lambda-grid for {command}: {exc}") from exc
 
 
+def _check_mu_grid(command: str, grid: List[float],
+                   params: ModelParams) -> None:
+    """figure1 and report evaluate f_mu on the grid, which increases with
+    mu, so the grid's ends are its extremes."""
+    if command in ("figure1", "report"):
+        try:
+            wealth.f_mu(grid[0], params)
+            wealth.f_mu(grid[-1], params)
+        except NumericalRangeError as exc:
+            raise ConfigError(f"--mu-grid for {command}: {exc}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetdata",
@@ -146,6 +158,10 @@ def load_config(argv: List[str]) -> RunConfig:
     if lambda_grid is not None:
         _check_lambda_grid(args.command, lambda_grid, params.t_star)
 
+    mu_grid = _parse_grid(args.mu_grid, "mu-grid") if args.mu_grid else None
+    if mu_grid is not None:
+        _check_mu_grid(args.command, mu_grid, params)
+
     return RunConfig(
         command=args.command,
         params=params,
@@ -153,7 +169,7 @@ def load_config(argv: List[str]) -> RunConfig:
         seed=args.seed,
         tau_grid=tau_grid,
         lambda_grid=lambda_grid,
-        mu_grid=_parse_grid(args.mu_grid, "mu-grid") if args.mu_grid else None,
+        mu_grid=mu_grid,
         n_paths=args.paths,
         population=args.population,
     )

@@ -5,19 +5,19 @@ Every other module builds on these four pieces:
 * Gaussian pdf/cdf/hazard with stable right-tail evaluation (erfcx based,
   no 1-cdf cancellation),
 * Gauss-Hermite expectation E[g(X)] for X ~ N(mean, variance),
-* a bracketed root finder with guaranteed convergence,
+* a bracketed root finder (Brent's method, ported from scipy's brentq),
 * reproducible, independently-seeded random streams for Monte Carlo.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import brentq
 from scipy.special import erfcx, log_ndtr, ndtr
 
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     HetdataError,
     InvalidInputError,
     NumericalRangeError,
+    SolverError,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -110,47 +111,38 @@ def hazard_rate(x, spec: GaussianSpec):
     return h if isinstance(x, np.ndarray) else float(h[0])
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes/weights evaluating E[g(X)] for X ~ N(mean, variance)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        if len(self.nodes) != self.order or len(self.weights) != self.order:
-            raise InvalidInputError("nodes/weights length must equal order")
-        if np.any(self.weights <= 0.0):
-            raise InvalidInputError("quadrature weights must be positive")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
-            raise InvalidInputError("normalized weights must sum to 1")
-
-
 @functools.lru_cache(maxsize=32)
 def _hermite_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """hermgauss(order), built once per order (it costs an eigensolve).
+    """hermgauss(order) with its weights over sqrt(pi), built and checked
+    once per order (it costs an eigensolve).
 
     The arrays are shared by every caller, so they are made read-only.
     """
     x, w = hermgauss(order)
+    w = w / math.sqrt(math.pi)
+    if len(x) != order or len(w) != order:
+        raise InvalidInputError(f"hermgauss({order}) returned the wrong length")
+    if not (np.all(w > 0.0) and abs(float(np.sum(w)) - 1.0) <= 1e-12):
+        raise InvalidInputError(
+            f"hermgauss({order}) weights are not positive and summing to 1"
+        )
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-def gauss_hermite_rule(spec: GaussianSpec, order: int) -> QuadratureRule:
-    """Gauss-Hermite rule transformed to the N(mean, variance) measure.
+def gauss_hermite_rule(
+    spec: GaussianSpec, order: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Hermite rule for N(mean, variance).
 
     hermgauss targets ∫ e^{-x^2} g(x) dx; substituting x = (t-mean)/(σ√2)
     gives nodes mean + σ√2 x_i and weights w_i/√π, which sum to 1.
     """
     if order < 2:
         raise InvalidInputError(f"order must be >= 2, got {order}")
-    x, w = _hermite_nodes(order)
-    nodes = spec.mean + spec.std * _SQRT2 * x
-    weights = w / math.sqrt(math.pi)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    x, weights = _hermite_nodes(order)
+    return spec.mean + spec.std * _SQRT2 * x, weights
 
 
 def expect_gauss_hermite(
@@ -162,9 +154,9 @@ def expect_gauss_hermite(
     returns a non-finite value, or raises an arithmetic or value error,
     gives EvaluationError naming the node.
     """
-    rule = gauss_hermite_rule(spec, order)
+    nodes, weights = gauss_hermite_rule(spec, order)
     total = 0.0
-    for node, weight in zip(rule.nodes, rule.weights):
+    for node, weight in zip(nodes, weights):
         try:
             val = g(float(node))
         except HetdataError:
@@ -220,27 +212,87 @@ def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
     raise ConvergenceError(theta, sigma1, gamma, order, float(change))
 
 
+# Brent's method as in scipy's C brentq: a relative tolerance of 8 machine
+# epsilons on top of the caller's absolute one, and at most 100 steps.
+_BRENT_RTOL = 8.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _value(f: Callable[[float], float], x: float) -> float:
+    """f(x) as a float; a NaN raises EvaluationError naming x."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise EvaluationError(f"root finder: f returned NaN at x={x}")
+    return fx
+
+
+def _brent(
+    f: Callable[[float], float],
+    lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
+) -> float:
+    """Brent (1973, ch. 4) on [lo, hi], where f_lo and f_hi have opposite
+    signs, step for step as scipy's C brentq, so every root keeps its bits."""
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        good = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass  # C gets an infinite or NaN step, which fails the test
+        if good:
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _value(f, xcur)
+    raise SolverError(
+        f"root finder did not converge on [{lo}, {hi}] at tolerance {xtol} "
+        f"in {_BRENT_MAXITER} iterations: last iterate x={xcur}, f={fcur}"
+    )
+
+
 def solve_bracketed(
     f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> float:
     """Root of f on [lo, hi] given a sign change at the endpoints.
 
     Interpolation-accelerated bisection (Brent) with guaranteed bracket
-    shrinkage; the result never leaves [lo, hi].
+    shrinkage; the result never leaves [lo, hi].  f is evaluated once at
+    each end.  A NaN from f raises EvaluationError naming x; no convergence
+    in 100 steps raises SolverError.
     """
     if tol <= 0.0:
         raise InvalidInputError(f"tol must be > 0, got {tol}")
     if not (lo < hi):
         raise InvalidInputError(f"need lo < hi, got [{lo}, {hi}]")
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = _value(f, lo), _value(f, hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise BracketingError(lo, hi, f_lo, f_hi)
-    root = brentq(f, lo, hi, xtol=tol, rtol=8.0 * np.finfo(float).eps)
-    return float(min(max(root, lo), hi))
+    return min(max(_brent(f, lo, hi, f_lo, f_hi, tol), lo), hi)
 
 
 def make_stream(master_seed: int, index: int) -> np.random.Generator:

@@ -99,13 +99,6 @@ def _rhs(logit: float, v: float, moment: float):
     return F
 
 
-def F_threshold(tau: float, mu: float, params: ModelParams) -> float:
-    """Right-hand side of the fixed-point equation; decreasing in mu."""
-    _check_tau(tau)
-    logit = math.log(tau) - math.log1p(-tau)
-    return _rhs(logit, params.sigma_mu ** 2, _moment_term(params))(mu)
-
-
 # Memoised on (tau, params): ModelParams is frozen and hashable, and the
 # solution is frozen, so every caller with equal inputs shares one solve.
 # 512 entries hold a whole tau grid at several parameter sets; typed, so

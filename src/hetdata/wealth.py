@@ -141,16 +141,23 @@ def f_mu(mu_i: float, params: ModelParams) -> float:
     f(mu_i, t*) = e^(mu_i + eps0 + eps_i0) D (1 - tau) / EK_target
                   * exp{(r_f + alpha*mu_hat + w[E(1 - alpha L) - 1]) t*},
     with initial wealth W0 = y_0 (1 - tau) built from the shock pair
-    (eps0, eps_i0) fixed at its means.
+    (eps0, eps_i0) fixed at its means.  Raises NumericalRangeError where
+    that value overflows.
     """
     eps0, eps_i0 = params.agg_shock_spec.mean, params.idio_shock_spec.mean
-    return (
-        math.exp(mu_i + eps0 + eps_i0)
-        * params.D
-        * (1.0 - params.tau)
-        / params.EK_target
-        * math.exp(_mean_rate(params, 0.0) * params.t_star)
-    )
+    try:
+        value = (
+            math.exp(mu_i + eps0 + eps_i0)
+            * params.D
+            * (1.0 - params.tau)
+            / params.EK_target
+            * math.exp(_mean_rate(params, 0.0) * params.t_star)
+        )
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise NumericalRangeError(f"f(mu_i, t*) overflows at mu_i={mu_i}")
+    return value
 
 
 def solve_lambda(mu_i: float, params: ModelParams) -> LambdaSolution:

@@ -148,6 +148,8 @@ class TestExitCodes:
         ["report", "--seed", "1", "--lambda-grid", "1:400:100"],
         ["threshold", "--tau", "0.0000001"],          # below the solver's band
         ["threshold", "--tau-grid", "0.0000001:0.5:0.1"],
+        ["figure1", "--mu-grid", "800:900:50"],       # f(mu_i, t*) overflows
+        ["report", "--seed", "1", "--mu-grid", "700:710:5"],
     ])
     def test_bad_grid_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"

@@ -1,22 +1,30 @@
 import collections
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import erfcx
 
-from hetdata import numerics
+import hetdata
+from hetdata import numerics, threshold, wealth
 from hetdata.errors import (
     BracketingError,
     ConvergenceError,
     EvaluationError,
     HetdataError,
     InvalidInputError,
+    SolverError,
 )
+from hetdata.model import default_params
 from hetdata.numerics import (
     GaussianSpec,
     expect_gauss_hermite,
@@ -145,8 +153,9 @@ class TestHazard:
 
 class TestQuadrature:
     def test_weights_normalized(self):
-        rule = gauss_hermite_rule(STD, 20)
-        assert abs(float(np.sum(rule.weights)) - 1.0) <= 1e-12
+        nodes, weights = gauss_hermite_rule(STD, 20)
+        assert len(nodes) == len(weights) == 20
+        assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
 
     def test_constant_and_square(self):
         assert expect_gauss_hermite(lambda x: 1.0, STD, 20) == pytest.approx(
@@ -265,6 +274,32 @@ class TestQuadratureCaches:
         assert calls[20] == 1 and calls[40] == 1
         assert set(calls.values()) == {1}
 
+    @pytest.mark.parametrize("spec", [STD, GaussianSpec(-0.125, 0.25),
+                                      GaussianSpec(0.7, 4.0)])
+    def test_rule_bitwise_equals_hermgauss_transform(self, spec):
+        for order in (2, 20, 40, 80, 160, 320):
+            x, w = np.polynomial.hermite.hermgauss(order)
+            nodes, weights = gauss_hermite_rule(spec, order)
+            assert np.array_equal(nodes, spec.mean + spec.std * math.sqrt(2.0) * x)
+            assert np.array_equal(weights, w / math.sqrt(math.pi))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda x, w: (x[:-1], w[:-1]),              # wrong length
+        lambda x, w: (x, -w),                       # non-positive weights
+        lambda x, w: (x, np.full_like(w, np.nan)),  # non-finite weights
+        lambda x, w: (x, 2.0 * w),                  # weights sum to 2
+    ])
+    def test_bad_hermgauss_rejected_once_built(self, monkeypatch, corrupt):
+        real = numerics.hermgauss
+        monkeypatch.setattr(numerics, "hermgauss",
+                            lambda order: corrupt(*real(order)))
+        numerics._hermite_nodes.cache_clear()
+        with pytest.raises(InvalidInputError, match="hermgauss"):
+            gauss_hermite_rule(STD, 20)
+        monkeypatch.undo()
+        # the failure left no cache entry
+        assert len(gauss_hermite_rule(STD, 20)[1]) == 20
+
     def test_failed_call_leaves_no_entry(self):
         portfolio_moment.cache_clear()
         # at theta = 1, (theta e^eps + 1) - theta cancels to 0.0 on deep nodes
@@ -298,6 +333,129 @@ class TestSolveBracketed:
         lo, hi = center - width, center + width
         root = solve_bracketed(lambda x: math.tanh(x - center), lo, hi, 1e-10)
         assert lo <= root <= hi
+
+    def test_each_end_evaluated_once(self):
+        calls = collections.Counter()
+
+        def f(x):
+            calls[x] += 1
+            return x * x - 2.0
+
+        solve_bracketed(f, 0.0, 2.0, 1e-12)
+        assert calls[0.0] == 1 and calls[2.0] == 1
+
+    def test_nan_raises_evaluation_error_naming_x(self):
+        with pytest.raises(EvaluationError, match=r"NaN at x=2\.0$"):
+            solve_bracketed(lambda x: math.nan if x == 2.0 else x, -1.0, 2.0, 1e-12)
+        # NaN at the first iterate: the secant step from [0, 1] lands on 0.5
+        with pytest.raises(EvaluationError, match=r"NaN at x=0\.5$"):
+            solve_bracketed(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
+                            0.0, 1.0, 1e-12)
+
+    def test_no_convergence_raises_solver_error(self):
+        # flat at its root, so secant steps crawl: 100 steps do not reach 1e-14
+        with pytest.raises(SolverError) as err:
+            solve_bracketed(lambda x: x ** 9, -1.0, 2.0, 1e-14)
+        assert type(err.value) is SolverError
+        text = str(err.value)
+        for part in ("[-1.0, 2.0]", "tolerance 1e-14", "100 iterations",
+                     "last iterate x="):
+            assert part in text
+
+
+def _scipy_root(f, lo, hi, tol):
+    """What solve_bracketed returned when it called scipy's brentq."""
+    root = brentq(f, lo, hi, xtol=tol, rtol=8.0 * np.finfo(float).eps)
+    return float(min(max(root, lo), hi))
+
+
+class TestBrentMatchesScipy:
+    """The in-repo Brent gives scipy.optimize.brentq's root bit for bit."""
+
+    @staticmethod
+    def assert_same(f, lo, hi, tol):
+        try:
+            expected = _scipy_root(f, lo, hi, tol)
+        except RuntimeError:  # scipy's non-convergence
+            with pytest.raises(SolverError):
+                solve_bracketed(f, lo, hi, tol)
+            return "unconverged"
+        assert solve_bracketed(f, lo, hi, tol).hex() == expected.hex()
+        return "converged"
+
+    def test_real_problems_of_both_callers(self, monkeypatch):
+        # every bracket solve_threshold and solve_lambda pose over a seeded
+        # random box of validated parameters
+        problems = []
+
+        def recording(f, lo, hi, tol):
+            problems.append((f, lo, hi, tol))
+            return numerics.solve_bracketed(f, lo, hi, tol)
+
+        monkeypatch.setattr(threshold, "solve_bracketed", recording)
+        monkeypatch.setattr(wealth, "solve_bracketed", recording)
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            gamma = 1.0 if rng.random() < 0.25 else float(rng.uniform(0.3, 10.0))
+            params = default_params(
+                gamma=gamma,
+                sigma_mu=float(rng.uniform(0.02, 3.0)),
+                sigma_idio=float(rng.uniform(0.02, 0.8)),
+                theta=float(rng.uniform(0.001, 0.999)),
+                tau=float(rng.uniform(1e-6, 1.0 - 1e-6)),
+                sigma_agg=float(rng.uniform(0.01, 0.8)),
+                D=float(rng.uniform(0.1, 5.0)),
+                mu_bar=float(rng.uniform(-2.0, 2.0)),
+                alpha=float(rng.uniform(0.0, 1.0)),
+                w=float(rng.uniform(0.0, 2.0)),
+                t_star=float(rng.uniform(1.01, 20.0)),
+                EK_target=float(rng.uniform(0.001, 1.0)),
+            )
+            for solve, args in ((threshold.solve_threshold.__wrapped__,
+                                 (params.tau, params)),
+                                (wealth.solve_lambda,
+                                 (float(rng.uniform(-5.0, 15.0)), params))):
+                try:
+                    solve(*args)
+                except HetdataError:
+                    pass  # no root to compare, e.g. a NoSolutionError
+        by_caller = collections.Counter(f.__qualname__.split(".")[0]
+                                        for f, *_ in problems)
+        assert by_caller["solve_threshold"] >= 250
+        assert by_caller["solve_lambda"] >= 50
+        for problem in problems:
+            assert self.assert_same(*problem) == "converged"
+
+    # coarse tolerances too: there the -delta in the step-acceptance test binds
+    @pytest.mark.parametrize("tol", [0.3, 0.1, 1e-3, 1e-8, 1e-10, 1e-12, 1e-13,
+                                     1e-14])
+    def test_synthetic_functions(self, tol):
+        rng = np.random.default_rng(round(-10 * math.log10(tol)))
+        outcomes = collections.Counter()
+        for i in range(120):
+            c, a = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 10.0))
+            lo = c - float(rng.uniform(0.01, 5.0))
+            hi = c + float(rng.uniform(0.01, 5.0))
+            f = [lambda x: math.tanh(a * (x - c)),
+                 lambda x: a * (x - c) ** 3 + 1e-3 * (x - c),
+                 lambda x: math.expm1(a * (x - c)),
+                 lambda x: a * math.atan(x - c) - 1e-12,
+                 lambda x: (x - c) ** 9,  # flat: may not converge
+                 lambda x: -1.0 if x < c else 1.0][i % 6]
+            outcomes[self.assert_same(f, lo, hi, tol)] += 1
+        assert outcomes["converged"] >= 100
+        if tol <= 1e-12:  # both fail to converge on some flat-root cases
+            assert outcomes["unconverged"] >= 1
+
+    def test_import_does_not_load_scipy_optimize(self):
+        src = str(Path(hetdata.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, hetdata.cli; "
+                "sys.exit('scipy.optimize' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
 
 
 class TestRandomStream:

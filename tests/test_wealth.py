@@ -189,6 +189,15 @@ class TestFMu:
         )
         assert f_mu(0.7, params) == pytest.approx(expected, rel=1e-12)
 
+    def test_overflow_guard(self):
+        params = default_params()
+        # 800: e^mu_i itself overflows; 709: e^mu_i is finite, the product is not
+        for mu_i in (800.0, 709.0):
+            with pytest.raises(NumericalRangeError, match=f"mu_i={mu_i}"):
+                f_mu(mu_i, params)
+            with pytest.raises(NumericalRangeError):
+                solve_lambda(mu_i, params)
+
 
 class TestSolveLambda:
     def test_trivial_root(self):
