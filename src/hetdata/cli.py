@@ -39,12 +39,12 @@ class RunConfig:
     command: str
     params: ModelParams
     output_dir: Path
+    n_paths: int
+    population: int
     seed: Optional[int] = None
     tau_grid: Optional[List[float]] = None
     lambda_grid: Optional[List[float]] = None
     mu_grid: Optional[List[float]] = None
-    n_paths: int = 100_000
-    population: int = 1_000_000
 
 
 def _parse_grid(text: str, name: str) -> List[float]:
@@ -86,14 +86,17 @@ def _check_lambda_grid(command: str, grid: List[float], t_star: float) -> None:
 
 def _check_mu_grid(command: str, grid: List[float],
                    params: ModelParams) -> None:
-    """figure1 and report evaluate f_mu on the grid, which increases with
-    mu, so the grid's ends are its extremes."""
+    """figure1 and report solve the friction match on the grid; f_mu and
+    lambda* both increase with mu, so the grid's top end is its extreme.
+    Only a value out of range there is a configuration error: no root is
+    an answer, and any other failure is the run's to report."""
     if command in ("figure1", "report"):
         try:
-            wealth.f_mu(grid[0], params)
-            wealth.f_mu(grid[-1], params)
+            wealth.solve_lambda(grid[-1], params)
         except NumericalRangeError as exc:
             raise ConfigError(f"--mu-grid for {command}: {exc}") from exc
+        except HetdataError:
+            pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,22 +178,15 @@ def load_config(argv: List[str]) -> RunConfig:
     )
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (np.floating, np.ndarray)):
-        return float(obj) if np.isscalar(obj) or obj.ndim == 0 else obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-        + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row, each value written as its repr."""
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _run_threshold(config: RunConfig) -> int:
@@ -205,17 +201,16 @@ def _run_threshold(config: RunConfig) -> int:
 
 def _run_statics(config: RunConfig) -> int:
     params = config.params
-    taus = config.tau_grid or [float(t) for t in np.arange(0.05, 0.951, 0.05)]
-    lines = ["tau,mu_k,dmu_dtau,output_ratio"]
+    taus = config.tau_grid or statics.TAU_GRID
+    rows = []
     for tau in taus:
-        sol = threshold.solve_threshold(tau, params)
-        sens = statics.threshold_sensitivity(tau, params, solution=sol)
-        ratio = statics.output_ratio(sol.mu_k, params.sigma_mu)
-        lines.append(f"{tau!r},{sol.mu_k!r},{sens!r},{ratio!r}")
-    (config.output_dir / "sensitivity.csv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-    tau_L, tau_H = (taus[0], taus[-1]) if config.tau_grid else (0.3, 0.6)
+        mu_k = threshold.solve_threshold(tau, params).mu_k
+        rows.append((tau, mu_k, statics.threshold_sensitivity(tau, params),
+                     statics.output_ratio(mu_k, params.sigma_mu)))
+    _write_csv(config.output_dir / "sensitivity.csv",
+               "tau,mu_k,dmu_dtau,output_ratio", rows)
+    tau_L, tau_H = ((taus[0], taus[-1]) if config.tau_grid
+                    else statics.THEOREM1_TAUS)
     report = statics.theorem1_report(tau_L, tau_H, params)
     _write_json(config.output_dir / "theorem1.json", report.to_dict())
     return EXIT_OK
@@ -224,21 +219,16 @@ def _run_statics(config: RunConfig) -> int:
 def _run_wealth(config: RunConfig) -> int:
     params = config.params
     lams = config.lambda_grid or [1.5]
-    lines = ["lambda,t,closed_form,mc_estimate,mc_se,pass"]
-    all_pass = True
+    rows = []
     for lam in lams:
         case = verify.mc_mean_case(
             params, lam, params.t_star, config.seed, config.n_paths
         )
-        all_pass &= case["pass"]
-        lines.append(
-            f"{lam!r},{params.t_star!r},{case['closed_form']!r},"
-            f"{case['estimate']!r},{case['se']!r},{case['pass']}"
-        )
-    (config.output_dir / "wealth.csv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-    return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
+        rows.append((lam, params.t_star, case["closed_form"], case["estimate"],
+                     case["se"], case["pass"]))
+    _write_csv(config.output_dir / "wealth.csv",
+               "lambda,t,closed_form,mc_estimate,mc_se,pass", rows)
+    return EXIT_OK if all(row[-1] for row in rows) else EXIT_VERIFY_FAIL
 
 
 def _run_figure1(config: RunConfig) -> int:
@@ -256,9 +246,7 @@ def _run_figure1(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
-    results = verify.run_all(
-        config.seed, n_paths=config.n_paths, population=config.population
-    )
+    results = verify.run_all(config.seed, config.n_paths, config.population)
     _write_json(
         config.output_dir / "verify.json",
         [r.to_dict() for r in results],

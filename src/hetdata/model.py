@@ -182,12 +182,14 @@ def validate(raw: Union[dict, ModelParams]) -> ModelParams:
                 "alpha * max(loss): must be < 1 so log(1 - alpha*L) is finite "
                 f"(got {vals['alpha'] * vals['loss'].maximum})"
             )
-        mu_hat = vals["mu0"] + vals["w"] * vals["loss"].mean
-        if not (math.isfinite(mu_hat) and mu_hat > 0.0):
-            violations.append(f"mu_hat = mu0 + w*E[L]: must be positive (got {mu_hat})")
+        params = ModelParams(**vals)
+        if not (math.isfinite(params.mu_hat) and params.mu_hat > 0.0):
+            violations.append(
+                f"mu_hat = mu0 + w*E[L]: must be positive (got {params.mu_hat})"
+            )
     if violations:
         raise ParamError(violations)
-    return ModelParams(**vals)
+    return params
 
 
 def load_params(path) -> ModelParams:

@@ -156,9 +156,9 @@ def expect_gauss_hermite(
     """
     nodes, weights = gauss_hermite_rule(spec, order)
     total = 0.0
-    for node, weight in zip(nodes, weights):
+    for node, weight in zip(nodes.tolist(), weights.tolist()):
         try:
-            val = g(float(node))
+            val = g(node)
         except HetdataError:
             raise
         except (ArithmeticError, ValueError) as exc:
@@ -209,7 +209,7 @@ def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
         if change < _GH_DOUBLING_TOL:
             return refined
         value, order = refined, 2 * order
-    raise ConvergenceError(theta, sigma1, gamma, order, float(change))
+    raise ConvergenceError(theta, sigma1, gamma, order, change)
 
 
 # Brent's method as in scipy's C brentq: a relative tolerance of 8 machine

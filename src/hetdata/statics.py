@@ -16,11 +16,18 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
 from .numerics import GaussianSpec, hazard_rate, log_normal_sf, normal_cdf, normal_pdf
-from .threshold import ThresholdSolution, solve_threshold
+from .threshold import solve_threshold
 from . import wealth
+
+# the tau grid of `hetdata statics` and verify's comparative-statics check,
+# and the (tau_L, tau_H) pair their Theorem-1 reports compare by default
+TAU_GRID = tuple(np.arange(0.05, 0.951, 0.05).tolist())
+THEOREM1_TAUS = (0.3, 0.6)
 
 
 @dataclass(frozen=True)
@@ -58,19 +65,7 @@ class Theorem1Report:
 
     def to_dict(self) -> dict:
         return {
-            "tau_L": self.tau_L,
-            "tau_H": self.tau_H,
-            "delta": self.delta,
-            "mu_L": self.mu_L,
-            "mu_H": self.mu_H,
-            "d_L": self.d_L,
-            "d_H": self.d_H,
-            "z_L": self.z_L,
-            "z_H": self.z_H,
-            "y_L": self.y_L,
-            "y_H": self.y_H,
-            "lambda_L": self.lambda_L,
-            "lambda_H": self.lambda_H,
+            **vars(self),
             "verdicts": {
                 "d_H_gt_d_L": self.d_ordered,
                 "z_H_gt_z_L": self.z_ordered,
@@ -96,17 +91,9 @@ def partials(tau: float, mu_k: float, params: ModelParams) -> Tuple[float, float
     return dF_dtau, dF_dmu
 
 
-def threshold_sensitivity(
-    tau: float, params: ModelParams, solution: ThresholdSolution = None
-) -> float:
-    """d mu_k / d tau > 0 via the implicit-function formula.
-
-    `solution` is the threshold already solved at (tau, params); it is
-    solved here when not given.
-    """
-    if solution is None:
-        solution = solve_threshold(tau, params)
-    dF_dtau, dF_dmu = partials(tau, solution.mu_k, params)
+def threshold_sensitivity(tau: float, params: ModelParams) -> float:
+    """d mu_k / d tau > 0 via the implicit-function formula."""
+    dF_dtau, dF_dmu = partials(tau, solve_threshold(tau, params).mu_k, params)
     return dF_dtau / (1.0 - dF_dmu)
 
 

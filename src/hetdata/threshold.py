@@ -45,14 +45,8 @@ class ThresholdSolution:
         return ability > self.K
 
     def to_dict(self) -> dict:
-        return {
-            "mu_k": self.mu_k,
-            "K": self.K,
-            "m": self.m,
-            "tail_mean": self.tail_mean,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
+        # a copy: solve_threshold's memo shares this instance
+        return dict(vars(self))
 
 
 def _check_tau(tau: float) -> None:

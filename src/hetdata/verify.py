@@ -83,8 +83,7 @@ def check_comparative_statics() -> CheckResult:
     h = 1e-5
     worst_rel = 0.0
     all_positive = True
-    for tau in np.arange(0.05, 0.951, 0.05):
-        tau = float(tau)
+    for tau in statics.TAU_GRID:
         analytic = statics.threshold_sensitivity(tau, params)
         all_positive &= analytic > 0.0
         fd = (
@@ -141,8 +140,8 @@ def check_portfolio_moment() -> CheckResult:
     )
 
 
-def check_lln_and_clearing(seed: int, population: int = 1_000_000) -> CheckResult:
-    """LLN aggregation (default n=1e6) plus exact market clearing."""
+def check_lln_and_clearing(seed: int, population: int) -> CheckResult:
+    """LLN aggregation over `population` agents plus exact market clearing."""
     params = default_params()
     sample = mc.draw_population(population, params, make_stream(seed, 1))
     try:
@@ -174,7 +173,7 @@ def mc_mean_case(params: ModelParams, lam: float, t: float, seed: int,
     }
 
 
-def check_jump_diffusion_mean(seed: int, n_paths: int = 100_000) -> CheckResult:
+def check_jump_diffusion_mean(seed: int, n_paths: int) -> CheckResult:
     """Closed-form E K_t vs Monte Carlo at three parameter sets."""
     cases = {
         "degenerate_alpha0": default_params(alpha=0.0, w=0.0),
@@ -230,15 +229,14 @@ def check_lambda_matching() -> CheckResult:
 
 def check_theorem1_orderings() -> CheckResult:
     """All four High/Low orderings under the default parameters."""
-    report = statics.theorem1_report(0.3, 0.6, default_params())
+    report = statics.theorem1_report(*statics.THEOREM1_TAUS, default_params())
     verdicts = report.to_dict()["verdicts"]
     return CheckResult(
         "theorem1_orderings", all(verdicts.values()), report.to_dict()
     )
 
 
-def run_all(seed: int, n_paths: int = 100_000,
-            population: int = 1_000_000) -> List[CheckResult]:
+def run_all(seed: int, n_paths: int, population: int) -> List[CheckResult]:
     """The full property suite, in a fixed order."""
     return [
         check_symmetry_fixed_point(),

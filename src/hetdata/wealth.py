@@ -22,7 +22,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,13 +182,15 @@ def solve_lambda(mu_i: float, params: ModelParams) -> LambdaSolution:
     if abs(g(lam_min)) <= 1e-13 * max(1.0, abs(log_target)):
         lam = lam_min
     else:
-        hi = lam_min
+        # double the bracket up to the largest lambda whose e^(lambda t*)
+        # is finite; a root beyond it cannot be represented
+        hi, cap = lam_min, _EXP_ARG_MAX / t
         while g(hi) < 0.0:
-            hi *= 2.0
-            if hi * t > _EXP_ARG_MAX:
+            if hi >= cap:
                 raise NumericalRangeError(
-                    f"lambda bracket exceeds overflow bound at lambda={hi}"
+                    f"lambda root lies beyond the overflow bound lambda={cap}"
                 )
+            hi = min(2.0 * hi, cap)
         lam = solve_bracketed(g, lam_min, hi, 1e-12)
     return LambdaSolution(lam=lam, residual=g(lam))
 
@@ -197,21 +199,21 @@ def solve_lambda(mu_i: float, params: ModelParams) -> LambdaSolution:
 class Figure1Table:
     """f_lambda curve plus one horizontal ability level per mu."""
 
-    lambdas: np.ndarray
-    f_values: np.ndarray
-    mu_values: np.ndarray
-    levels: np.ndarray
-    lambda_stars: list  # float where a root exists, None otherwise
+    lambdas: Tuple[float, ...]
+    f_values: Tuple[float, ...]
+    mu_values: Tuple[float, ...]
+    levels: Tuple[float, ...]
+    lambda_stars: Tuple[Optional[float], ...]  # None where no root exists
 
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("lambda,f_lambda\n")
         for lam, fv in zip(self.lambdas, self.f_values):
-            out.write(f"{float(lam)!r},{float(fv)!r}\n")
+            out.write(f"{lam!r},{fv!r}\n")
         out.write("\nmu,level,lambda_star\n")
         for mu, level, star in zip(self.mu_values, self.levels, self.lambda_stars):
-            star_txt = "" if star is None else repr(float(star))
-            out.write(f"{float(mu)!r},{float(level)!r},{star_txt}\n")
+            star_txt = "" if star is None else repr(star)
+            out.write(f"{mu!r},{level!r},{star_txt}\n")
         return out.getvalue()
 
 
@@ -221,22 +223,16 @@ def figure1_curves(
     mu_values: Sequence[float],
 ) -> Figure1Table:
     """Curve/level data for the f(lambda, t*) = f(mu_i, t*) intersection."""
-    lambdas = np.asarray(list(lambda_grid), dtype=float)
-    mus = np.asarray(list(mu_values), dtype=float)
-    if lambdas.size == 0 or mus.size == 0:
+    lambdas = tuple(map(float, lambda_grid))
+    mus = tuple(map(float, mu_values))
+    if not lambdas or not mus:
         raise InvalidInputError("lambda grid and mu values must be non-empty")
-    f_values = np.array([f_lambda(l, params.t_star) for l in lambdas])
-    levels = np.array([f_mu(m, params) for m in mus])
+    f_values = tuple(f_lambda(lam, params.t_star) for lam in lambdas)
+    levels = tuple(f_mu(mu, params) for mu in mus)
     stars = []
     for mu in mus:
         try:
-            stars.append(solve_lambda(float(mu), params).lam)
+            stars.append(solve_lambda(mu, params).lam)
         except NoSolutionError:
             stars.append(None)
-    return Figure1Table(
-        lambdas=lambdas,
-        f_values=f_values,
-        mu_values=mus,
-        levels=levels,
-        lambda_stars=stars,
-    )
+    return Figure1Table(lambdas, f_values, mus, levels, tuple(stars))

@@ -11,8 +11,9 @@ from hetdata.cli import (
     load_config,
     main,
 )
+from hetdata import statics, threshold, verify
 from hetdata.errors import ConfigError
-from hetdata.model import load_params
+from hetdata.model import default_params, load_params
 
 
 def _write_params(tmp_path, **overrides):
@@ -150,11 +151,20 @@ class TestExitCodes:
         ["threshold", "--tau-grid", "0.0000001:0.5:0.1"],
         ["figure1", "--mu-grid", "800:900:50"],       # f(mu_i, t*) overflows
         ["report", "--seed", "1", "--mu-grid", "700:710:5"],
+        ["figure1", "--mu-grid", "600:700:50"],       # lambda* > 700 / t*
     ])
     def test_bad_grid_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_mu_grid_solver_failure_left_to_the_run(self, tmp_path, capsys):
+        # just below the branch minimum solve_lambda fails with lo == hi;
+        # the config check must not raise it out of main
+        code = main(["figure1", "--mu-grid=-1.1938758248687:-1.1938758248686:1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver error:")
 
     def test_threshold_ok(self, tmp_path):
         assert main(["threshold", "--out", str(tmp_path)]) == EXIT_OK
@@ -206,3 +216,34 @@ class TestArtifacts:
         first = (tmp_path / "a" / "verify.json").read_bytes()
         second = (tmp_path / "b" / "verify.json").read_bytes()
         assert first == second
+
+
+def _leaves(payload):
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        for item in payload:
+            yield from _leaves(item)
+    else:
+        yield payload
+
+
+class TestPlainRecords:
+    """The records behind the JSON artifacts hold Python scalars only, so
+    json.dumps needs no hook for numpy types."""
+
+    def _assert_plain(self, payload):
+        json.dumps(payload)
+        assert {type(v) for v in _leaves(payload)} <= {bool, int, float, str}
+
+    @pytest.mark.parametrize("seed,n_paths,population",
+                             [(6, 100, 2), (7, 1000, 1000)])
+    def test_verify_results(self, seed, n_paths, population):
+        self._assert_plain(
+            [r.to_dict() for r in verify.run_all(seed, n_paths, population)])
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_threshold_and_theorem1(self, gamma):
+        params = default_params(gamma=gamma)
+        self._assert_plain(threshold.solve_threshold(0.5, params).to_dict())
+        self._assert_plain(statics.theorem1_report(0.3, 0.6, params).to_dict())

@@ -218,6 +218,11 @@ class TestPortfolioMoment:
             transformed = (portfolio_moment(0.1, 0.5, gamma) - 1.0) / (1.0 - gamma)
             assert abs(transformed - log_branch) < 1e-6
 
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])  # log branch and power branch
+    def test_returns_python_float(self, gamma):
+        assert type(portfolio_moment(0.1, 0.5, gamma)) is float
+        assert type(portfolio_moment.__wrapped__(0.1, 0.5, gamma)) is float
+
     def test_domain_checks(self):
         with pytest.raises(InvalidInputError):
             portfolio_moment(-0.1, 0.5, 2.0)

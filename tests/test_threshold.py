@@ -176,6 +176,12 @@ class TestSolveThresholdMemo:
              for gamma in (1.0, 2.0, 5.0)
              for sigma_mu in (0.25, 1.0)]
 
+    def test_to_dict_is_a_copy(self):
+        sol = solve_threshold(0.5, default_params())
+        mu_k = sol.mu_k
+        sol.to_dict()["mu_k"] = 0.0
+        assert sol.mu_k == mu_k  # the memo hands this instance to every caller
+
     def test_memo_bitwise_equals_uncached(self):
         solve_threshold.cache_clear()
         for tau, params in self.CASES:

@@ -229,6 +229,20 @@ class TestSolveLambda:
             0.5 * (lo + hi), abs=1e-10
         )
 
+    def test_root_below_overflow_bound(self):
+        # lambda* ~ 303.955 lies past the last doubling of the bracket (256)
+        # but below e^(lambda t*)'s bound 700 / t* = 350
+        params = default_params()
+        sol = solve_lambda(599.0, params)
+        assert sol.lam == pytest.approx(303.955, abs=1e-3)
+        assert sol.lam * params.t_star <= 700.0
+        assert abs(sol.residual) <= 1e-12 * sol.lam * params.t_star
+
+    def test_root_beyond_overflow_bound_raises(self):
+        # f_mu is finite at mu_i = 695, but lambda* > 350
+        with pytest.raises(NumericalRangeError, match="overflow bound"):
+            solve_lambda(695.0, default_params())
+
     def test_no_solution_reported(self):
         params = default_params()
         with pytest.raises(NoSolutionError) as err:
