@@ -5,11 +5,10 @@ from .model import ModelParams, LossSpec, default_params, load_params, validate
 from .numerics import GaussianSpec, make_stream
 from .threshold import ThresholdSolution, solve_threshold
 from .statics import Theorem1Report, theorem1_report
-from .wealth import LambdaSolution, expected_capital, solve_lambda
+from .wealth import expected_capital, solve_lambda
 
 __all__ = [
     "GaussianSpec",
-    "LambdaSolution",
     "LossSpec",
     "ModelParams",
     "Theorem1Report",

@@ -183,10 +183,14 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """One line per row, each value written as its repr."""
-    lines = [header] + [",".join(map(repr, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, *tables) -> None:
+    """Each (header, rows) table as one line per row, each value written
+    as its repr and None as an empty field; one blank line between
+    tables."""
+    def line(row):
+        return ",".join("" if v is None else repr(v) for v in row)
+    blocks = ["\n".join([header, *map(line, rows)]) for header, rows in tables]
+    path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
 
 
 def _run_threshold(config: RunConfig) -> int:
@@ -208,7 +212,7 @@ def _run_statics(config: RunConfig) -> int:
         rows.append((tau, mu_k, statics.threshold_sensitivity(tau, params),
                      statics.output_ratio(mu_k, params.sigma_mu)))
     _write_csv(config.output_dir / "sensitivity.csv",
-               "tau,mu_k,dmu_dtau,output_ratio", rows)
+               ("tau,mu_k,dmu_dtau,output_ratio", rows))
     tau_L, tau_H = ((taus[0], taus[-1]) if config.tau_grid
                     else statics.THEOREM1_TAUS)
     report = statics.theorem1_report(tau_L, tau_H, params)
@@ -227,7 +231,7 @@ def _run_wealth(config: RunConfig) -> int:
         rows.append((lam, params.t_star, case["closed_form"], case["estimate"],
                      case["se"], case["pass"]))
     _write_csv(config.output_dir / "wealth.csv",
-               "lambda,t,closed_form,mc_estimate,mc_se,pass", rows)
+               ("lambda,t,closed_form,mc_estimate,mc_se,pass", rows))
     return EXIT_OK if all(row[-1] for row in rows) else EXIT_VERIFY_FAIL
 
 
@@ -238,10 +242,9 @@ def _run_figure1(config: RunConfig) -> int:
     ]
     sol = threshold.solve_threshold(params.tau, params)
     mu_grid = config.mu_grid or [sol.mu_k - 0.5, sol.mu_k + 0.5, sol.mu_k + 1.5]
-    table = wealth.figure1_curves(params, lam_grid, mu_grid)
-    (config.output_dir / "figure1.csv").write_text(
-        table.to_csv(), encoding="utf-8"
-    )
+    curve, levels = wealth.figure1_curves(params, lam_grid, mu_grid)
+    _write_csv(config.output_dir / "figure1.csv",
+               ("lambda,f_lambda", curve), ("mu,level,lambda_star", levels))
     return EXIT_OK
 
 

@@ -45,6 +45,12 @@ class CheckReport:
         }
 
 
+def within_three_se(observed: float, expected: float, se: float) -> bool:
+    """The 3-standard-error rule; where se == 0 (every term equal) it
+    allows rounding slack in the reduction."""
+    return abs(observed - expected) <= max(3.0 * se, 8e-16 * abs(expected))
+
+
 def _three_se_report(statistic: str, expected: float, observed: float,
                      se: float) -> CheckReport:
     return CheckReport(
@@ -52,7 +58,7 @@ def _three_se_report(statistic: str, expected: float, observed: float,
         expected=expected,
         observed=observed,
         se=se,
-        passed=abs(observed - expected) <= 3.0 * se,
+        passed=within_three_se(observed, expected, se),
     )
 
 
@@ -62,7 +68,6 @@ class PopulationSample:
     roles: np.ndarray          # boolean, True = HighUser
     idio_shocks: np.ndarray
     agg_shock: float
-    n: int
     threshold: ThresholdSolution
 
 
@@ -90,17 +95,13 @@ def draw_population(
         roles=roles,
         idio_shocks=idio,
         agg_shock=agg,
-        n=n,
         threshold=solution,
     )
 
 
-def lln_check(
-    sample: PopulationSample,
-    threshold: ThresholdSolution,
-    params: ModelParams,
-) -> List[CheckReport]:
-    """Sample aggregate of user output vs the m * tail_mean continuum limit."""
+def lln_check(sample: PopulationSample, params: ModelParams) -> List[CheckReport]:
+    """Sample aggregate of user output vs the m * tail_mean continuum limit
+    at the sample's own threshold."""
     users = sample.roles
     if not np.any(users):
         raise DegenerateInputError("population contains no data users")
@@ -110,12 +111,14 @@ def lln_check(
     np.multiply(terms, users, out=terms)
     # mean and ddof=1 std as np.mean/np.std compute them (pairwise sums,
     # deviations from that same mean), so the bits match theirs
-    mean = np.add.reduce(terms) / sample.n
+    n = len(terms)
+    mean = np.add.reduce(terms) / n
     terms -= mean
     np.square(terms, out=terms)
-    std = np.sqrt(np.add.reduce(terms) / (sample.n - 1))
+    std = np.sqrt(np.add.reduce(terms) / (n - 1))
     observed = float(mean)
-    se = float(std / math.sqrt(sample.n))
+    se = float(std / math.sqrt(n))
+    threshold = sample.threshold
     expected = threshold.m * threshold.tail_mean
     reports = [
         _three_se_report("lln_user_aggregate", expected, observed, se),
@@ -134,13 +137,12 @@ def lln_check(
 
 
 def market_clearing_check(
-    sample: PopulationSample, theta: float
+    sample: PopulationSample, params: ModelParams
 ) -> List[CheckReport]:
     """Portfolio shares sum to 1 - theta exactly; risk-free holdings are 0."""
-    if sample.n < 2:
+    if len(sample.abilities) < 2:
         raise InvalidInputError("market clearing needs n >= 2")
-    if not (0.0 < theta < 1.0):
-        raise InvalidInputError(f"theta must be in (0, 1), got {theta}")
+    theta = params.theta
     shares = np.exp(sample.abilities)
     weight_sum = float(np.sum(shares))
     shares *= 1.0 - theta
@@ -166,30 +168,6 @@ def market_clearing_check(
     ]
 
 
-def _user_consumption_inputs(sample: PopulationSample, params: ModelParams):
-    """User abilities, user idiosyncratic shocks and the consumption scale
-    D e^eps (1 - tau) shared by every user."""
-    users = sample.roles
-    scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
-    return sample.abilities[users], sample.idio_shocks[users], scale
-
-
-def _portfolio_consumption(mu, eps_i, scale: float, theta: float):
-    """Finite-n user consumption from the portfolio definition.
-
-    C_i = theta y_i (1-tau) + (1-theta)(1-tau) D e^mu_i e^eps
-          * (sum_j e^(mu_j + eps_j)) / (sum_p e^(mu_p)),   j, p over users.
-    """
-    own = theta * scale * np.exp(mu + eps_i)
-    pool_ratio = float(np.sum(np.exp(mu + eps_i)) / np.sum(np.exp(mu)))
-    diversified = (1.0 - theta) * scale * np.exp(mu) * pool_ratio
-    return own + diversified
-
-
-def _closed_form_consumption(mu, eps_i, scale: float, theta: float):
-    return scale * np.exp(mu) * (theta * np.exp(eps_i) + 1.0 - theta)
-
-
 def consumption_convergence(
     params: ModelParams, sizes: Sequence[int], stream: np.random.Generator
 ) -> List[CheckReport]:
@@ -201,23 +179,31 @@ def consumption_convergence(
     sizes = list(sizes)
     if sizes != sorted(sizes) or len(sizes) == 0:
         raise InvalidInputError("sizes must be a non-empty increasing sequence")
+    theta = params.theta
     reports = []
-    last_sample = None
     for n in sizes:
         sample = draw_population(n, params, stream)
-        last_sample = sample
-        mu, eps_i, scale = _user_consumption_inputs(sample, params)
-        built = _portfolio_consumption(mu, eps_i, scale, params.theta)
-        closed = _closed_form_consumption(mu, eps_i, scale, params.theta)
+        users = sample.roles
+        mu, eps_i = sample.abilities[users], sample.idio_shocks[users]
+        # D e^eps (1 - tau), shared by every user
+        scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
+        e_mu, e_mu_eps = np.exp(mu), np.exp(mu + eps_i)
+        # finite-n user consumption from the portfolio definition,
+        # C_i = theta y_i (1-tau) + (1-theta)(1-tau) D e^mu_i e^eps
+        #       * (sum_j e^(mu_j + eps_j)) / (sum_p e^(mu_p)), j, p over users,
+        # against its closed form
+        pool_ratio = float(np.sum(e_mu_eps) / np.sum(e_mu))
+        built = theta * scale * e_mu_eps + (1.0 - theta) * scale * e_mu * pool_ratio
+        closed = scale * e_mu * (theta * np.exp(eps_i) + 1.0 - theta)
         diff = built - closed
         # Every user's gap shares the single pool factor, so the
         # cross-sectional spread of diff says nothing about the sampling
         # error of its mean.  Algebraically the mean gap equals
         # (1-theta) * scale * mean_j[e^mu_j (e^eps_j - 1)] whose terms are
         # i.i.d.; the SE comes from those terms.
-        pool_terms = np.exp(mu + eps_i) - np.exp(mu)
+        pool_terms = e_mu_eps - e_mu
         se = (
-            (1.0 - params.theta) * scale
+            (1.0 - theta) * scale
             * float(np.std(pool_terms, ddof=1) / math.sqrt(len(pool_terms)))
             if len(pool_terms) > 1
             else 0.0
@@ -225,9 +211,8 @@ def consumption_convergence(
         reports.append(
             _three_se_report(f"consumption_gap_n{n}", 0.0, float(np.mean(diff)), se)
         )
-    # provider consumption: pooled costs spread over the provider mass
-    sample = last_sample
-    users = sample.roles
+    # provider consumption at the largest size: pooled costs spread over
+    # the provider mass
     m_hat = float(np.mean(users))
     if not (0.0 < m_hat < 1.0):
         raise DegenerateInputError("population is all users or all providers")
@@ -247,7 +232,7 @@ def consumption_convergence(
     se_cs = (
         params.tau
         * float(np.std(user_output, ddof=1))
-        / math.sqrt(sample.n)
+        / math.sqrt(n)
         / (1.0 - m_hat)
     )
     reports.append(
@@ -257,13 +242,16 @@ def consumption_convergence(
 
 
 def role_sorting_check(
-    sample: PopulationSample, tau: float, params: ModelParams
+    sample: PopulationSample, params: ModelParams
 ) -> CheckReport:
     """Utility comparison must reproduce the threshold classification.
 
-    Agents within the boundary band |mu_i - K| < 1e-8 are excluded (the
-    sign there is numerically undecidable by construction).
+    Utilities are taken at params.tau, the cost rate at which the sample's
+    roles were assigned.  Agents within the boundary band |mu_i - K| < 1e-8
+    are excluded (the sign there is numerically undecidable by
+    construction).
     """
+    tau = params.tau
     sol = sample.threshold
     v_s = provider_utility(tau, sol.m, sol.tail_mean, params)
     outside = np.abs(sample.abilities - sol.K) >= _BOUNDARY_BAND

@@ -178,8 +178,8 @@ def theorem1_report(
     y_L = prefactor * output_ratio(mu_L, params.sigma_mu)
     y_H = prefactor * output_ratio(mu_H, params.sigma_mu)
 
-    lam_L = wealth.solve_lambda(mu_L, params).lam
-    lam_H = wealth.solve_lambda(mu_H, params).lam
+    lam_L = wealth.solve_lambda(mu_L, params)
+    lam_H = wealth.solve_lambda(mu_H, params)
 
     return Theorem1Report(
         tau_L=tau_L,

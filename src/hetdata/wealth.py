@@ -19,10 +19,8 @@ increasing branch.
 from __future__ import annotations
 
 import functools
-import io
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,12 +30,6 @@ from .numerics import make_stream, solve_bracketed
 
 _EXP_ARG_MAX = 700.0  # exp overflows just above this
 _MC_BATCH = 16384     # paths per stream; fixed so results are seed-reproducible
-
-
-@dataclass(frozen=True)
-class LambdaSolution:
-    lam: float
-    residual: float
 
 
 def _drift_continuous(params: ModelParams, lam: float) -> float:
@@ -160,8 +152,9 @@ def f_mu(mu_i: float, params: ModelParams) -> float:
     return value
 
 
-def solve_lambda(mu_i: float, params: ModelParams) -> LambdaSolution:
-    """Root of e^(lambda t*)/lambda = f(mu_i, t*) on the increasing branch.
+def solve_lambda(mu_i: float, params: ModelParams) -> float:
+    """lambda*: the root of e^(lambda t*)/lambda = f(mu_i, t*) on the
+    increasing branch.
 
     The branch starts at lambda = max(1, 1/t*) = 1 (t* > 1 is enforced at
     validation), where f_lambda attains its minimum e^(t*); targets below
@@ -169,8 +162,7 @@ def solve_lambda(mu_i: float, params: ModelParams) -> LambdaSolution:
     """
     t = params.t_star
     target = f_mu(mu_i, params)
-    lam_min = max(1.0, 1.0 / t)
-    f_min = f_lambda(lam_min, t)
+    f_min = f_lambda(1.0, t)
     if target < f_min * (1.0 - 1e-12):
         raise NoSolutionError(target, f_min)
 
@@ -179,60 +171,40 @@ def solve_lambda(mu_i: float, params: ModelParams) -> LambdaSolution:
     def g(lam: float) -> float:
         return lam * t - math.log(lam) - log_target
 
-    if abs(g(lam_min)) <= 1e-13 * max(1.0, abs(log_target)):
-        lam = lam_min
-    else:
-        # double the bracket up to the largest lambda whose e^(lambda t*)
-        # is finite; a root beyond it cannot be represented
-        hi, cap = lam_min, _EXP_ARG_MAX / t
-        while g(hi) < 0.0:
-            if hi >= cap:
-                raise NumericalRangeError(
-                    f"lambda root lies beyond the overflow bound lambda={cap}"
-                )
-            hi = min(2.0 * hi, cap)
-        lam = solve_bracketed(g, lam_min, hi, 1e-12)
-    return LambdaSolution(lam=lam, residual=g(lam))
-
-
-@dataclass(frozen=True)
-class Figure1Table:
-    """f_lambda curve plus one horizontal ability level per mu."""
-
-    lambdas: Tuple[float, ...]
-    f_values: Tuple[float, ...]
-    mu_values: Tuple[float, ...]
-    levels: Tuple[float, ...]
-    lambda_stars: Tuple[Optional[float], ...]  # None where no root exists
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("lambda,f_lambda\n")
-        for lam, fv in zip(self.lambdas, self.f_values):
-            out.write(f"{lam!r},{fv!r}\n")
-        out.write("\nmu,level,lambda_star\n")
-        for mu, level, star in zip(self.mu_values, self.levels, self.lambda_stars):
-            star_txt = "" if star is None else repr(star)
-            out.write(f"{mu!r},{level!r},{star_txt}\n")
-        return out.getvalue()
+    # the target is at the minimum e^(t*), or below it by less than the
+    # no-solution tolerance: lambda* is the branch start
+    if g(1.0) >= -1e-13 * max(1.0, abs(log_target)):
+        return 1.0
+    # double the bracket up to the largest lambda whose e^(lambda t*) is
+    # finite; a root beyond it cannot be represented
+    hi, cap = 1.0, _EXP_ARG_MAX / t
+    while g(hi) < 0.0:
+        if hi >= cap:
+            raise NumericalRangeError(
+                f"lambda root lies beyond the overflow bound lambda={cap}"
+            )
+        hi = min(2.0 * hi, cap)
+    return solve_bracketed(g, 1.0, hi, 1e-12)
 
 
 def figure1_curves(
     params: ModelParams,
     lambda_grid: Sequence[float],
     mu_values: Sequence[float],
-) -> Figure1Table:
-    """Curve/level data for the f(lambda, t*) = f(mu_i, t*) intersection."""
-    lambdas = tuple(map(float, lambda_grid))
-    mus = tuple(map(float, mu_values))
+) -> Tuple[List[tuple], List[tuple]]:
+    """Curve/level data for the f(lambda, t*) = f(mu_i, t*) intersection:
+    rows (lambda, f_lambda) of the curve, and rows (mu, level, lambda*) of
+    the horizontal ability levels, lambda* None where no root exists."""
+    lambdas = [float(lam) for lam in lambda_grid]
+    mus = [float(mu) for mu in mu_values]
     if not lambdas or not mus:
         raise InvalidInputError("lambda grid and mu values must be non-empty")
-    f_values = tuple(f_lambda(lam, params.t_star) for lam in lambdas)
-    levels = tuple(f_mu(mu, params) for mu in mus)
-    stars = []
+    curve = [(lam, f_lambda(lam, params.t_star)) for lam in lambdas]
+    levels = []
     for mu in mus:
         try:
-            stars.append(solve_lambda(mu, params).lam)
+            star = solve_lambda(mu, params)
         except NoSolutionError:
-            stars.append(None)
-    return Figure1Table(lambdas, f_values, mus, levels, tuple(stars))
+            star = None
+        levels.append((mu, f_mu(mu, params), star))
+    return curve, levels

@@ -158,13 +158,20 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    def test_mu_grid_solver_failure_left_to_the_run(self, tmp_path, capsys):
-        # just below the branch minimum solve_lambda fails with lo == hi;
-        # the config check must not raise it out of main
-        code = main(["figure1", "--mu-grid=-1.1938758248687:-1.1938758248686:1",
-                     "--out", str(tmp_path)])
-        assert code == EXIT_SOLVER
-        assert capsys.readouterr().err.startswith("solver error:")
+    @pytest.mark.parametrize("grid, lambda_star", [
+        # just below the branch minimum, inside the no-solution tolerance
+        ("-1.1938758248687:-1.1938758248686:1", "1.0"),
+        # far below it: no root is an answer, not a configuration error
+        ("-31.0:-30.0:1", ""),
+    ], ids=["branch_minimum", "no_root"])
+    def test_mu_grid_at_or_below_branch_minimum_runs(self, tmp_path, capsys,
+                                                     grid, lambda_star):
+        code = main(["figure1", f"--mu-grid={grid}", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "figure1.csv").read_text().splitlines()
+        stars = rows[rows.index("mu,level,lambda_star") + 1:]
+        assert stars and {row.split(",")[2] for row in stars} == {lambda_star}
 
     def test_threshold_ok(self, tmp_path):
         assert main(["threshold", "--out", str(tmp_path)]) == EXIT_OK

@@ -11,6 +11,7 @@ from hetdata.mc import (
     lln_check,
     market_clearing_check,
     role_sorting_check,
+    within_three_se,
 )
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
@@ -29,7 +30,7 @@ class TestDrawPopulation:
 
     def test_single_agent(self):
         sample = draw_population(1, default_params(), make_stream(2, 1))
-        assert sample.n == 1 and len(sample.abilities) == 1
+        assert len(sample.abilities) == len(sample.idio_shocks) == len(sample.roles) == 1
 
     def test_roles_consistent_with_threshold(self):
         sample = draw_population(10_000, default_params(), make_stream(2, 2))
@@ -46,14 +47,13 @@ class TestLlnCheck:
     def test_large_population_passes(self):
         params = default_params()
         sample = draw_population(1_000_000, params, make_stream(3, 0))
-        reports = lln_check(sample, sample.threshold, params)
+        reports = lln_check(sample, params)
         assert all(r.passed for r in reports)
 
     def test_report_schema(self):
         params = default_params()
         sample = draw_population(10_000, params, make_stream(3, 1))
-        payload = json.dumps([r.to_dict() for r in lln_check(
-            sample, sample.threshold, params)])
+        payload = json.dumps([r.to_dict() for r in lln_check(sample, params)])
         for record in json.loads(payload):
             assert set(record) == {"statistic", "expected", "observed", "se",
                                    "pass"}
@@ -62,15 +62,16 @@ class TestLlnCheck:
         # sigma_mu -> 0: every user contributes e^(mu + eps) with mu ~ 0
         params = default_params(sigma_mu=1e-6, tau=0.3)
         sample = draw_population(200_000, params, make_stream(3, 2))
-        reports = lln_check(sample, sample.threshold, params)
+        reports = lln_check(sample, params)
         assert all(r.passed for r in reports)
         assert sample.threshold.tail_mean == pytest.approx(1.0, abs=1e-3)
 
 
 class TestMarketClearing:
     def test_share_sum_exact(self):
-        sample = draw_population(50_000, default_params(), make_stream(4, 0))
-        reports = market_clearing_check(sample, 0.1)
+        params = default_params(theta=0.1)
+        sample = draw_population(50_000, params, make_stream(4, 0))
+        reports = market_clearing_check(sample, params)
         by_name = {r.statistic: r for r in reports}
         assert by_name["clearing_share_sum"].passed
         assert abs(by_name["clearing_share_sum"].observed - 0.9) <= 1e-12
@@ -85,9 +86,10 @@ class TestMarketClearing:
         assert shares[0] == pytest.approx(0.45) and shares[1] == pytest.approx(0.45)
 
     def test_minimum_population(self):
-        sample = draw_population(1, default_params(), make_stream(4, 2))
+        params = default_params()
+        sample = draw_population(1, params, make_stream(4, 2))
         with pytest.raises(InvalidInputError):
-            market_clearing_check(sample, 0.1)
+            market_clearing_check(sample, params)
 
 
 def _hex_rows(rows):
@@ -143,14 +145,14 @@ class TestInPlacePasses:
         users = sample.roles
         if np.any(users):
             got = [(r.statistic, r.expected, r.observed, r.se)
-                   for r in lln_check(sample, sample.threshold, params)]
+                   for r in lln_check(sample, params)]
             want = self._reference_lln(abilities, idio, agg, users,
                                        sample.threshold, params)
             assert _hex_rows(got) == _hex_rows(want)
         else:
             with pytest.raises(DegenerateInputError):
-                lln_check(sample, sample.threshold, params)
-        got = [r.observed for r in market_clearing_check(sample, params.theta)]
+                lln_check(sample, params)
+        got = [r.observed for r in market_clearing_check(sample, params)]
         want = self._reference_clearing(abilities, params.theta)
         assert _hex_rows([got]) == _hex_rows([want])
 
@@ -159,8 +161,8 @@ class TestInPlacePasses:
         sample = draw_population(1000, params, make_stream(5, 1))
         before = [sample.abilities.copy(), sample.idio_shocks.copy(),
                   sample.roles.copy()]
-        lln_check(sample, sample.threshold, params)
-        market_clearing_check(sample, params.theta)
+        lln_check(sample, params)
+        market_clearing_check(sample, params)
         for old, new in zip(before, [sample.abilities, sample.idio_shocks,
                                      sample.roles]):
             assert old.tobytes() == new.tobytes()
@@ -194,12 +196,78 @@ class TestConsumptionConvergence:
             consumption_convergence(default_params(), [100, 50], make_stream(6, 3))
 
 
+class TestConsumptionBitwise:
+    """The folded loop gives the bits of the plain array expressions,
+    each exponential written where the formula uses it."""
+
+    @staticmethod
+    def _reference(params, sizes, stream):
+        theta, rows = params.theta, []
+        for n in sizes:
+            sample = draw_population(n, params, stream)
+            users = sample.roles
+            mu, eps_i = sample.abilities[users], sample.idio_shocks[users]
+            scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
+            own = theta * scale * np.exp(mu + eps_i)
+            pool_ratio = float(np.sum(np.exp(mu + eps_i)) / np.sum(np.exp(mu)))
+            built = own + (1.0 - theta) * scale * np.exp(mu) * pool_ratio
+            closed = scale * np.exp(mu) * (theta * np.exp(eps_i) + 1.0 - theta)
+            pool_terms = np.exp(mu + eps_i) - np.exp(mu)
+            se = (1.0 - theta) * scale * float(
+                np.std(pool_terms, ddof=1) / math.sqrt(len(pool_terms)))
+            rows.append((f"consumption_gap_n{n}", 0.0,
+                         float(np.mean(built - closed)), se))
+        shock = math.exp(sample.agg_shock)
+        user_output = params.D * shock * np.exp(
+            sample.abilities + sample.idio_shocks) * sample.roles
+        m_hat = float(np.mean(sample.roles))
+        sol = sample.threshold
+        rows.append((
+            "provider_consumption",
+            params.tau * params.D * shock * sol.m * sol.tail_mean / (1.0 - sol.m),
+            params.tau * float(np.mean(user_output)) / (1.0 - m_hat),
+            params.tau * float(np.std(user_output, ddof=1)) / math.sqrt(n)
+            / (1.0 - m_hat),
+        ))
+        return rows
+
+    @pytest.mark.parametrize("params", TestInPlacePasses.PARAMS)
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("sizes", [[50], [100, 4097], [30, 1000, 20_000]])
+    def test_bitwise_equal_to_array_expressions(self, params, seed, sizes):
+        got = [(r.statistic, r.expected, r.observed, r.se)
+               for r in consumption_convergence(params, sizes,
+                                                make_stream(seed, 9))]
+        want = self._reference(params, sizes, make_stream(seed, 9))
+        assert _hex_rows(got) == _hex_rows(want)
+
+
+class TestThreeSeRule:
+    def test_three_se_bound(self):
+        assert within_three_se(1.3, 1.0, 0.1)
+        assert not within_three_se(1.31, 1.0, 0.1)
+
+    def test_rounding_slack_where_se_is_zero(self):
+        # the reduction of equal terms may round: 8e-16 relative is allowed
+        assert within_three_se(1.0 + 3.0 * 2.0 ** -52, 1.0, 0.0)
+        assert not within_three_se(1.0 + 4.0 * 2.0 ** -52, 1.0, 0.0)
+        assert not within_three_se(1e-300, 0.0, 0.0)
+
+
 class TestRoleSorting:
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_full_agreement(self, gamma):
         params = default_params(gamma=gamma)
         sample = draw_population(10_000, params, make_stream(7, 0))
-        report = role_sorting_check(sample, params.tau, params)
+        report = role_sorting_check(sample, params)
+        assert report.passed and report.observed == 1.0
+
+    @pytest.mark.parametrize("tau", [0.3, 0.7])
+    def test_agreement_at_the_sample_tau(self, tau):
+        # the roles were assigned at params.tau, the only tau the check uses
+        params = default_params(tau=tau)
+        sample = draw_population(2000, params, make_stream(7, 2))
+        report = role_sorting_check(sample, params)
         assert report.passed and report.observed == 1.0
 
     def test_boundary_agent_excluded(self):
@@ -211,5 +279,5 @@ class TestRoleSorting:
         roles = sample.roles.copy()
         roles[0] = False
         object.__setattr__(sample, "roles", roles)
-        report = role_sorting_check(sample, params.tau, params)
+        report = role_sorting_check(sample, params)
         assert report.passed

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hetdata.cli import EXIT_OK, main
 from hetdata.errors import (
     InvalidInputError,
     NoSolutionError,
@@ -204,14 +205,29 @@ class TestSolveLambda:
         params = default_params()
         # pick mu so the target level is exactly e^(t*)
         mu = params.t_star - math.log(f_mu(0.0, params))
-        sol = solve_lambda(mu, params)
-        assert sol.lam == pytest.approx(1.0, abs=1e-10)
-        assert sol.lam * params.t_star > 1.0
+        lam = solve_lambda(mu, params)
+        assert lam == pytest.approx(1.0, abs=1e-10)
+        assert lam * params.t_star > 1.0
+
+    # mu_trivial = t* - log f_mu(0) = -1.1938758248682007 at default params;
+    # a target below the minimum e^(t*) by less than the no-solution
+    # tolerance (relative 1e-12) is the branch start, not an empty bracket
+    @pytest.mark.parametrize("offset", [0.0, 1e-13, 5e-13, 9e-13])
+    def test_just_below_branch_minimum_is_trivial_root(self, offset):
+        params = default_params()
+        mu = params.t_star - math.log(f_mu(0.0, params))
+        assert mu == -1.1938758248682007
+        assert solve_lambda(mu - offset, params) == 1.0
+
+    def test_past_no_solution_tolerance_reported(self):
+        params = default_params()
+        with pytest.raises(NoSolutionError):
+            solve_lambda(-1.1938758248682007 - 5e-12, params)
 
     def test_monotone_in_ability(self):
         params = default_params()
         grid = np.linspace(0.0, 2.5, 50)
-        lams = [solve_lambda(float(m), params).lam for m in grid]
+        lams = [solve_lambda(float(m), params) for m in grid]
         assert all(b > a for a, b in zip(lams, lams[1:]))
 
     def test_fine_grid_bisection_oracle(self):
@@ -225,7 +241,7 @@ class TestSolveLambda:
                 lo = mid
             else:
                 hi = mid
-        assert solve_lambda(1.0, params).lam == pytest.approx(
+        assert solve_lambda(1.0, params) == pytest.approx(
             0.5 * (lo + hi), abs=1e-10
         )
 
@@ -233,10 +249,12 @@ class TestSolveLambda:
         # lambda* ~ 303.955 lies past the last doubling of the bracket (256)
         # but below e^(lambda t*)'s bound 700 / t* = 350
         params = default_params()
-        sol = solve_lambda(599.0, params)
-        assert sol.lam == pytest.approx(303.955, abs=1e-3)
-        assert sol.lam * params.t_star <= 700.0
-        assert abs(sol.residual) <= 1e-12 * sol.lam * params.t_star
+        lam = solve_lambda(599.0, params)
+        assert lam == pytest.approx(303.955, abs=1e-3)
+        assert lam * params.t_star <= 700.0
+        residual = (lam * params.t_star - math.log(lam)
+                    - math.log(f_mu(599.0, params)))
+        assert abs(residual) <= 1e-12 * lam * params.t_star
 
     def test_root_beyond_overflow_bound_raises(self):
         # f_mu is finite at mu_i = 695, but lambda* > 350
@@ -254,24 +272,36 @@ class TestFigure1:
     def test_trivial_intersection(self):
         params = default_params()
         mu = params.t_star - math.log(f_mu(0.0, params))
-        table = figure1_curves(params, [1.0, 1.5, 2.0], [mu])
-        assert table.lambda_stars[0] == pytest.approx(1.0, abs=1e-10)
+        _, levels = figure1_curves(params, [1.0, 1.5, 2.0], [mu])
+        assert levels[0][2] == pytest.approx(1.0, abs=1e-10)
 
     def test_ordering_of_intersections(self):
         params = default_params()
-        table = figure1_curves(params, [1.0, 2.0], [0.5, 1.5])
-        assert table.lambda_stars[1] > table.lambda_stars[0]
+        _, levels = figure1_curves(params, [1.0, 2.0], [0.5, 1.5])
+        assert levels[1][2] > levels[0][2]
 
     def test_missing_intersection_flagged(self):
         params = default_params()
-        table = figure1_curves(params, [1.0, 2.0], [-30.0])
-        assert table.lambda_stars[0] is None
+        curve, levels = figure1_curves(params, [1.0, 2.0], [-30.0])
+        assert curve == [(1.0, f_lambda(1.0, params.t_star)),
+                         (2.0, f_lambda(2.0, params.t_star))]
+        assert levels == [(-30.0, f_mu(-30.0, params), None)]
 
-    def test_csv_format(self):
+    def test_csv_format(self, tmp_path):
+        # mu = -30 has no root, mu = 0.5 has one; the CLI writes both
         params = default_params()
-        csv = figure1_curves(params, [1.0, 2.0], [0.5, -30.0]).to_csv()
-        lines = csv.splitlines()
-        assert lines[0] == "lambda,f_lambda"
-        assert "mu,level,lambda_star" in lines
-        # missing intersection leaves the column empty, never fabricated
-        assert lines[-1].endswith(",")
+        code = main(["figure1", "--lambda-grid", "1.0:2.0:1.0",
+                     "--mu-grid=-30.0:0.5:30.5", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        lines = (tmp_path / "figure1.csv").read_text().splitlines()
+        t = params.t_star
+        assert lines == [
+            "lambda,f_lambda",
+            f"1.0,{f_lambda(1.0, t)!r}",
+            f"2.0,{f_lambda(2.0, t)!r}",
+            "",
+            "mu,level,lambda_star",
+            # the missing intersection leaves the column empty, never fabricated
+            f"-30.0,{f_mu(-30.0, params)!r},",
+            f"0.5,{f_mu(0.5, params)!r},{solve_lambda(0.5, params)!r}",
+        ]
