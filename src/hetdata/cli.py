@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -55,6 +56,8 @@ def _parse_grid(text: str, name: str) -> List[float]:
         a, b, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--{name}: non-numeric grid spec {text!r}") from exc
+    if not all(math.isfinite(x) for x in (a, b, step)):
+        raise ConfigError(f"--{name}: non-finite grid spec {text!r}")
     if step <= 0.0 or b <= a:
         raise ConfigError(f"--{name}: grid must be strictly increasing, got {text!r}")
     return [float(x) for x in np.arange(a, b + 0.5 * step, step)]

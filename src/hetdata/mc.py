@@ -184,6 +184,14 @@ def consumption_convergence(
     for n in sizes:
         sample = draw_population(n, params, stream)
         users = sample.roles
+        n_users = int(np.count_nonzero(users))
+        # the gap's standard error is a ddof=1 spread over the users, so it
+        # needs two of them
+        if n_users < 2:
+            raise DegenerateInputError(
+                f"consumption at n={n} needs two or more data users, "
+                f"drew {n_users}"
+            )
         mu, eps_i = sample.abilities[users], sample.idio_shocks[users]
         # D e^eps (1 - tau), shared by every user
         scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
@@ -202,12 +210,8 @@ def consumption_convergence(
         # (1-theta) * scale * mean_j[e^mu_j (e^eps_j - 1)] whose terms are
         # i.i.d.; the SE comes from those terms.
         pool_terms = e_mu_eps - e_mu
-        se = (
-            (1.0 - theta) * scale
-            * float(np.std(pool_terms, ddof=1) / math.sqrt(len(pool_terms)))
-            if len(pool_terms) > 1
-            else 0.0
-        )
+        se = (1.0 - theta) * scale * float(
+            np.std(pool_terms, ddof=1) / math.sqrt(n_users))
         reports.append(
             _three_se_report(f"consumption_gap_n{n}", 0.0, float(np.mean(diff)), se)
         )

@@ -12,6 +12,7 @@ high-cost and a low-cost type.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -91,6 +92,9 @@ def partials(tau: float, mu_k: float, params: ModelParams) -> Tuple[float, float
     return dF_dtau, dF_dmu
 
 
+# Memoised like threshold.solve_threshold; one slope per threshold, so the
+# same 512 entries.  Exceptions are not cached.
+@functools.lru_cache(maxsize=512, typed=True)
 def threshold_sensitivity(tau: float, params: ModelParams) -> float:
     """d mu_k / d tau > 0 via the implicit-function formula."""
     dF_dtau, dF_dmu = partials(tau, solve_threshold(tau, params).mu_k, params)

@@ -152,6 +152,10 @@ def f_mu(mu_i: float, params: ModelParams) -> float:
     return value
 
 
+# Memoised like threshold.solve_threshold; theorem1_report makes two friction
+# solves per threshold pair, so twice its 512 entries.  Exceptions are not
+# cached.
+@functools.lru_cache(maxsize=1024, typed=True)
 def solve_lambda(mu_i: float, params: ModelParams) -> float:
     """lambda*: the root of e^(lambda t*)/lambda = f(mu_i, t*) on the
     increasing branch.

@@ -152,6 +152,11 @@ class TestExitCodes:
         ["figure1", "--mu-grid", "800:900:50"],       # f(mu_i, t*) overflows
         ["report", "--seed", "1", "--mu-grid", "700:710:5"],
         ["figure1", "--mu-grid", "600:700:50"],       # lambda* > 700 / t*
+        ["figure1", "--mu-grid", "nan:1:0.5"],        # non-finite ends or step
+        ["figure1", "--mu-grid", "0:inf:0.5"],
+        ["threshold", "--tau-grid", "nan:0.5:0.1"],
+        ["figure1", "--lambda-grid", "1:2:nan"],
+        ["wealth", "--seed", "1", "--lambda-grid", "1:inf:1"],
     ])
     def test_bad_grid_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"

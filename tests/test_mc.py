@@ -191,6 +191,14 @@ class TestConsumptionConvergence:
         provider = [r for r in reports if r.statistic == "provider_consumption"][0]
         assert provider.passed
 
+    # at n = 2 seed 5 draws no user and seeds 2-4 draw one: no ddof=1
+    # standard error exists for the gap
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_fewer_than_two_users_raises(self, seed):
+        with pytest.raises(DegenerateInputError, match=r"n=2 .* drew [01]$"):
+            consumption_convergence(default_params(), [2, 5000],
+                                    make_stream(seed, 9))
+
     def test_sizes_must_increase(self):
         with pytest.raises(InvalidInputError):
             consumption_convergence(default_params(), [100, 50], make_stream(6, 3))

@@ -418,7 +418,7 @@ class TestBrentMatchesScipy:
             )
             for solve, args in ((threshold.solve_threshold.__wrapped__,
                                  (params.tau, params)),
-                                (wealth.solve_lambda,
+                                (wealth.solve_lambda.__wrapped__,
                                  (float(rng.uniform(-5.0, 15.0)), params))):
                 try:
                     solve(*args)

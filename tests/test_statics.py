@@ -4,7 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from hetdata.errors import DegenerateInputError, InvalidInputError
+from hetdata.errors import (
+    ConvergenceError,
+    DegenerateInputError,
+    InvalidInputError,
+)
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
 from hetdata.statics import (
@@ -82,6 +86,40 @@ class TestSensitivity:
         assert threshold_sensitivity(0.5, params) == pytest.approx(
             4.0 / (1.0 - dF_dmu), rel=1e-9
         )
+
+
+class TestSensitivityMemo:
+    CASES = [(tau, default_params(gamma=gamma, sigma_mu=sigma_mu))
+             for tau in (0.05, 0.5, 0.93)
+             for gamma in (1.0, 2.0, 5.0)
+             for sigma_mu in (0.25, 1.0)]
+
+    def test_memo_bitwise_equals_uncached(self):
+        threshold_sensitivity.cache_clear()
+        for tau, params in self.CASES:
+            for _ in range(2):  # a miss, then a hit
+                slope = threshold_sensitivity(tau, params)
+                assert type(slope) is float
+                assert slope.hex() == threshold_sensitivity.__wrapped__(
+                    tau, params).hex()
+        info = threshold_sensitivity.cache_info()
+        assert (info.misses, info.hits) == (len(self.CASES), len(self.CASES))
+
+    def test_equal_params_share_an_entry(self):
+        threshold_sensitivity.cache_clear()
+        first = threshold_sensitivity(0.4, default_params())
+        assert threshold_sensitivity(0.4, default_params()) is first
+        assert threshold_sensitivity.cache_info().currsize == 1
+
+    def test_failed_call_leaves_no_entry(self):
+        threshold_sensitivity.cache_clear()
+        unconverged = default_params(theta=0.9, sigma_idio=2.0, gamma=8.0)
+        for tau, params, error in [(1e-7, default_params(), InvalidInputError),
+                                   (0.5, unconverged, ConvergenceError)]:
+            for _ in range(2):
+                with pytest.raises(error):
+                    threshold_sensitivity(tau, params)
+        assert threshold_sensitivity.cache_info().currsize == 0
 
 
 class TestOutputRatio:

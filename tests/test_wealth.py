@@ -268,6 +268,40 @@ class TestSolveLambda:
         assert err.value.branch_minimum == pytest.approx(math.exp(params.t_star))
 
 
+class TestSolveLambdaMemo:
+    CASES = [(mu, default_params(alpha=alpha, t_star=t_star))
+             for mu in (-1.0, 0.5, 3.0, 599.0)
+             for alpha in (0.0, 0.5)
+             for t_star in (1.5, 2.0)]
+
+    def test_memo_bitwise_equals_uncached(self):
+        solve_lambda.cache_clear()
+        for mu, params in self.CASES:
+            for _ in range(2):  # a miss, then a hit
+                lam = solve_lambda(mu, params)
+                assert type(lam) is float
+                assert lam.hex() == solve_lambda.__wrapped__(mu, params).hex()
+        info = solve_lambda.cache_info()
+        assert (info.misses, info.hits) == (len(self.CASES), len(self.CASES))
+
+    def test_equal_params_share_an_entry(self):
+        solve_lambda.cache_clear()
+        first = solve_lambda(0.7, default_params())
+        assert solve_lambda(0.7, default_params()) is first
+        assert solve_lambda.cache_info().currsize == 1
+
+    def test_failed_call_leaves_no_entry(self):
+        solve_lambda.cache_clear()
+        params = default_params()
+        mu_trivial = params.t_star - math.log(f_mu(0.0, params))
+        for mu, error in [(mu_trivial - 50.0, NoSolutionError),
+                          (800.0, NumericalRangeError)]:
+            for _ in range(2):
+                with pytest.raises(error):
+                    solve_lambda(mu, params)
+        assert solve_lambda.cache_info().currsize == 0
+
+
 class TestFigure1:
     def test_trivial_intersection(self):
         params = default_params()
