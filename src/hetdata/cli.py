@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .errors import (
 )
 from .model import ModelParams, default_params, load_params, validate
 
-COMMANDS = ("threshold", "statics", "wealth", "figure1", "verify", "report")
-_STOCHASTIC = {"wealth", "verify", "report"}
+STAGES = ("threshold", "statics", "wealth", "figure1", "verify")
+COMMANDS = STAGES + ("report",)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -71,35 +72,9 @@ def _with_tau(params: ModelParams, flag: str, tau: float) -> ModelParams:
         raise ConfigError(f"--{flag}: {exc}") from exc
 
 
-def _check_lambda_grid(command: str, grid: List[float], t_star: float) -> None:
-    """wealth and report match lambda >= 1; figure1 and report evaluate
-    f_lambda on the grid.  The grid increases, so its ends are its
-    extremes."""
-    low, high = grid[0], grid[-1]
-    if command in ("wealth", "report") and low < 1.0:
-        raise ConfigError(f"--lambda-grid points must be >= 1 for "
-                          f"{command}, got {low}")
-    if command in ("figure1", "report"):
-        try:
-            wealth.f_lambda(low, t_star)
-            wealth.f_lambda(high, t_star)
-        except (InvalidInputError, NumericalRangeError) as exc:
-            raise ConfigError(f"--lambda-grid for {command}: {exc}") from exc
-
-
-def _check_mu_grid(command: str, grid: List[float],
-                   params: ModelParams) -> None:
-    """figure1 and report solve the friction match on the grid; f_mu and
-    lambda* both increase with mu, so the grid's top end is its extreme.
-    Only a value out of range there is a configuration error: no root is
-    an answer, and any other failure is the run's to report."""
-    if command in ("figure1", "report"):
-        try:
-            wealth.solve_lambda(grid[-1], params)
-        except NumericalRangeError as exc:
-            raise ConfigError(f"--mu-grid for {command}: {exc}") from exc
-        except HetdataError:
-            pass
+def _stages(command: str) -> Tuple[str, ...]:
+    """The stages a command runs, in order: report runs every stage."""
+    return STAGES if command == "report" else (command,)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,20 +106,31 @@ def load_config(argv: List[str]) -> RunConfig:
     except SystemExit as exc:
         raise ConfigError("bad command line") from exc
 
-    if args.command in _STOCHASTIC and args.seed is None:
+    stages = _stages(args.command)
+    if args.seed is None and ("wealth" in stages or "verify" in stages):
         raise ConfigError(f"--seed is required for the {args.command} command")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.paths < 100:
         raise ConfigError(f"--paths must be >= 100, got {args.paths}")
     if args.population < 2:
         raise ConfigError(f"--population must be >= 2, got {args.population}")
+    # the first of --out and its parents that exists must be a directory;
+    # lexists, so that a dangling symlink counts as existing
+    out = Path(args.out)
+    found = next((p for p in (out, *out.parents) if os.path.lexists(p)), None)
+    if found is not None and not found.is_dir():
+        raise ConfigError(f"--out {out}: {found} is not a directory")
 
     if args.params is not None:
         path = Path(args.params)
         if not path.is_file():
             raise ConfigError(f"params file not found: {path}")
+        # ParamError, the UTF-8 and JSON decoders' errors and json's limit
+        # on integer digits are all ValueErrors
         try:
             params = load_params(path)
-        except (ParamError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad params file {path}: {exc}") from exc
     else:
         params = default_params()
@@ -156,22 +142,38 @@ def load_config(argv: List[str]) -> RunConfig:
         for tau in tau_grid:
             _with_tau(params, "tau-grid", tau)
         # statics compares the grid's first and last points as tau_L < tau_H
-        if len(tau_grid) < 2 and args.command in ("statics", "report"):
+        if len(tau_grid) < 2 and "statics" in stages:
             raise ConfigError(f"--tau-grid needs two or more points for "
                               f"{args.command}, got {args.tau_grid!r}")
+    # each grid increases, so its ends are its extremes
     lambda_grid = (_parse_grid(args.lambda_grid, "lambda-grid")
                    if args.lambda_grid else None)
-    if lambda_grid is not None:
-        _check_lambda_grid(args.command, lambda_grid, params.t_star)
+    if lambda_grid is not None and "wealth" in stages and lambda_grid[0] < 1.0:
+        raise ConfigError(f"--lambda-grid points must be >= 1 for "
+                          f"{args.command}, got {lambda_grid[0]}")
+    if lambda_grid is not None and "figure1" in stages:
+        try:
+            wealth.f_lambda(lambda_grid[0], params.t_star)
+            wealth.f_lambda(lambda_grid[-1], params.t_star)
+        except (InvalidInputError, NumericalRangeError) as exc:
+            raise ConfigError(f"--lambda-grid for {args.command}: {exc}") from exc
 
     mu_grid = _parse_grid(args.mu_grid, "mu-grid") if args.mu_grid else None
-    if mu_grid is not None:
-        _check_mu_grid(args.command, mu_grid, params)
+    if mu_grid is not None and "figure1" in stages:
+        # f_mu and lambda* increase with mu.  Only a value out of range is a
+        # configuration error: no root is an answer, and any other failure
+        # is the run's to report.
+        try:
+            wealth.solve_lambda(mu_grid[-1], params)
+        except NumericalRangeError as exc:
+            raise ConfigError(f"--mu-grid for {args.command}: {exc}") from exc
+        except HetdataError:
+            pass
 
     return RunConfig(
         command=args.command,
         params=params,
-        output_dir=Path(args.out),
+        output_dir=out,
         seed=args.seed,
         tau_grid=tau_grid,
         lambda_grid=lambda_grid,
@@ -272,12 +274,7 @@ def run(config: RunConfig) -> int:
         "figure1": _run_figure1,
         "verify": _run_verify,
     }
-    if config.command == "report":
-        status = EXIT_OK
-        for name in ("threshold", "statics", "wealth", "figure1", "verify"):
-            status = max(status, runners[name](config))
-        return status
-    return runners[config.command](config)
+    return max(runners[stage](config) for stage in _stages(config.command))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

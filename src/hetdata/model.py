@@ -53,16 +53,32 @@ class LossSpec:
         return max(self.values)
 
 
+def _is_finite_number(v) -> bool:
+    """An int or float with a finite float value; a bool is an int but
+    not a number here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _parse_loss(raw) -> LossSpec:
     if isinstance(raw, LossSpec):
         return raw
-    if isinstance(raw, (int, float)):
+    if _is_finite_number(raw):
         return LossSpec.constant(float(raw))
     if isinstance(raw, dict):
         vals = raw.get("values")
         probs = raw.get("probs")
         if vals is None or probs is None:
             raise InvalidInputError("loss dict needs 'values' and 'probs'")
+        for key, seq in (("values", vals), ("probs", probs)):
+            if not (isinstance(seq, (list, tuple))
+                    and all(map(_is_finite_number, seq))):
+                raise InvalidInputError(
+                    f"{key!r} must be a list of finite numbers, got {seq!r}")
         return LossSpec(values=tuple(float(v) for v in vals),
                         probs=tuple(float(p) for p in probs))
     raise InvalidInputError(f"unrecognized loss descriptor: {raw!r}")
@@ -166,7 +182,7 @@ def validate(raw: Union[dict, ModelParams]) -> ModelParams:
         if name == "loss":
             continue
         v = vals[name]
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_finite_number(v):
             violations.append(f"{name}: must be a finite number, got {v!r}")
         else:
             vals[name] = float(v)

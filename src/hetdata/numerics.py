@@ -73,11 +73,6 @@ def normal_cdf(x: float, spec: GaussianSpec) -> float:
     return float(ndtr(_standardize(x, spec)))
 
 
-def log_normal_cdf(x: float, spec: GaussianSpec) -> float:
-    """log P(X <= x); stable arbitrarily deep in the left tail."""
-    return float(log_ndtr(_standardize(x, spec)))
-
-
 def log_normal_sf(x, spec: GaussianSpec):
     """log P(X > x); stable arbitrarily deep in the right tail.
 
@@ -302,6 +297,8 @@ def make_stream(master_seed: int, index: int) -> np.random.Generator:
     sequences, distinct stream indices give statistically independent
     ones.  Single-owner: never share one generator between workers.
     """
+    if master_seed < 0:
+        raise InvalidInputError(f"master seed must be >= 0, got {master_seed}")
     if index < 0:
         raise InvalidInputError(f"stream index must be >= 0, got {index}")
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
 from .numerics import GaussianSpec, hazard_rate, log_normal_sf, normal_cdf, normal_pdf
-from .threshold import solve_threshold
+from .threshold import log_output_ratio, solve_threshold
 from . import wealth
 
 # the tau grid of `hetdata statics` and verify's comparative-statics check,
@@ -99,18 +99,6 @@ def threshold_sensitivity(tau: float, params: ModelParams) -> float:
     """d mu_k / d tau > 0 via the implicit-function formula."""
     dF_dtau, dF_dmu = partials(tau, solve_threshold(tau, params).mu_k, params)
     return dF_dtau / (1.0 - dF_dmu)
-
-
-def log_output_ratio(mu_k, sigma_mu: float):
-    """log of the tail ratio; keeps full relative resolution in the far
-    left tail where the ratio itself rounds to 1 in double precision.
-    Takes a scalar or a numpy array of thresholds."""
-    if sigma_mu <= 0.0:
-        raise InvalidInputError(f"sigma_mu must be > 0, got {sigma_mu}")
-    v = sigma_mu * sigma_mu
-    return log_normal_sf(mu_k, GaussianSpec(v, v)) - log_normal_sf(
-        mu_k, GaussianSpec(0.0, v)
-    )
 
 
 def output_ratio(mu_k: float, sigma_mu: float) -> float:

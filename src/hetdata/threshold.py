@@ -21,7 +21,6 @@ from .errors import DegenerateInputError, InvalidInputError, SolverError
 from .model import TAU_MAX, TAU_MIN, ModelParams
 from .numerics import (
     GaussianSpec,
-    log_normal_cdf,
     log_normal_sf,
     portfolio_moment,
     solve_bracketed,
@@ -56,20 +55,24 @@ def _check_tau(tau: float) -> None:
         )
 
 
-def tail_expectation(K: float, mu_bar: float, sigma_mu: float) -> float:
-    """E[e^mu | mu > K] for mu ~ N(mu_bar, sigma_mu^2).
-
-    Equals e^(mu_bar + sigma_mu^2/2) * SF(K; mu_bar + sigma_mu^2) /
-    SF(K; mu_bar); the tail ratio is computed in log space so that both
-    tails may underflow individually without breaking the quotient.
-    """
+def log_output_ratio(mu, sigma_mu: float):
+    """log of the tail ratio SF(mu; sigma^2, sigma^2) / SF(mu; 0, sigma^2)
+    at centered ability mu.  Log space keeps full relative resolution where
+    both tails underflow, and in the far left tail where the ratio itself
+    rounds to 1.  Takes a scalar or a numpy array of points."""
     if sigma_mu <= 0.0:
         raise InvalidInputError(f"sigma_mu must be > 0, got {sigma_mu}")
     v = sigma_mu * sigma_mu
-    log_ratio = log_normal_sf(K, GaussianSpec(mu_bar + v, v)) - log_normal_sf(
-        K, GaussianSpec(mu_bar, v)
+    return log_normal_sf(mu, GaussianSpec(v, v)) - log_normal_sf(
+        mu, GaussianSpec(0.0, v)
     )
-    return math.exp(mu_bar + 0.5 * v + log_ratio)
+
+
+def tail_expectation(K: float, mu_bar: float, sigma_mu: float) -> float:
+    """E[e^mu | mu > K] for mu ~ N(mu_bar, sigma_mu^2): e^(mu_bar +
+    sigma_mu^2/2) times the tail ratio at K - mu_bar."""
+    return math.exp(mu_bar + 0.5 * sigma_mu * sigma_mu
+                    + log_output_ratio(K - mu_bar, sigma_mu))
 
 
 def _moment_term(params: ModelParams) -> float:
@@ -87,7 +90,8 @@ def _rhs(logit: float, v: float, moment: float):
     spec_lo = GaussianSpec(0.0, v)
 
     def F(mu: float) -> float:
-        log_ratio = log_normal_sf(mu, spec_hi) - log_normal_cdf(mu, spec_lo)
+        # log CDF(mu; 0, v) as log SF(-mu; 0, v): negation is exact
+        log_ratio = log_normal_sf(mu, spec_hi) - log_normal_sf(-mu, spec_lo)
         return logit + 0.5 * v + log_ratio - moment
 
     return F

@@ -106,7 +106,7 @@ def check_hazard_and_output_ratio() -> CheckResult:
         spec = GaussianSpec(0.0, var)
         ok &= bool(np.all(hazard_rate(grid, spec) > hazard_rate(grid - var, spec)))
         # log scale: for sigma=0.5 the ratio itself rounds to 1.0 near -4
-        log_ratios = statics.log_output_ratio(grid, math.sqrt(var))
+        log_ratios = threshold.log_output_ratio(grid, math.sqrt(var))
         ok &= bool(np.all(np.diff(log_ratios) > 0.0))
     return CheckResult("hazard_and_output_ratio", ok, {"grid_points": len(grid)})
 

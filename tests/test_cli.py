@@ -1,7 +1,11 @@
 import json
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetdata.cli import (
     EXIT_CONFIG,
@@ -13,7 +17,7 @@ from hetdata.cli import (
 )
 from hetdata import statics, threshold, verify
 from hetdata.errors import ConfigError
-from hetdata.model import default_params, load_params
+from hetdata.model import ModelParams, default_params, load_params
 
 
 def _write_params(tmp_path, **overrides):
@@ -141,6 +145,65 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["wealth", "--seed", "-1"],
+        ["verify", "--seed", "-3", "--population", "1000", "--paths", "100"],
+        ["report", "--seed", "-1"],
+    ])
+    def test_negative_seed_exits_2_without_outputs(self, tmp_path, capsys,
+                                                   argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error: --seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["file", "below_file", "dangling_link"])
+    def test_out_not_a_directory_exits_2_without_outputs(self, tmp_path, capsys,
+                                                         kind):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = {"file": afile, "below_file": afile / "sub",
+               "dangling_link": tmp_path / "link"}[kind]
+        if kind == "dangling_link":
+            out.symlink_to(tmp_path / "missing")
+        assert main(["statics", "--out", str(out)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"gamma": True},   # would solve as gamma = 1, log utility
+        {"alpha": True},
+        {"w": False},
+        {"D": 10 ** 400},  # an int past the float range
+        {"loss": False},   # would be a zero loss
+        {"loss": {"values": "ab", "probs": [1.0]}},
+        {"loss": {"values": [None], "probs": [1.0]}},
+        {"loss": {"values": [0.2], "probs": 1.0}},
+    ])
+    def test_non_numeric_param_exits_2_without_outputs(self, tmp_path, capsys,
+                                                       override):
+        path = _write_params(tmp_path, **override)
+        out = tmp_path / "out"
+        assert main(["threshold", "--params", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error: bad params file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b'{"gamma": \xff}',                          # not UTF-8
+        b'{"gamma": 1' + b"0" * 5000 + b"}",          # past json's digit limit
+    ], ids=["not_utf8", "too_many_digits"])
+    def test_unreadable_params_file_exits_2_without_outputs(self, tmp_path,
+                                                            capsys, text):
+        path = tmp_path / "params.json"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["threshold", "--params", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error: bad params file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["threshold", "--tau-grid", "0.5:1.5:0.5"],  # reaches tau = 1
         ["statics", "--tau-grid", "0.3:0.4:1.0"],    # one point: tau_L = tau_H
         ["wealth", "--seed", "1", "--lambda-grid", "0.5:1.0:0.5"],
@@ -228,6 +291,46 @@ class TestArtifacts:
         first = (tmp_path / "a" / "verify.json").read_bytes()
         second = (tmp_path / "b" / "verify.json").read_bytes()
         assert first == second
+
+
+_FIELDS = tuple(f.name for f in fields(ModelParams))
+_NOT_NUMBER = st.one_of(st.booleans(), st.text(max_size=4), st.none())
+_WRONG_KIND = st.one_of(
+    _NOT_NUMBER,
+    st.lists(st.floats(0.0, 0.5), max_size=2),
+    st.dictionaries(st.text(max_size=4), st.floats(0.0, 0.5), max_size=2),
+)
+# values or probs that are not a list of numbers: a scalar, or a list
+# holding a non-number
+_NOT_NUMBER_LIST = st.one_of(
+    _NOT_NUMBER,
+    st.floats(0.0, 0.5),
+    st.lists(_NOT_NUMBER, min_size=1, max_size=2),
+    st.tuples(st.floats(0.0, 0.5), _NOT_NUMBER).map(list),
+)
+_BAD_LOSS = st.one_of(
+    st.fixed_dictionaries({"values": _NOT_NUMBER_LIST, "probs": st.just([1.0])}),
+    st.fixed_dictionaries({"values": st.just([0.2]), "probs": _NOT_NUMBER_LIST}),
+)
+
+
+class TestParamsFileKinds:
+    """A value of the wrong JSON kind in any field is a configuration
+    error, written nowhere; a boolean is not a number."""
+
+    @given(st.one_of(
+        st.tuples(st.sampled_from(_FIELDS), _WRONG_KIND),
+        st.tuples(st.just("loss"), _BAD_LOSS),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_wrong_kind_exits_2_without_outputs(self, case):
+        name, value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_params(Path(tmp), **{name: value})
+            out = Path(tmp) / "out"
+            assert main(["threshold", "--params", str(path),
+                         "--out", str(out)]) == EXIT_CONFIG
+            assert not out.exists()
 
 
 def _leaves(payload):

@@ -484,3 +484,7 @@ class TestRandomStream:
     def test_negative_index_rejected(self):
         with pytest.raises(InvalidInputError):
             make_stream(1, -1)
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="master seed"):
+            make_stream(-1, 0)
