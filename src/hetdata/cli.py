@@ -35,6 +35,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+_MIN_JUDGED_CAPITAL = math.sqrt(sys.float_info.min)
+
 
 @dataclass
 class RunConfig:
@@ -148,9 +150,19 @@ def load_config(argv: List[str]) -> RunConfig:
     # each grid increases, so its ends are its extremes
     lambda_grid = (_parse_grid(args.lambda_grid, "lambda-grid")
                    if args.lambda_grid else None)
-    if lambda_grid is not None and "wealth" in stages and lambda_grid[0] < 1.0:
-        raise ConfigError(f"--lambda-grid points must be >= 1 for "
-                          f"{args.command}, got {lambda_grid[0]}")
+    if lambda_grid is not None and "wealth" in stages:
+        if lambda_grid[0] < 1.0:
+            raise ConfigError(f"--lambda-grid points must be >= 1 for "
+                              f"{args.command}, got {lambda_grid[0]}")
+        # below sqrt(min normal) the squared paths underflow, so the Monte
+        # Carlo standard error reads 0 and the 3-SE verdict judges nothing
+        for lam in lambda_grid:
+            closed = wealth.expected_capital(params, params.t_star, lam)
+            if closed < _MIN_JUDGED_CAPITAL:
+                raise ConfigError(
+                    f"--lambda-grid point {lam} for {args.command}: E K_t* = "
+                    f"{closed} is below {_MIN_JUDGED_CAPITAL:.3g}, where the "
+                    f"Monte Carlo standard error underflows")
     if lambda_grid is not None and "figure1" in stages:
         try:
             wealth.f_lambda(lambda_grid[0], params.t_star)

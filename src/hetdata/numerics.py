@@ -2,8 +2,9 @@
 
 Every other module builds on these four pieces:
 
-* Gaussian pdf/cdf/hazard with stable right-tail evaluation (erfcx based,
-  no 1-cdf cancellation),
+* Gaussian kernels on the math module (erfcx, log_ndtr, ndtr) and the
+  pdf/cdf/hazard built on them, stable deep in either tail (no 1-cdf
+  cancellation),
 * Gauss-Hermite expectation E[g(X)] for X ~ N(mean, variance),
 * a bracketed root finder (Brent's method, ported from scipy's brentq),
 * reproducible, independently-seeded random streams for Monte Carlo.
@@ -18,7 +19,6 @@ from typing import Callable, Tuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import erfcx, log_ndtr, ndtr
 
 from .errors import (
     BracketingError,
@@ -33,6 +33,8 @@ from .errors import (
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_LOG_HALF = math.log(0.5)
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,70 @@ class GaussianSpec:
         return math.sqrt(self.variance)
 
 
+def erfcx(x: float) -> float:
+    """Scaled complementary error function exp(x^2) erfc(x) of a float.
+
+    Below 25 it is exp(x^2) erfc(x) with x^2 split exactly, as Cody (1969,
+    Math. Comp. 23:631) splits it: rounding x*x first would cost up to
+    log2(x^2) bits.  From 25, where erfc nears underflow, it is the Laplace
+    continued fraction 1/(sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))))
+    evaluated bottom-up from eight levels, which have converged there (as
+    in S. G. Johnson's Faddeeva package).  Below -26.64, exp(x^2)
+    overflows: inf.
+    """
+    if x >= 25.0:
+        t = x
+        for k in range(8, 0, -1):
+            t = x + 0.5 * k / t
+        return _INV_SQRT_PI / t
+    if x < -26.64:
+        return math.inf
+    # x^2 = hi + lo exactly (Dekker 1971), x split in halves by 2^27 + 1
+    hi = x * x
+    t = 134217729.0 * x
+    x_hi = t - (t - x)
+    x_lo = x - x_hi
+    lo = ((x_hi * x_hi - hi) + 2.0 * x_hi * x_lo) + x_lo * x_lo
+    scaled = math.exp(hi) * math.erfc(x)
+    return scaled + scaled * lo  # times exp(lo), lo being below 2^-44
+
+
+def log_ndtr(z: float) -> float:
+    """log Phi(z) of the standard normal at a float, without underflow.
+
+    log1p(-Phi(-z)) above 0; log(erfc(t)/2) with t = -z/sqrt 2 while erfc(t)
+    is a normal float (t < 26); log erfcx(t) - t^2 + log(1/2) beyond."""
+    if z > 0.0:
+        return math.log1p(-0.5 * math.erfc(z / _SQRT2))
+    t = -z / _SQRT2
+    if t < 26.0:
+        return math.log(0.5 * math.erfc(t))
+    return math.log(erfcx(t)) - t * t + _LOG_HALF
+
+
+def ndtr(z: float) -> float:
+    """Phi(z), the standard normal CDF, at a float."""
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
 def _standardize(x, spec: GaussianSpec):
-    """(x - mean) / std for a scalar or a numpy array of points."""
-    # math.isfinite costs a scalar ~1/100 of np.isfinite(x).all()
-    finite = math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()
+    """(x - mean) / std for a scalar or a numpy array of points; a point
+    that is not finite, or whose standardized value is not, raises."""
+    z = (x - spec.mean) / spec.std
+    # math.isfinite costs a scalar ~1/100 of np.isfinite(z).all()
+    finite = math.isfinite(z) if isinstance(z, float) else np.isfinite(z).all()
     if not finite:
         raise InvalidInputError(f"non-finite evaluation point in {x}")
-    return (x - spec.mean) / spec.std
+    return z
+
+
+def _elementwise(kernel: Callable[[float], float], z):
+    """kernel(z) for a scalar; for a numpy array, an array of kernel at
+    each element, so that it holds the scalar results bit for bit."""
+    if not isinstance(z, np.ndarray):
+        return kernel(z)
+    values = map(kernel, z.ravel().tolist())
+    return np.fromiter(values, float, z.size).reshape(z.shape)
 
 
 def normal_pdf(x: float, spec: GaussianSpec) -> float:
@@ -70,15 +129,14 @@ def normal_pdf(x: float, spec: GaussianSpec) -> float:
 
 def normal_cdf(x: float, spec: GaussianSpec) -> float:
     """P(X <= x) for X ~ N(mean, variance)."""
-    return float(ndtr(_standardize(x, spec)))
+    return ndtr(_standardize(x, spec))
 
 
 def log_normal_sf(x, spec: GaussianSpec):
     """log P(X > x); stable arbitrarily deep in the right tail.
 
     Takes a scalar or a numpy array of points (elementwise, same bits)."""
-    out = log_ndtr(-_standardize(x, spec))
-    return out if isinstance(x, np.ndarray) else float(out)
+    return _elementwise(log_ndtr, -_standardize(x, spec))
 
 
 def hazard_rate(x, spec: GaussianSpec):
@@ -86,24 +144,18 @@ def hazard_rate(x, spec: GaussianSpec):
 
     h(z) = sqrt(2/pi) / erfcx(z / sqrt 2) for the standard normal, which
     stays accurate deep in the right tail where pdf and 1-cdf both
-    underflow.  erfcx overflows for very negative arguments, where the
-    hazard equals the pdf to machine precision.
+    underflow, and in the left tail, where it is the pdf.
 
     Takes a scalar or a numpy array of points; an array gives the scalar
     values elementwise, bit for bit.
     """
-    z = np.atleast_1d(_standardize(x, spec))
-    h = _SQRT_2_OVER_PI / erfcx(z / _SQRT2) / spec.std
-    left = z < -8.0
-    if left.any():
-        # survival function is 1 within 1e-16: the hazard is the pdf;
-        # math.exp, since np.exp does not always match its last bit
-        h[left] = [_INV_SQRT_2PI * math.exp(-0.5 * v * v) / spec.std
-                   for v in z[left].tolist()]
-    if not np.isfinite(h).all():
-        bad = z[~np.isfinite(h)][0]
-        raise NumericalRangeError(f"hazard evaluation failed at z={bad}")
-    return h if isinstance(x, np.ndarray) else float(h[0])
+    def h(z: float) -> float:
+        value = _SQRT_2_OVER_PI / erfcx(z / _SQRT2) / spec.std
+        if not math.isfinite(value):
+            raise NumericalRangeError(f"hazard evaluation failed at z={z}")
+        return value
+
+    return _elementwise(h, _standardize(x, spec))
 
 
 @functools.lru_cache(maxsize=32)

@@ -6,6 +6,7 @@ fixed seed.  Tolerances are fixed here, not configurable.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List
@@ -25,7 +26,10 @@ class CheckResult:
     detail: Dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "detail": self.detail}
+        # a copy of detail: check_hazard_and_output_ratio's memo shares
+        # this instance
+        return {"name": self.name, "pass": self.passed,
+                "detail": dict(self.detail)}
 
 
 def check_symmetry_fixed_point() -> CheckResult:
@@ -98,6 +102,9 @@ def check_comparative_statics() -> CheckResult:
     )
 
 
+# It takes no arguments, so its result is a constant of the program: its
+# 9,612 kernel evaluations run once per process.
+@functools.cache
 def check_hazard_and_output_ratio() -> CheckResult:
     """Hazard inequality and tail-ratio monotonicity on the grid."""
     grid = np.arange(-4.0, 4.0 + 1e-12, 0.01)

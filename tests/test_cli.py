@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hetdata
 from hetdata.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -220,6 +224,9 @@ class TestExitCodes:
         ["threshold", "--tau-grid", "nan:0.5:0.1"],
         ["figure1", "--lambda-grid", "1:2:nan"],
         ["wealth", "--seed", "1", "--lambda-grid", "1:inf:1"],
+        # E K_t* of 9e-259 and, at 501 and 1001, of 0: the se underflows
+        ["wealth", "--seed", "1", "--paths", "100", "--lambda-grid", "300:301:1"],
+        ["wealth", "--seed", "1", "--lambda-grid", "1:1000:500"],
     ])
     def test_bad_grid_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -362,3 +369,30 @@ class TestPlainRecords:
         params = default_params(gamma=gamma)
         self._assert_plain(threshold.solve_threshold(0.5, params).to_dict())
         self._assert_plain(statics.theorem1_report(0.3, 0.6, params).to_dict())
+
+
+def _run_python(code, *args):
+    """Exit code of `code` in a fresh interpreter that imports this
+    hetdata."""
+    src = str(Path(hetdata.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          timeout=120).returncode
+
+
+class TestWithoutScipy:
+    """numpy is the only runtime dependency: scipy is a test extra."""
+
+    def test_import_loads_no_scipy_module(self):
+        code = ("import sys, hetdata.cli; sys.exit(any(name == 'scipy' or "
+                "name.startswith('scipy.') for name in sys.modules))")
+        assert _run_python(code) == 0
+
+    def test_report_runs_with_scipy_blocked(self, tmp_path):
+        # None in sys.modules makes every import of scipy raise ImportError
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from hetdata import cli; "
+                "sys.exit(cli.main(['report', '--seed', '42', '--out', sys.argv[1]]))")
+        assert _run_python(code, str(tmp_path)) == EXIT_OK
+        assert (tmp_path / "verify.json").is_file()
