@@ -37,6 +37,11 @@ EXIT_SOLVER = 3
 
 _MIN_JUDGED_CAPITAL = math.sqrt(sys.float_info.min)
 
+# The grids the paper's tables and figures need have tens of points, and
+# every point is a solve; a spec past a million points is a slip, and one
+# past numpy's size limit would crash np.arange, so it is refused first.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass
 class RunConfig:
@@ -63,6 +68,10 @@ def _parse_grid(text: str, name: str) -> List[float]:
         raise ConfigError(f"--{name}: non-finite grid spec {text!r}")
     if step <= 0.0 or b <= a:
         raise ConfigError(f"--{name}: grid must be strictly increasing, got {text!r}")
+    count = (b + 0.5 * step - a) / step
+    if not (math.isfinite(count) and count <= MAX_GRID_POINTS):
+        raise ConfigError(f"--{name}: grid {text!r} has {count:.3g} points, "
+                          f"more than {MAX_GRID_POINTS}")
     return [float(x) for x in np.arange(a, b + 0.5 * step, step)]
 
 

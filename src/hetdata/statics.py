@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
-from .numerics import GaussianSpec, hazard_rate, log_normal_sf, normal_cdf, normal_pdf
-from .threshold import log_output_ratio, solve_threshold
+from .numerics import hazard_rate, log_normal_sf, normal_cdf, normal_pdf
+from .threshold import ability_specs, log_output_ratio, solve_threshold
 from . import wealth
 
 # the tau grid of `hetdata statics` and verify's comparative-statics check,
@@ -81,10 +81,8 @@ def partials(tau: float, mu_k: float, params: ModelParams) -> Tuple[float, float
 
     dF/dmu = -[hazard(mu_k; sigma^2, sigma^2) + pdf(mu_k)/cdf(mu_k)] < 0.
     """
-    v = params.sigma_mu ** 2
     dF_dtau = 1.0 / (tau * (1.0 - tau))
-    spec_hi = GaussianSpec(v, v)
-    spec_lo = GaussianSpec(0.0, v)
+    spec_hi, spec_lo = ability_specs(params.sigma_mu ** 2)
     dF_dmu = -(
         hazard_rate(mu_k, spec_hi)
         + normal_pdf(mu_k, spec_lo) / normal_cdf(mu_k, spec_lo)
@@ -119,7 +117,7 @@ def aggregate_output(mu_k: float, eps_agg: float, params: ModelParams) -> float:
     """
     v = params.sigma_mu ** 2
     prefactor = params.D * math.exp(eps_agg) * math.exp(params.mu_bar + 0.5 * v)
-    return prefactor * math.exp(log_normal_sf(mu_k, GaussianSpec(v, v)))
+    return prefactor * math.exp(log_normal_sf(mu_k, ability_specs(v)[0]))
 
 
 def tech_from_tau(tau: float, params: ModelParams) -> Tuple[float, float]:

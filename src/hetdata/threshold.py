@@ -55,6 +55,14 @@ def _check_tau(tau: float) -> None:
         )
 
 
+# One pair per parameter set; typed, so that an int v never answers for a
+# float one.  Exceptions are not cached.
+@functools.lru_cache(maxsize=64, typed=True)
+def ability_specs(v: float) -> tuple[GaussianSpec, GaussianSpec]:
+    """N(v, v) and N(0, v), whose tails make up the output ratio."""
+    return GaussianSpec(v, v), GaussianSpec(0.0, v)
+
+
 def log_output_ratio(mu, sigma_mu: float):
     """log of the tail ratio SF(mu; sigma^2, sigma^2) / SF(mu; 0, sigma^2)
     at centered ability mu.  Log space keeps full relative resolution where
@@ -62,10 +70,8 @@ def log_output_ratio(mu, sigma_mu: float):
     rounds to 1.  Takes a scalar or a numpy array of points."""
     if sigma_mu <= 0.0:
         raise InvalidInputError(f"sigma_mu must be > 0, got {sigma_mu}")
-    v = sigma_mu * sigma_mu
-    return log_normal_sf(mu, GaussianSpec(v, v)) - log_normal_sf(
-        mu, GaussianSpec(0.0, v)
-    )
+    spec_hi, spec_lo = ability_specs(sigma_mu * sigma_mu)
+    return log_normal_sf(mu, spec_hi) - log_normal_sf(mu, spec_lo)
 
 
 def tail_expectation(K: float, mu_bar: float, sigma_mu: float) -> float:
@@ -86,8 +92,7 @@ def _moment_term(params: ModelParams) -> float:
 def _rhs(logit: float, v: float, moment: float):
     """F(tau, .) as a function of mu, built from its mu-free parts: the
     logit of tau, the ability variance v and the precomputed moment term."""
-    spec_hi = GaussianSpec(v, v)
-    spec_lo = GaussianSpec(0.0, v)
+    spec_hi, spec_lo = ability_specs(v)
 
     def F(mu: float) -> float:
         # log CDF(mu; 0, v) as log SF(-mu; 0, v): negation is exact
@@ -141,7 +146,7 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
 
     mu_k = solve_bracketed(G, lo, hi, _ROOT_TOL)
     K = mu_k + params.mu_bar
-    m = math.exp(log_normal_sf(mu_k, GaussianSpec(0.0, v)))
+    m = math.exp(log_normal_sf(mu_k, ability_specs(v)[1]))
     return ThresholdSolution(
         mu_k=mu_k,
         K=K,

@@ -227,6 +227,12 @@ class TestExitCodes:
         # E K_t* of 9e-259 and, at 501 and 1001, of 0: the se underflows
         ["wealth", "--seed", "1", "--paths", "100", "--lambda-grid", "300:301:1"],
         ["wealth", "--seed", "1", "--lambda-grid", "1:1000:500"],
+        # more than a million points: each is past numpy's size limit, so
+        # without the point cap np.arange raises instead of allocating
+        ["threshold", "--tau-grid", "0:1e12:1e-9"],
+        ["threshold", "--tau-grid", "0.1:0.2:1e-300"],
+        ["wealth", "--seed", "1", "--lambda-grid", "1:1e300:1"],
+        ["figure1", "--mu-grid=-1e308:1e308:1"],      # b - a overflows to inf
     ])
     def test_bad_grid_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"

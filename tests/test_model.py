@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,6 +14,8 @@ from hetdata.model import (
     load_params,
     validate,
 )
+from hetdata.numerics import GaussianSpec
+from hetdata.threshold import solve_threshold
 
 
 def base_record(**overrides):
@@ -78,6 +83,81 @@ class TestValidate:
     def test_mu_hat(self):
         params = validate(base_record())
         assert params.mu_hat == pytest.approx(0.08 + 0.1 * 0.2)
+
+
+class TestHashedOnce:
+    """ModelParams hashes its field tuple once and builds its specs once;
+    equality, the hash value and the repr stay those of the fields."""
+
+    REPR = (
+        "ModelParams(gamma=2.0, sigma_mu=1.0, sigma_agg=0.2, sigma_idio=0.5, "
+        "theta=0.1, tau=0.5, D=1.0, eta=0.5, d0=1.0, r_f=0.02, alpha=0.5, "
+        "mu0=0.08, w=0.1, loss=LossSpec(values=(0.2,), probs=(1.0,)), "
+        "sigma_w=0.3, W0=1.0, t_star=2.0, EK_target=0.02, mu_bar=0.0)"
+    )
+
+    @staticmethod
+    def _copies(params):
+        return [
+            validate(base_record()),
+            validate(params),
+            replace(params),
+            replace(replace(params, tau=0.4), tau=0.5),
+            copy.deepcopy(params),
+            pickle.loads(pickle.dumps(params)),
+        ]
+
+    @pytest.mark.parametrize("specs_first", [False, True])
+    def test_equal_fields_share_hash_and_memo_entry(self, specs_first):
+        params = validate(base_record())
+        if specs_first:  # the copies below then carry the built specs
+            params.ability_spec, params.agg_shock_spec, params.idio_shock_spec
+        solve_threshold.cache_clear()
+        first = solve_threshold(0.5, params)
+        copies = self._copies(params)
+        for other in copies:
+            assert other is not params
+            assert other == params and hash(other) == hash(params)
+            assert other.agg_shock_spec == params.agg_shock_spec
+            assert solve_threshold(0.5, other) is first
+        info = solve_threshold.cache_info()
+        assert (info.currsize, info.hits) == (1, len(copies))
+
+    def test_hash_is_that_of_the_field_tuple(self):
+        params = validate(base_record())
+        assert hash(params) == hash(
+            tuple(getattr(params, f.name) for f in fields(ModelParams)))
+
+    def test_unequal_fields_stay_unequal(self):
+        params = validate(base_record())
+        changed = [replace(params, loss=LossSpec.constant(0.3))] + [
+            replace(params, **{f.name: getattr(params, f.name) + 0.01})
+            for f in fields(ModelParams) if f.name != "loss"]
+        assert len(changed) == len(fields(ModelParams))
+        for other in changed:
+            assert other != params
+        assert len({params, *changed}) == len(changed) + 1
+
+    def test_repr_is_unchanged(self):
+        params = validate(base_record())
+        assert repr(params) == self.REPR
+        params.ability_spec, params.agg_shock_spec, params.idio_shock_spec
+        assert repr(params) == self.REPR
+
+    def test_specs_wait_for_first_use(self):
+        bad = replace(validate(base_record()), sigma_mu=0.0)
+        with pytest.raises(ParamError, match="sigma_mu"):
+            validate(bad)
+
+    def test_specs_built_once_with_their_values(self):
+        params = validate(base_record(mu_bar=0.3, sigma_agg=0.37))
+        assert params.ability_spec is params.ability_spec
+        assert params.agg_shock_spec is params.agg_shock_spec
+        assert params.idio_shock_spec is params.idio_shock_spec
+        assert params.ability_spec == GaussianSpec(0.3, 1.0)
+        assert params.agg_shock_spec == GaussianSpec(-0.5 * 0.37 ** 2, 0.37 ** 2)
+        assert params.idio_shock_spec == GaussianSpec(-0.5 * 0.5 ** 2, 0.5 ** 2)
+        assert params == validate(base_record(mu_bar=0.3, sigma_agg=0.37))
 
 
 class TestLossSpec:

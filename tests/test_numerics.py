@@ -2,6 +2,7 @@ import collections
 import math
 import sys
 import warnings
+from dataclasses import FrozenInstanceError, fields
 
 import mpmath
 import numpy as np
@@ -43,6 +44,28 @@ def mp_pdf(x, mean=0.0, var=1.0):
 
 def mp_cdf(x, mean=0.0, var=1.0):
     return float(mpmath.ncdf(x, mean, mpmath.sqrt(var)))
+
+
+class TestGaussianSpec:
+    @pytest.mark.parametrize("variance", [1e-300, 0.04, 1.0, 2.0, 3.0, 1e300])
+    def test_std_is_sqrt_of_variance_bitwise(self, variance):
+        spec = GaussianSpec(0.5, variance)
+        assert spec.std.hex() == math.sqrt(variance).hex()
+
+    def test_std_is_in_neither_repr_nor_equality(self):
+        spec = GaussianSpec(0.5, 2.0)
+        assert repr(spec) == "GaussianSpec(mean=0.5, variance=2.0)"
+        other = GaussianSpec(0.5, 2.0)
+        object.__setattr__(other, "std", 0.0)
+        assert other == spec and hash(other) == hash(spec)
+        assert [f.name for f in fields(spec) if f.compare] == ["mean", "variance"]
+
+    def test_std_is_read_only(self):
+        spec = GaussianSpec(0.5, 2.0)
+        with pytest.raises(FrozenInstanceError):
+            spec.std = 1.0
+        with pytest.raises(TypeError):
+            GaussianSpec(0.5, 2.0, 1.0)
 
 
 class TestNormalKernels:

@@ -10,10 +10,11 @@ from hetdata.errors import (
     InvalidInputError,
 )
 from hetdata.model import default_params
-from hetdata.numerics import make_stream
+from hetdata.numerics import GaussianSpec, make_stream
 from hetdata.threshold import (
     _moment_term,
     _rhs,
+    ability_specs,
     provider_utility,
     solve_threshold,
     tail_expectation,
@@ -206,6 +207,27 @@ class TestSolveThresholdMemo:
                 with pytest.raises(error):
                     solve_threshold(tau, params)
         assert solve_threshold.cache_info().currsize == 0
+
+
+class TestAbilitySpecs:
+    @pytest.mark.parametrize("v", [0.04, 1.0, 2.25])
+    def test_pair_equals_fresh_specs(self, v):
+        hi, lo = ability_specs(v)
+        assert (hi, lo) == (GaussianSpec(v, v), GaussianSpec(0.0, v))
+        assert (hi.std, lo.std) == (GaussianSpec(v, v).std, GaussianSpec(0.0, v).std)
+        assert ability_specs(v) is ability_specs(v)
+
+    def test_typed_key_keeps_an_int_variance(self):
+        assert type(ability_specs(1)[0].variance) is int
+        assert type(ability_specs(1.0)[0].variance) is float
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_variance_raises_on_every_call(self, v):
+        ability_specs.cache_clear()
+        for _ in range(2):
+            with pytest.raises(InvalidInputError):
+                ability_specs(v)
+        assert ability_specs.cache_info().currsize == 0
 
 
 class TestUtilities:
