@@ -41,6 +41,10 @@ _MIN_JUDGED_CAPITAL = math.sqrt(sys.float_info.min)
 # every point is a solve; a spec past a million points is a slip, and one
 # past numpy's size limit would crash np.arange, so it is refused first.
 MAX_GRID_POINTS = 10**6
+# The LLN checks hold float64 arrays of population length, 800 MB each at
+# 10^8; an allocation that fails mid-run leaves --out behind, so a larger
+# population is refused first.
+MAX_POPULATION = 10**8
 
 
 @dataclass
@@ -124,8 +128,9 @@ def load_config(argv: List[str]) -> RunConfig:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.paths < 100:
         raise ConfigError(f"--paths must be >= 100, got {args.paths}")
-    if args.population < 2:
-        raise ConfigError(f"--population must be >= 2, got {args.population}")
+    if not 2 <= args.population <= MAX_POPULATION:
+        raise ConfigError(f"--population must be in [2, {MAX_POPULATION}], "
+                          f"got {args.population}")
     # the first of --out and its parents that exists must be a directory;
     # lexists, so that a dangling symlink counts as existing
     out = Path(args.out)

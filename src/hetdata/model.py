@@ -134,16 +134,16 @@ class ModelParams:
     # -- derived specs, built once per parameter set ---------------------
     @_cached
     def ability_spec(self) -> GaussianSpec:
-        return GaussianSpec(self.mu_bar, self.sigma_mu ** 2)
+        return GaussianSpec(self.mu_bar, self.sigma_mu * self.sigma_mu)
 
     @_cached
     def agg_shock_spec(self) -> GaussianSpec:
-        s2 = self.sigma_agg ** 2
+        s2 = self.sigma_agg * self.sigma_agg
         return GaussianSpec(-0.5 * s2, s2)
 
     @_cached
     def idio_shock_spec(self) -> GaussianSpec:
-        s2 = self.sigma_idio ** 2
+        s2 = self.sigma_idio * self.sigma_idio
         return GaussianSpec(-0.5 * s2, s2)
 
     @property

@@ -100,24 +100,13 @@ def ndtr(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def _standardize(x, spec: GaussianSpec):
-    """(x - mean) / std for a scalar or a numpy array of points; a point
-    that is not finite, or whose standardized value is not, raises."""
+def _standardize(x: float, spec: GaussianSpec) -> float:
+    """(x - mean) / std; a point that is not finite, or whose standardized
+    value is not, raises."""
     z = (x - spec.mean) / spec.std
-    # math.isfinite costs a scalar ~1/100 of np.isfinite(z).all()
-    finite = math.isfinite(z) if isinstance(z, float) else np.isfinite(z).all()
-    if not finite:
-        raise InvalidInputError(f"non-finite evaluation point in {x}")
+    if not math.isfinite(z):
+        raise InvalidInputError(f"non-finite evaluation point {x}")
     return z
-
-
-def _elementwise(kernel: Callable[[float], float], z):
-    """kernel(z) for a scalar; for a numpy array, an array of kernel at
-    each element, so that it holds the scalar results bit for bit."""
-    if not isinstance(z, np.ndarray):
-        return kernel(z)
-    values = map(kernel, z.ravel().tolist())
-    return np.fromiter(values, float, z.size).reshape(z.shape)
 
 
 def normal_pdf(x: float, spec: GaussianSpec) -> float:
@@ -131,30 +120,23 @@ def normal_cdf(x: float, spec: GaussianSpec) -> float:
     return ndtr(_standardize(x, spec))
 
 
-def log_normal_sf(x, spec: GaussianSpec):
-    """log P(X > x); stable arbitrarily deep in the right tail.
-
-    Takes a scalar or a numpy array of points (elementwise, same bits)."""
-    return _elementwise(log_ndtr, -_standardize(x, spec))
+def log_normal_sf(x: float, spec: GaussianSpec) -> float:
+    """log P(X > x); stable arbitrarily deep in the right tail."""
+    return log_ndtr(-_standardize(x, spec))
 
 
-def hazard_rate(x, spec: GaussianSpec):
+def hazard_rate(x: float, spec: GaussianSpec) -> float:
     """pdf / (1 - cdf), via the scaled complementary error function.
 
     h(z) = sqrt(2/pi) / erfcx(z / sqrt 2) for the standard normal, which
     stays accurate deep in the right tail where pdf and 1-cdf both
     underflow, and in the left tail, where it is the pdf.
-
-    Takes a scalar or a numpy array of points; an array gives the scalar
-    values elementwise, bit for bit.
     """
-    def h(z: float) -> float:
-        value = _SQRT_2_OVER_PI / erfcx(z / _SQRT2) / spec.std
-        if not math.isfinite(value):
-            raise NumericalRangeError(f"hazard evaluation failed at z={z}")
-        return value
-
-    return _elementwise(h, _standardize(x, spec))
+    z = _standardize(x, spec)
+    value = _SQRT_2_OVER_PI / erfcx(z / _SQRT2) / spec.std
+    if not math.isfinite(value):
+        raise NumericalRangeError(f"hazard evaluation failed at z={z}")
+    return value
 
 
 @functools.lru_cache(maxsize=32)

@@ -82,7 +82,7 @@ def partials(tau: float, mu_k: float, params: ModelParams) -> Tuple[float, float
     dF/dmu = -[hazard(mu_k; sigma^2, sigma^2) + pdf(mu_k)/cdf(mu_k)] < 0.
     """
     dF_dtau = 1.0 / (tau * (1.0 - tau))
-    spec_hi, spec_lo = ability_specs(params.sigma_mu ** 2)
+    spec_hi, spec_lo = ability_specs(params.sigma_mu * params.sigma_mu)
     dF_dmu = -(
         hazard_rate(mu_k, spec_hi)
         + normal_pdf(mu_k, spec_lo) / normal_cdf(mu_k, spec_lo)
@@ -115,7 +115,7 @@ def aggregate_output(mu_k: float, eps_agg: float, params: ModelParams) -> float:
     D e^eps e^(mu_bar + sigma^2/2) SF(mu_k; sigma^2, sigma^2), which is
     the form evaluated here.
     """
-    v = params.sigma_mu ** 2
+    v = params.sigma_mu * params.sigma_mu
     prefactor = params.D * math.exp(eps_agg) * math.exp(params.mu_bar + 0.5 * v)
     return prefactor * math.exp(log_normal_sf(mu_k, ability_specs(v)[0]))
 
@@ -163,7 +163,7 @@ def theorem1_report(
         params.D
         * math.exp(eps_agg)
         * m_common
-        * math.exp(params.mu_bar + 0.5 * params.sigma_mu ** 2)
+        * math.exp(params.mu_bar + 0.5 * params.sigma_mu * params.sigma_mu)
     )
     y_L = prefactor * output_ratio(mu_L, params.sigma_mu)
     y_H = prefactor * output_ratio(mu_H, params.sigma_mu)

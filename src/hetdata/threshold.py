@@ -63,11 +63,11 @@ def ability_specs(v: float) -> tuple[GaussianSpec, GaussianSpec]:
     return GaussianSpec(v, v), GaussianSpec(0.0, v)
 
 
-def log_output_ratio(mu, sigma_mu: float):
+def log_output_ratio(mu: float, sigma_mu: float) -> float:
     """log of the tail ratio SF(mu; sigma^2, sigma^2) / SF(mu; 0, sigma^2)
     at centered ability mu.  Log space keeps full relative resolution where
     both tails underflow, and in the far left tail where the ratio itself
-    rounds to 1.  Takes a scalar or a numpy array of points."""
+    rounds to 1."""
     if sigma_mu <= 0.0:
         raise InvalidInputError(f"sigma_mu must be > 0, got {sigma_mu}")
     spec_hi, spec_lo = ability_specs(sigma_mu * sigma_mu)
@@ -116,7 +116,7 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     """
     _check_tau(tau)
     moment = _moment_term(params)
-    v = params.sigma_mu ** 2
+    v = params.sigma_mu * params.sigma_mu
     logit = math.log(tau) - math.log1p(-tau)
 
     F = _rhs(logit, v, moment)
@@ -160,7 +160,7 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
 def _agg_moment(params: ModelParams) -> float:
     """E[e^((1-gamma) * eps_agg)] with eps_agg ~ N(-sigma^2/2, sigma^2)."""
     a = 1.0 - params.gamma
-    s2 = params.sigma_agg ** 2
+    s2 = params.sigma_agg * params.sigma_agg
     return math.exp(-0.5 * a * s2 + 0.5 * a * a * s2)
 
 
@@ -172,7 +172,7 @@ def user_utility(mu_i: float, tau: float, params: ModelParams) -> float:
             math.log1p(-tau)
             + math.log(params.D)
             + mu_i
-            - 0.5 * params.sigma_agg ** 2
+            - 0.5 * params.sigma_agg * params.sigma_agg
             + portfolio_moment(params.theta, params.sigma_idio, 1.0)
         )
     a = 1.0 - params.gamma
@@ -199,7 +199,7 @@ def provider_utility(
         return (
             math.log(tau)
             + math.log(params.D)
-            - 0.5 * params.sigma_agg ** 2
+            - 0.5 * params.sigma_agg * params.sigma_agg
             + math.log(m)
             + math.log(tail_mean)
             - math.log1p(-m)

@@ -142,6 +142,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["report", "--seed", "1", "--paths", "50"],
         ["verify", "--seed", "1", "--population", "1"],
+        ["verify", "--seed", "1", "--population", "1000000000000000",
+         "--paths", "100"],
     ])
     def test_bad_sample_size_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"

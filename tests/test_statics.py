@@ -29,7 +29,8 @@ def F_threshold(tau, mu, params):
     """Right-hand side F(tau, mu) of the fixed-point equation, assembled
     from the solver's own parts."""
     logit = math.log(tau) - math.log1p(-tau)
-    return _rhs(logit, params.sigma_mu ** 2, _moment_term(params))(mu)
+    v = params.sigma_mu * params.sigma_mu
+    return _rhs(logit, v, _moment_term(params))(mu)
 
 
 def mp_sf(x, mean=0.0, var=1.0):
@@ -139,14 +140,6 @@ class TestOutputRatio:
         for sigma in (0.25, 0.5, 1.0, 2.0):
             values = [log_output_ratio(float(m), sigma) for m in grid]
             assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_log_ratio_array_equals_scalar_calls_bitwise(self):
-        grid = np.arange(-4.0, 4.0 + 1e-12, 0.01)
-        for sigma in (0.5, 1.0, 2.0):  # the variances verify checks
-            values = log_output_ratio(grid, sigma)
-            assert isinstance(values, np.ndarray) and values.shape == grid.shape
-            for m, r in zip(grid.tolist(), values.tolist()):
-                assert r.hex() == log_output_ratio(m, sigma).hex()
 
 
 class TestAggregateOutput:

@@ -11,6 +11,7 @@ from hetdata.errors import (
 )
 from hetdata.model import default_params
 from hetdata.numerics import GaussianSpec, make_stream
+from hetdata.statics import aggregate_output, output_ratio, threshold_sensitivity
 from hetdata.threshold import (
     _moment_term,
     _rhs,
@@ -28,7 +29,8 @@ def F_threshold(tau, mu, params):
     """Right-hand side F(tau, mu) of the fixed-point equation, assembled
     from the solver's own parts."""
     logit = math.log(tau) - math.log1p(-tau)
-    return _rhs(logit, params.sigma_mu ** 2, _moment_term(params))(mu)
+    v = params.sigma_mu * params.sigma_mu
+    return _rhs(logit, v, _moment_term(params))(mu)
 
 
 def mp_sf(x, mean=0.0, var=1.0):
@@ -220,6 +222,19 @@ class TestAbilitySpecs:
     def test_typed_key_keeps_an_int_variance(self):
         assert type(ability_specs(1)[0].variance) is int
         assert type(ability_specs(1.0)[0].variance) is float
+
+    def test_one_entry_per_sigma_mu(self):
+        # 2.759 ** 2 is one ulp below 2.759 * 2.759: were the variance
+        # squared both ways, one sigma_mu would leave two entries
+        params = default_params(sigma_mu=2.759)
+        ability_specs.cache_clear()
+        solve_threshold.cache_clear()
+        threshold_sensitivity.cache_clear()
+        mu_k = solve_threshold(0.5, params).mu_k
+        threshold_sensitivity(0.5, params)
+        output_ratio(mu_k, params.sigma_mu)
+        aggregate_output(mu_k, 0.0, params)
+        assert ability_specs.cache_info().currsize == 1
 
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_bad_variance_raises_on_every_call(self, v):
