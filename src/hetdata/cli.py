@@ -35,7 +35,11 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+# the Monte Carlo check squares its paths: below the first bound the squares
+# underflow, so the standard error reads 0 and the 3-SE verdict judges
+# nothing; above the second they overflow
 _MIN_JUDGED_CAPITAL = math.sqrt(sys.float_info.min)
+_MAX_JUDGED_CAPITAL = math.sqrt(sys.float_info.max)
 
 # The grids the paper's tables and figures need have tens of points, and
 # every point is a solve; a spec past a million points is a slip, and one
@@ -72,11 +76,15 @@ def _parse_grid(text: str, name: str) -> List[float]:
         raise ConfigError(f"--{name}: non-finite grid spec {text!r}")
     if step <= 0.0 or b <= a:
         raise ConfigError(f"--{name}: grid must be strictly increasing, got {text!r}")
-    count = (b + 0.5 * step - a) / step
-    if not (math.isfinite(count) and count <= MAX_GRID_POINTS):
+    # the grid is a, a + step, ... up to b; a point past b by no more than
+    # the rounding of (b - a) / step, under 1e-9 of a step within the cap,
+    # is b itself
+    span = (b - a) / step
+    count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_GRID_POINTS:
         raise ConfigError(f"--{name}: grid {text!r} has {count:.3g} points, "
                           f"more than {MAX_GRID_POINTS}")
-    return [float(x) for x in np.arange(a, b + 0.5 * step, step)]
+    return np.arange(a, b + 0.5 * step, step)[:count].tolist()
 
 
 def _with_tau(params: ModelParams, flag: str, tau: float) -> ModelParams:
@@ -164,19 +172,21 @@ def load_config(argv: List[str]) -> RunConfig:
     # each grid increases, so its ends are its extremes
     lambda_grid = (_parse_grid(args.lambda_grid, "lambda-grid")
                    if args.lambda_grid else None)
-    if lambda_grid is not None and "wealth" in stages:
-        if lambda_grid[0] < 1.0:
+    if "wealth" in stages:
+        if lambda_grid is not None and lambda_grid[0] < 1.0:
             raise ConfigError(f"--lambda-grid points must be >= 1 for "
                               f"{args.command}, got {lambda_grid[0]}")
-        # below sqrt(min normal) the squared paths underflow, so the Monte
-        # Carlo standard error reads 0 and the 3-SE verdict judges nothing
-        for lam in lambda_grid:
-            closed = wealth.expected_capital(params, params.t_star, lam)
-            if closed < _MIN_JUDGED_CAPITAL:
+        for lam in lambda_grid or [wealth.LAMBDA_DEFAULT]:
+            try:
+                closed = wealth.expected_capital(params, params.t_star, lam)
+            except NumericalRangeError:
+                closed = math.inf
+            if not _MIN_JUDGED_CAPITAL <= closed <= _MAX_JUDGED_CAPITAL:
                 raise ConfigError(
-                    f"--lambda-grid point {lam} for {args.command}: E K_t* = "
-                    f"{closed} is below {_MIN_JUDGED_CAPITAL:.3g}, where the "
-                    f"Monte Carlo standard error underflows")
+                    f"lambda {lam} for {args.command}: E K_t* = {closed} is "
+                    f"outside [{_MIN_JUDGED_CAPITAL:.3g}, "
+                    f"{_MAX_JUDGED_CAPITAL:.3g}], where the squared Monte "
+                    f"Carlo paths underflow or overflow")
     if lambda_grid is not None and "figure1" in stages:
         try:
             wealth.f_lambda(lambda_grid[0], params.t_star)
@@ -253,7 +263,7 @@ def _run_statics(config: RunConfig) -> int:
 
 def _run_wealth(config: RunConfig) -> int:
     params = config.params
-    lams = config.lambda_grid or [1.5]
+    lams = config.lambda_grid or [wealth.LAMBDA_DEFAULT]
     rows = []
     for lam in lams:
         case = verify.mc_mean_case(

@@ -128,6 +128,11 @@ def tech_from_tau(tau: float, params: ModelParams) -> Tuple[float, float]:
     return d, d ** params.eta
 
 
+# Memoised like threshold.solve_threshold: the record is frozen and its
+# verdicts are computed from the stored values, so every caller with equal
+# inputs, such as report's statics stage and verify's theorem1_orderings
+# check, shares one report.  Exceptions are not cached.
+@functools.lru_cache(maxsize=512, typed=True)
 def theorem1_report(
     tau_L: float, tau_H: float, params: ModelParams
 ) -> Theorem1Report:

@@ -189,7 +189,8 @@ def check_jump_diffusion_mean(seed: int, n_paths: int) -> CheckResult:
     detail = {}
     ok = True
     for name, params in cases.items():
-        result = mc_mean_case(params, 1.5, params.t_star, seed, n_paths)
+        result = mc_mean_case(params, wealth.LAMBDA_DEFAULT, params.t_star,
+                              seed, n_paths)
         detail[name] = result
         ok &= result["pass"]
     return CheckResult("jump_diffusion_mean", ok, detail)

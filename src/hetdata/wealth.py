@@ -30,6 +30,9 @@ from .numerics import make_stream, solve_bracketed
 
 _EXP_ARG_MAX = 700.0  # exp overflows just above this
 _MC_BATCH = 16384     # paths per stream; fixed so results are seed-reproducible
+# the friction coefficient of the wealth stage's Monte Carlo check, and of
+# verify's jump_diffusion_mean cases, when no grid is given
+LAMBDA_DEFAULT = 1.5
 
 
 def _drift_continuous(params: ModelParams, lam: float) -> float:
@@ -49,12 +52,18 @@ def _mean_rate(params: ModelParams, lam: float) -> float:
 
 
 def expected_capital(params: ModelParams, t: float, lam: float) -> float:
-    """Closed-form E K_t."""
+    """Closed-form E K_t.  Raises NumericalRangeError where it overflows."""
     if t <= 0.0:
         raise InvalidInputError(f"t must be > 0, got {t}")
     if lam < 1.0:
         raise InvalidInputError(f"lambda must be >= 1, got {lam}")
-    return lam * params.W0 * math.exp(_mean_rate(params, lam) * t)
+    try:
+        value = lam * params.W0 * math.exp(_mean_rate(params, lam) * t)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise NumericalRangeError(f"E K_t overflows at lambda={lam}, t={t}")
+    return value
 
 
 def _terminal_capital(
@@ -93,6 +102,7 @@ def mc_expected_capital(
     Paths are drawn in fixed-size batches with one stream per batch
     index, then reduced in batch order, so the result is bit-identical
     for a given master seed regardless of how batches are scheduled.
+    Raises NumericalRangeError where a path or its square overflows.
     """
     if n_paths < 100:
         raise InvalidInputError(f"n_paths must be >= 100, got {n_paths}")
@@ -102,15 +112,21 @@ def mc_expected_capital(
     total_sq = 0.0
     done = 0
     batch_index = 0
-    while done < n_paths:
-        n = min(_MC_BATCH, n_paths - done)
-        terminal = _terminal_capital(
-            params, lam, t, n, make_stream(master_seed, batch_index)
+    # an overflow reaches total_sq, which is tested once, below
+    with np.errstate(over="ignore"):
+        while done < n_paths:
+            n = min(_MC_BATCH, n_paths - done)
+            terminal = _terminal_capital(
+                params, lam, t, n, make_stream(master_seed, batch_index)
+            )
+            total += float(np.sum(terminal))
+            total_sq += float(np.sum(terminal * terminal))
+            done += n
+            batch_index += 1
+    if not math.isfinite(total_sq):
+        raise NumericalRangeError(
+            f"squared Monte Carlo paths overflow at lambda={lam}, t={t}"
         )
-        total += float(np.sum(terminal))
-        total_sq += float(np.sum(terminal * terminal))
-        done += n
-        batch_index += 1
     mean = total / n_paths
     var = max(total_sq / n_paths - mean * mean, 0.0)
     return mean, math.sqrt(var / n_paths)

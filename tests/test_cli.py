@@ -6,6 +6,7 @@ import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from hetdata.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VERIFY_FAIL,
+    MAX_GRID_POINTS,
+    _parse_grid,
     load_config,
     main,
 )
@@ -215,6 +218,7 @@ class TestExitCodes:
         ["wealth", "--seed", "1", "--lambda-grid", "0.5:1.0:0.5"],
         ["figure1", "--lambda-grid", "0.0:1.0:0.5"],  # f(lambda) needs lambda > 0
         ["figure1", "--lambda-grid", "100:400:100"],  # e^(lambda t*) overflows
+        # E K_t* underflows at 201, before figure1's ends are checked
         ["report", "--seed", "1", "--lambda-grid", "1:400:100"],
         ["threshold", "--tau", "0.0000001"],          # below the solver's band
         ["threshold", "--tau-grid", "0.0000001:0.5:0.1"],
@@ -226,7 +230,7 @@ class TestExitCodes:
         ["threshold", "--tau-grid", "nan:0.5:0.1"],
         ["figure1", "--lambda-grid", "1:2:nan"],
         ["wealth", "--seed", "1", "--lambda-grid", "1:inf:1"],
-        # E K_t* of 9e-259 and, at 501 and 1001, of 0: the se underflows
+        # E K_t* of 9e-259 and, at 501, of 0: the se underflows
         ["wealth", "--seed", "1", "--paths", "100", "--lambda-grid", "300:301:1"],
         ["wealth", "--seed", "1", "--lambda-grid", "1:1000:500"],
         # more than a million points: each is past numpy's size limit, so
@@ -240,6 +244,33 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("override", [
+        {"r_f": -200.0},  # E K_t* of 1.5e-175: the se underflows to 0
+        {"mu0": 360.0},   # E K_t* of 1.7e155: the squared paths overflow
+        {"mu0": 1000.0},  # E K_t* itself overflows
+    ])
+    def test_default_lambda_capital_out_of_range_exits_2(self, tmp_path,
+                                                          capsys, override):
+        path = _write_params(tmp_path, **override)
+        out = tmp_path / "out"
+        assert main(["wealth", "--seed", "1", "--paths", "1000", "--params",
+                     str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert ("config error: lambda 1.5 for wealth: E K_t* ="
+                in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_path_squares_exit_3(self, tmp_path, capsys):
+        # E K_t* of 1.2e153 lies inside the bounds, but some paths do not
+        path = _write_params(tmp_path, mu0=355.0, sigma_w=2.0)
+        out = tmp_path / "out"
+        assert main(["wealth", "--seed", "1", "--paths", "1000", "--params",
+                     str(path), "--out", str(out)]) == EXIT_SOLVER
+        assert not (out / "wealth.csv").exists()
+        assert ("solver error: squared Monte Carlo paths overflow"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("grid, lambda_star", [
         # just below the branch minimum, inside the no-solution tolerance
@@ -261,6 +292,43 @@ class TestExitCodes:
         rows = json.loads((tmp_path / "threshold.json").read_text())
         assert rows[0]["tau"] == 0.5
         assert {"mu_k", "K", "m", "tail_mean", "residual"} <= set(rows[0])
+
+
+class TestGridEnd:
+    """a:b:step runs a, a + step, ... up to b and never past it."""
+
+    def test_statics_pair_ends_inside_b(self, tmp_path):
+        assert main(["statics", "--tau-grid", "0.2:0.79:0.1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "theorem1.json").read_text())
+        assert report["tau_H"] == pytest.approx(0.7) and report["tau_H"] < 0.79
+        rows = (tmp_path / "sensitivity.csv").read_text().splitlines()
+        assert len(rows) == 1 + 6
+
+    def test_figure1_curve_ends_inside_b(self, tmp_path):
+        assert main(["figure1", "--lambda-grid", "1:2.7:1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / "figure1.csv").read_text().split("\n\n")[0]
+        assert [r.split(",")[0] for r in rows.splitlines()[1:]] == ["1.0", "2.0"]
+
+    def test_threshold_grid_never_leaves_the_unit_interval(self, tmp_path):
+        assert main(["threshold", "--tau-grid", "0.000001:0.999999:0.5",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = json.loads((tmp_path / "threshold.json").read_text())
+        assert [row["tau"] for row in rows] == pytest.approx([1e-6, 0.500001])
+
+    @pytest.mark.parametrize("spec", ["0.1:0.9:0.1", "0.2:0.8:0.05",
+                                      "1.2:2.0:0.4", "1e6:1000001:0.001"])
+    def test_grid_ending_on_b_keeps_numpy_points(self, spec):
+        # the last point of each lies a rounding error from b, some above it
+        a, b, step = (float(x) for x in spec.split(":"))
+        assert _parse_grid(spec, "grid") == np.arange(
+            a, b + 0.5 * step, step).tolist()
+
+    def test_point_cap_counts_the_points_kept(self):
+        assert len(_parse_grid("0:999999.6:1", "grid")) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="1e\\+06 points"):
+            _parse_grid("0:1000000:1", "grid")
 
 
 class TestArtifacts:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hetdata.errors import (
     ConvergenceError,
     DegenerateInputError,
     InvalidInputError,
+    NoSolutionError,
 )
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
@@ -234,3 +236,48 @@ class TestTheorem1Report:
         assert verdicts["lambda_H_gt_lambda_L"] == (
             report.lambda_H > report.lambda_L
         )
+
+
+class TestTheorem1Memo:
+    CASES = [(tau_L, tau_H, default_params(gamma=gamma, sigma_mu=sigma_mu))
+             for tau_L, tau_H in ((0.3, 0.6), (0.2, 0.3), (0.85, 0.95))
+             for gamma in (1.0, 2.0, 5.0)
+             for sigma_mu in (0.5, 1.0)]
+
+    def test_memo_bitwise_equals_uncached(self):
+        theorem1_report.cache_clear()
+        for tau_L, tau_H, params in self.CASES:
+            miss = theorem1_report(tau_L, tau_H, params)
+            assert theorem1_report(tau_L, tau_H, params) is miss
+            fresh = theorem1_report.__wrapped__(tau_L, tau_H, params)
+            for field in fields(miss):
+                value = getattr(miss, field.name)
+                assert type(value) is float
+                assert value.hex() == getattr(fresh, field.name).hex()
+        info = theorem1_report.cache_info()
+        assert (info.misses, info.hits) == (len(self.CASES), len(self.CASES))
+
+    def test_equal_params_share_an_entry(self):
+        theorem1_report.cache_clear()
+        first = theorem1_report(0.3, 0.6, default_params())
+        assert theorem1_report(0.3, 0.6, default_params()) is first
+        assert theorem1_report.cache_info().currsize == 1
+
+    def test_failed_call_leaves_no_entry(self):
+        # (0.05, 0.15) is one of the tau_sweep pairs whose low type has no
+        # friction root at default params
+        theorem1_report.cache_clear()
+        for tau_L, tau_H, error in [(0.05, 0.15, NoSolutionError),
+                                    (0.4, 0.4, DegenerateInputError)]:
+            for _ in range(2):
+                with pytest.raises(error):
+                    theorem1_report(tau_L, tau_H, default_params())
+        assert theorem1_report.cache_info().currsize == 0
+
+    def test_changing_to_dict_leaves_the_cached_report_alone(self):
+        theorem1_report.cache_clear()
+        first = theorem1_report(0.3, 0.6, default_params()).to_dict()
+        expected = {**first, "verdicts": dict(first["verdicts"])}
+        first["mu_L"] = math.nan
+        first["verdicts"]["d_H_gt_d_L"] = False
+        assert theorem1_report(0.3, 0.6, default_params()).to_dict() == expected

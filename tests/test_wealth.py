@@ -46,6 +46,12 @@ class TestExpectedCapital:
             2.0 * math.exp(params.r_f + 0.5 * 0.08 - 2.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize("mu0, W0", [(1000.0, 1.0), (700.0, 1e10)])
+    def test_overflow_raises_named_error(self, mu0, W0):
+        # the exponential overflows, or the product with W0 does
+        with pytest.raises(NumericalRangeError, match="E K_t overflows"):
+            expected_capital(default_params(mu0=mu0, W0=W0), 2.0, 1.5)
+
 
 class TestTerminalCapital:
     """The vectorized exact paths behind mc_expected_capital."""
@@ -140,6 +146,16 @@ class TestMcExpectedCapital:
         for args in [(REFERENCE, 1.5, 2.0, 50, 1), (REFERENCE, 1.5, 0.0, 1000, 1)]:
             with pytest.raises(InvalidInputError):
                 mc_expected_capital(*args)
+        assert mc_expected_capital.cache_info().currsize == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_path_squares_raise_named_error(self):
+        # E K_t* is 1.2e153, below sqrt(max float), but about 1% of the
+        # paths lie above it, so their squares overflow
+        params = default_params(mu0=355.0, sigma_w=2.0)
+        mc_expected_capital.cache_clear()
+        with pytest.raises(NumericalRangeError, match="squared Monte Carlo"):
+            mc_expected_capital(params, 1.5, params.t_star, 1000, 1)
         assert mc_expected_capital.cache_info().currsize == 0
 
 
