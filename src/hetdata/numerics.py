@@ -5,7 +5,7 @@ Every other module builds on these four pieces:
 * Gaussian kernels on the math module (erfcx, log_ndtr, ndtr) and the
   pdf/cdf/hazard built on them, stable deep in either tail (no 1-cdf
   cancellation),
-* Gauss-Hermite expectation E[g(X)] for X ~ N(mean, variance),
+* Gauss-Hermite quadrature of the portfolio moment E[(θe^ε + 1-θ)^(1-γ)],
 * a bracketed root finder (Brent's method, ported from scipy's brentq),
 * reproducible, independently-seeded random streams for Monte Carlo.
 """
@@ -24,7 +24,6 @@ from .errors import (
     BracketingError,
     ConvergenceError,
     EvaluationError,
-    HetdataError,
     InvalidInputError,
     NumericalRangeError,
     SolverError,
@@ -140,11 +139,14 @@ def hazard_rate(x: float, spec: GaussianSpec) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _hermite_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """hermgauss(order) with its weights over sqrt(pi), built and checked
-    once per order (it costs an eigensolve).
+def _hermite_nodes(order: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """hermgauss(order)'s nodes x_i, and its weights over sqrt(pi), as tuples
+    of floats, built and checked once per order (it costs an eigensolve).
 
-    The arrays are shared by every caller, so they are made read-only.
+    hermgauss targets ∫ e^{-x^2} g(x) dx; substituting x = (t-mean)/(σ√2)
+    gives E[g(X)], X ~ N(mean, σ²), as Σ w_i g(mean + σ√2 x_i) with these
+    weights, which sum to 1; exact for polynomials of degree <= 2*order - 1.
+    Tuples, so that the copy every caller shares cannot be changed.
     """
     x, w = hermgauss(order)
     w = w / math.sqrt(math.pi)
@@ -154,47 +156,7 @@ def _hermite_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError(
             f"hermgauss({order}) weights are not positive and summing to 1"
         )
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def gauss_hermite_rule(
-    spec: GaussianSpec, order: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss-Hermite rule for N(mean, variance).
-
-    hermgauss targets ∫ e^{-x^2} g(x) dx; substituting x = (t-mean)/(σ√2)
-    gives nodes mean + σ√2 x_i and weights w_i/√π, which sum to 1.
-    """
-    if order < 2:
-        raise InvalidInputError(f"order must be >= 2, got {order}")
-    x, weights = _hermite_nodes(order)
-    return spec.mean + spec.std * _SQRT2 * x, weights
-
-
-def expect_gauss_hermite(
-    g: Callable[[float], float], spec: GaussianSpec, order: int
-) -> float:
-    """Gauss-Hermite approximation of E[g(X)], X ~ N(mean, variance).
-
-    Exact for polynomials of degree <= 2*order - 1.  An integrand that
-    returns a non-finite value, or raises an arithmetic or value error,
-    gives EvaluationError naming the node.
-    """
-    nodes, weights = gauss_hermite_rule(spec, order)
-    total = 0.0
-    for node, weight in zip(nodes.tolist(), weights.tolist()):
-        try:
-            val = g(node)
-        except HetdataError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise EvaluationError(f"integrand raised {exc!r} at node {node}") from exc
-        if not math.isfinite(val):
-            raise EvaluationError(f"integrand returned {val} at node {node}")
-        total += weight * val
-    return total
+    return tuple(x.tolist()), tuple(w.tolist())
 
 
 # Gauss-Hermite order: start at 40 (the integrand below is smooth, so
@@ -206,6 +168,34 @@ _GH_ORDER_MAX = 320
 _GH_DOUBLING_TOL = 1e-10
 
 
+def _moment_sum(theta: float, gamma: float, mean: float, scale: float,
+                order: int) -> float:
+    """The order-point Gauss-Hermite sum of portfolio_moment's integrand at
+    the nodes mean + scale * x_i, summed in node order.
+
+    With finite theta in [0, 1] and finite gamma, mean and scale, each node
+    is finite and theta e^node + 1 - theta is finite and >= 0, so every
+    value of the integrand is finite or raises (exp or ** overflowing, log
+    of 0 or 0 to a negative power): no value needs a finiteness check.
+    """
+    x, w = _hermite_nodes(order)
+    exp, total = math.exp, 0.0
+    try:
+        if gamma == 1.0:
+            log = math.log
+            for xi, wi in zip(x, w):
+                node = mean + scale * xi
+                total += wi * log(theta * exp(node) + 1.0 - theta)
+        else:
+            power = 1.0 - gamma
+            for xi, wi in zip(x, w):
+                node = mean + scale * xi
+                total += wi * (theta * exp(node) + 1.0 - theta) ** power
+    except (ArithmeticError, ValueError) as exc:
+        raise EvaluationError(f"integrand raised {exc!r} at node {node}") from exc
+    return total
+
+
 # Memoised on the (theta, sigma1, gamma) triple, so equal inputs from
 # different ModelParams share one evaluation; typed, so that a float32 or
 # int argument never answers for a float one.  Exceptions are not cached.
@@ -215,9 +205,12 @@ def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
 
     ε ~ N(-σ₁²/2, σ₁²) so that E[e^ε] = 1.  Returns
     E[(ϑe^ε + 1-ϑ)^(1-γ)] for γ != 1 and E[log(ϑe^ε + 1-ϑ)] for γ = 1,
-    with the quadrature order doubled until the change falls below 1e-10.
-    Raises ConvergenceError if it has not by order 320.
+    by Gauss-Hermite quadrature with the order doubled until the change
+    falls below 1e-10.  Raises ConvergenceError if it has not by order 320.
     """
+    for name, value in (("theta", theta), ("sigma1", sigma1), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value}")
     if not 0.0 <= theta <= 1.0:
         raise InvalidInputError(f"theta must be in [0, 1], got {theta}")
     if sigma1 <= 0.0:
@@ -225,14 +218,11 @@ def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
     if gamma <= 0.0:
         raise InvalidInputError(f"gamma must be > 0, got {gamma}")
     spec = GaussianSpec(mean=-0.5 * sigma1 * sigma1, variance=sigma1 * sigma1)
-    if gamma == 1.0:
-        g = lambda e: math.log(theta * math.exp(e) + 1.0 - theta)
-    else:
-        g = lambda e: (theta * math.exp(e) + 1.0 - theta) ** (1.0 - gamma)
+    mean, scale = spec.mean, spec.std * _SQRT2
     order = _GH_ORDER_START
-    value = expect_gauss_hermite(g, spec, order)
+    value = _moment_sum(theta, gamma, mean, scale, order)
     while order < _GH_ORDER_MAX:
-        refined = expect_gauss_hermite(g, spec, 2 * order)
+        refined = _moment_sum(theta, gamma, mean, scale, 2 * order)
         change = abs(refined - value)
         if change < _GH_DOUBLING_TOL:
             return refined
@@ -246,9 +236,9 @@ _BRENT_RTOL = 8.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-def _value(f: Callable[[float], float], x: float) -> float:
-    """f(x) as a float; a NaN raises EvaluationError naming x."""
-    fx = float(f(x))
+def _value(x: float, fx: float) -> float:
+    """fx = f(x) as a float; a NaN raises EvaluationError naming x."""
+    fx = float(fx)
     if math.isnan(fx):
         raise EvaluationError(f"root finder: f returned NaN at x={x}")
     return fx
@@ -292,7 +282,7 @@ def _brent(
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _value(f, xcur)
+        fcur = _value(xcur, f(xcur))
     raise SolverError(
         f"root finder did not converge on [{lo}, {hi}] at tolerance {xtol} "
         f"in {_BRENT_MAXITER} iterations: last iterate x={xcur}, f={fcur}"
@@ -300,20 +290,23 @@ def _brent(
 
 
 def solve_bracketed(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
+    f: Callable[[float], float],
+    lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
 ) -> float:
     """Root of f on [lo, hi] given a sign change at the endpoints.
 
+    f_lo and f_hi are f(lo) and f(hi), which every caller has evaluated
+    while finding the bracket, so f is evaluated at neither end.
     Interpolation-accelerated bisection (Brent) with guaranteed bracket
-    shrinkage; the result never leaves [lo, hi].  f is evaluated once at
-    each end.  A NaN from f raises EvaluationError naming x; no convergence
-    in 100 steps raises SolverError.
+    shrinkage; the result never leaves [lo, hi].  A NaN from f, at an end
+    too, raises EvaluationError naming x; no convergence in 100 steps
+    raises SolverError.
     """
     if tol <= 0.0:
         raise InvalidInputError(f"tol must be > 0, got {tol}")
     if not (lo < hi):
         raise InvalidInputError(f"need lo < hi, got [{lo}, {hi}]")
-    f_lo, f_hi = _value(f, lo), _value(f, hi)
+    f_lo, f_hi = _value(lo, f_lo), _value(hi, f_hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

@@ -130,21 +130,25 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     step = 6.0 * params.sigma_mu
     lo, hi = min(logit, 0.0) - step, max(logit, 0.0) + step
     expansions = 0
-    while G(lo) > 0.0:
+    g_lo = G(lo)
+    while g_lo > 0.0:
         lo -= step
         step *= 2.0
         expansions += 1
         if expansions > 100:
             raise SolverError(f"no lower bracket for tau={tau}: reached mu={lo}")
+        g_lo = G(lo)
     step = 6.0 * params.sigma_mu
-    while G(hi) < 0.0:
+    g_hi = G(hi)
+    while g_hi < 0.0:
         hi += step
         step *= 2.0
         expansions += 1
         if expansions > 100:
             raise SolverError(f"no upper bracket for tau={tau}: reached mu={hi}")
+        g_hi = G(hi)
 
-    mu_k = solve_bracketed(G, lo, hi, _ROOT_TOL)
+    mu_k = solve_bracketed(G, lo, hi, g_lo, g_hi, _ROOT_TOL)
     K = mu_k + params.mu_bar
     m = math.exp(log_normal_sf(mu_k, ability_specs(v)[1]))
     return ThresholdSolution(

@@ -193,18 +193,20 @@ def solve_lambda(mu_i: float, params: ModelParams) -> float:
 
     # the target is at the minimum e^(t*), or below it by less than the
     # no-solution tolerance: lambda* is the branch start
-    if g(1.0) >= -1e-13 * max(1.0, abs(log_target)):
+    g_one = g(1.0)
+    if g_one >= -1e-13 * max(1.0, abs(log_target)):
         return 1.0
     # double the bracket up to the largest lambda whose e^(lambda t*) is
     # finite; a root beyond it cannot be represented
-    hi, cap = 1.0, _EXP_ARG_MAX / t
-    while g(hi) < 0.0:
+    hi, g_hi, cap = 1.0, g_one, _EXP_ARG_MAX / t
+    while g_hi < 0.0:
         if hi >= cap:
             raise NumericalRangeError(
                 f"lambda root lies beyond the overflow bound lambda={cap}"
             )
         hi = min(2.0 * hi, cap)
-    return solve_bracketed(g, 1.0, hi, 1e-12)
+        g_hi = g(hi)
+    return solve_bracketed(g, 1.0, hi, g_one, g_hi, 1e-12)
 
 
 def figure1_curves(

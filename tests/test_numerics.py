@@ -24,8 +24,6 @@ from hetdata.errors import (
 from hetdata.model import default_params
 from hetdata.numerics import (
     GaussianSpec,
-    expect_gauss_hermite,
-    gauss_hermite_rule,
     hazard_rate,
     make_stream,
     normal_cdf,
@@ -227,52 +225,59 @@ class TestKernelAccuracy:
         assert math.isfinite(numerics.erfcx(-26.6))
 
 
+def expect(g, spec, order):
+    """E[g(X)], X ~ N(mean, variance), as the order-point sum over the cached
+    Gauss-Hermite nodes, mapped as portfolio_moment maps them."""
+    x, w = numerics._hermite_nodes(order)
+    scale = spec.std * math.sqrt(2.0)
+    return sum(wi * g(spec.mean + scale * xi) for xi, wi in zip(x, w))
+
+
 class TestQuadrature:
     def test_weights_normalized(self):
-        nodes, weights = gauss_hermite_rule(STD, 20)
+        nodes, weights = numerics._hermite_nodes(20)
         assert len(nodes) == len(weights) == 20
-        assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12
 
     def test_constant_and_square(self):
-        assert expect_gauss_hermite(lambda x: 1.0, STD, 20) == pytest.approx(
-            1.0, abs=1e-13
-        )
-        assert expect_gauss_hermite(lambda x: x * x, STD, 20) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert expect(lambda x: 1.0, STD, 20) == pytest.approx(1.0, abs=1e-13)
+        assert expect(lambda x: x * x, STD, 20) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_one_lognormal_construction(self):
         spec = GaussianSpec(-0.125, 0.25)
-        assert expect_gauss_hermite(math.exp, spec, 40) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert expect(math.exp, spec, 40) == pytest.approx(1.0, abs=1e-12)
 
     def test_lognormal_moment_identity(self):
         spec = GaussianSpec(0.3, 0.8)
         for a in (-2, -1, 1, 2):
             exact = math.exp(a * 0.3 + 0.5 * a * a * 0.8)
-            approx = expect_gauss_hermite(lambda x: math.exp(a * x), spec, 40)
+            approx = expect(lambda x: math.exp(a * x), spec, 40)
             assert abs(approx - exact) / exact < 1e-10
 
-    def test_order_too_small(self):
-        with pytest.raises(InvalidInputError):
-            expect_gauss_hermite(lambda x: x, STD, 1)
-
     def test_non_finite_integrand_reported(self):
-        with pytest.raises(EvaluationError, match="node"):
-            expect_gauss_hermite(lambda x: math.inf, STD, 10)
+        # a non-finite gamma or sigma1 made the integrand non-finite at every
+        # node; it is now refused as the argument it is
+        for args, name in [((0.5, 0.5, math.nan), "gamma"),
+                           ((0.5, 0.5, math.inf), "gamma"),
+                           ((0.5, 0.5, -math.inf), "gamma"),
+                           ((0.5, math.nan, 2.0), "sigma1"),
+                           ((0.5, math.inf, 2.0), "sigma1"),
+                           ((math.nan, 0.5, 2.0), "theta"),
+                           ((math.inf, 0.5, 1.0), "theta")]:
+            with pytest.raises(InvalidInputError,
+                               match=f"^{name} must be finite, got"):
+                portfolio_moment(*args)
 
     def test_raising_integrand_reported(self):
-        with pytest.raises(EvaluationError, match="ZeroDivisionError.*node"):
-            expect_gauss_hermite(lambda x: 0.0 ** -1.0, STD, 10)
-        with pytest.raises(EvaluationError, match="math domain error.*node"):
-            expect_gauss_hermite(lambda x: math.log(x), STD, 10)
-
-        def typed(x):
-            raise InvalidInputError("already typed")
-
-        with pytest.raises(InvalidInputError, match="^already typed$"):
-            expect_gauss_hermite(typed, STD, 10)
+        # theta = 1 cancels theta e^node + 1 - theta to 0.0 on deep nodes;
+        # theta = 1 - 2^-53 leaves 2^-53 there, whose 29th negative power
+        # overflows
+        for args, cause in [((1.0, 1.2, 5.0), "ZeroDivisionError"),
+                            ((1.0, 3.0, 1.0), "math domain error"),
+                            ((1.0 - 2.0 ** -53, 3.0, 30.0), "OverflowError")]:
+            with pytest.raises(EvaluationError,
+                               match=f"^integrand raised .*{cause}.* at node -"):
+                portfolio_moment.__wrapped__(*args)
 
 
 class TestPortfolioMoment:
@@ -332,9 +337,10 @@ class TestQuadratureCaches:
                     portfolio_moment.__wrapped__(*args)).hex()
 
     def test_cached_nodes_read_only(self):
-        for array in numerics._hermite_nodes(40):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        for values in numerics._hermite_nodes(40):
+            assert all(type(v) is float for v in values)
+            with pytest.raises(TypeError):
+                values[0] = 0.0
 
     def test_hermgauss_built_once_per_order(self, monkeypatch):
         calls = collections.Counter()
@@ -349,7 +355,7 @@ class TestQuadratureCaches:
         portfolio_moment.cache_clear()
         for _ in range(3):
             for order in (20, 40):
-                gauss_hermite_rule(STD, order)
+                numerics._hermite_nodes(order)
             portfolio_moment(0.3, 0.7, 3.0)
             portfolio_moment.__wrapped__(0.3, 0.7, 3.0)
         assert calls[20] == 1 and calls[40] == 1
@@ -358,11 +364,16 @@ class TestQuadratureCaches:
     @pytest.mark.parametrize("spec", [STD, GaussianSpec(-0.125, 0.25),
                                       GaussianSpec(0.7, 4.0)])
     def test_rule_bitwise_equals_hermgauss_transform(self, spec):
+        # the cached floats are hermgauss's, and the nodes portfolio_moment
+        # maps them to are numpy's transform, bit for bit
+        scale = spec.std * math.sqrt(2.0)
         for order in (2, 20, 40, 80, 160, 320):
             x, w = np.polynomial.hermite.hermgauss(order)
-            nodes, weights = gauss_hermite_rule(spec, order)
-            assert np.array_equal(nodes, spec.mean + spec.std * math.sqrt(2.0) * x)
-            assert np.array_equal(weights, w / math.sqrt(math.pi))
+            cached_x, cached_w = numerics._hermite_nodes(order)
+            assert cached_x == tuple(x.tolist())
+            assert cached_w == tuple((w / math.sqrt(math.pi)).tolist())
+            mapped = [spec.mean + scale * xi for xi in cached_x]
+            assert mapped == (spec.mean + spec.std * math.sqrt(2.0) * x).tolist()
 
     @pytest.mark.parametrize("corrupt", [
         lambda x, w: (x[:-1], w[:-1]),              # wrong length
@@ -376,43 +387,128 @@ class TestQuadratureCaches:
                             lambda order: corrupt(*real(order)))
         numerics._hermite_nodes.cache_clear()
         with pytest.raises(InvalidInputError, match="hermgauss"):
-            gauss_hermite_rule(STD, 20)
+            numerics._hermite_nodes(20)
         monkeypatch.undo()
         # the failure left no cache entry
-        assert len(gauss_hermite_rule(STD, 20)[1]) == 20
+        assert len(numerics._hermite_nodes(20)[1]) == 20
+
+    # at theta = 1, (theta e^eps + 1) - theta cancels to 0.0 on deep nodes
+    FAILING = [((-0.1, 0.5, 2.0), InvalidInputError),
+               ((0.9, 2.0, 8.0), ConvergenceError),
+               ((1.0, 1.2, 5.0), EvaluationError),
+               ((1.0, 3.0, 1.0), EvaluationError)]
 
     def test_failed_call_leaves_no_entry(self):
         portfolio_moment.cache_clear()
-        # at theta = 1, (theta e^eps + 1) - theta cancels to 0.0 on deep nodes
-        for args, error in [((-0.1, 0.5, 2.0), InvalidInputError),
-                            ((0.9, 2.0, 8.0), ConvergenceError),
-                            ((1.0, 1.2, 5.0), EvaluationError),
-                            ((1.0, 3.0, 1.0), EvaluationError)]:
+        for args, error in self.FAILING:
             with pytest.raises(HetdataError) as err:
                 portfolio_moment(*args)
             assert type(err.value) is error
         assert portfolio_moment.cache_info().currsize == 0
 
 
+def reference_moment(theta, sigma1, gamma):
+    """portfolio_moment as the generic quadrature computed it: numpy's node
+    transform, one integrand call per node, every value checked finite."""
+    if not 0.0 <= theta <= 1.0:
+        raise InvalidInputError(f"theta must be in [0, 1], got {theta}")
+    if sigma1 <= 0.0:
+        raise InvalidInputError(f"sigma1 must be > 0, got {sigma1}")
+    if gamma <= 0.0:
+        raise InvalidInputError(f"gamma must be > 0, got {gamma}")
+    spec = GaussianSpec(mean=-0.5 * sigma1 * sigma1, variance=sigma1 * sigma1)
+    if gamma == 1.0:
+        g = lambda e: math.log(theta * math.exp(e) + 1.0 - theta)
+    else:
+        g = lambda e: (theta * math.exp(e) + 1.0 - theta) ** (1.0 - gamma)
+
+    def expect_gauss_hermite(order):
+        x, w = np.polynomial.hermite.hermgauss(order)
+        nodes = spec.mean + spec.std * math.sqrt(2.0) * x
+        total = 0.0
+        for node, weight in zip(nodes.tolist(), (w / math.sqrt(math.pi)).tolist()):
+            try:
+                val = g(node)
+            except (ArithmeticError, ValueError) as exc:
+                raise EvaluationError(
+                    f"integrand raised {exc!r} at node {node}") from exc
+            if not math.isfinite(val):
+                raise EvaluationError(f"integrand returned {val} at node {node}")
+            total += weight * val
+        return total
+
+    order = 40
+    value = expect_gauss_hermite(order)
+    while order < 320:
+        refined = expect_gauss_hermite(2 * order)
+        change = abs(refined - value)
+        if change < 1e-10:
+            return refined
+        value, order = refined, 2 * order
+    raise ConvergenceError(theta, sigma1, gamma, order, change)
+
+
+# the points of perfbench's quadrature corner probe
+CORNER = tuple((theta, sigma, gamma) for gamma in (6.0, 7.0, 8.0)
+               for theta in (0.8, 0.9, 0.95) for sigma in (1.2, 1.6, 2.0))
+
+
+class TestMomentMatchesGenericQuadrature:
+    """The inlined sum gives the generic quadrature's value bit for bit, and
+    its failures with the same type and message."""
+
+    @staticmethod
+    def outcome(moment, args):
+        try:
+            return moment(*args).hex()
+        except HetdataError as exc:
+            return type(exc), str(exc)
+
+    def test_seeded_box_corners_and_failures(self):
+        rng = np.random.default_rng(16016)
+        cases = []
+        for i in range(300):
+            theta = (0.0, 1.0)[i % 2] if i % 10 < 2 else float(rng.uniform(0, 1))
+            sigma1 = float(rng.uniform(0.01, 3.0))
+            gamma = 1.0 if rng.random() < 0.25 else float(rng.uniform(0.3, 12.0))
+            cases.append((theta, sigma1, gamma))
+        cases += list(CORNER) + [args for args, _ in
+                                 TestQuadratureCaches.FAILING]
+        kinds = collections.Counter()
+        for args in cases:
+            new = self.outcome(portfolio_moment.__wrapped__, args)
+            assert new == self.outcome(reference_moment, args), args
+            kinds[new[0].__name__ if isinstance(new, tuple) else "value"] += 1
+        # the box reaches every outcome
+        assert {"value", "ConvergenceError", "EvaluationError",
+                "InvalidInputError"} <= set(kinds)
+        assert kinds["value"] >= 200
+
+
+def solve(f, lo, hi, tol):
+    """solve_bracketed on [lo, hi] with the end values f(lo) and f(hi)."""
+    return solve_bracketed(f, lo, hi, f(lo), f(hi), tol)
+
+
 class TestSolveBracketed:
     def test_linear(self):
-        assert solve_bracketed(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == \
+        assert solve(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt2(self):
-        root = solve_bracketed(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
+        root = solve(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketingError) as err:
-            solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
+            solve(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
         assert err.value.f_lo == 2.0 and err.value.f_hi == 2.0
 
     @given(st.floats(-3, 3), st.floats(0.1, 3))
     @settings(max_examples=100, deadline=None)
     def test_root_stays_in_bracket(self, center, width):
         lo, hi = center - width, center + width
-        root = solve_bracketed(lambda x: math.tanh(x - center), lo, hi, 1e-10)
+        root = solve(lambda x: math.tanh(x - center), lo, hi, 1e-10)
         assert lo <= root <= hi
 
     def test_each_end_evaluated_once(self):
@@ -422,21 +518,94 @@ class TestSolveBracketed:
             calls[x] += 1
             return x * x - 2.0
 
-        solve_bracketed(f, 0.0, 2.0, 1e-12)
+        # the caller evaluates each end once; the solver evaluates neither
+        solve_bracketed(f, 0.0, 2.0, f(0.0), f(2.0), 1e-12)
         assert calls[0.0] == 1 and calls[2.0] == 1
 
     def test_nan_raises_evaluation_error_naming_x(self):
         with pytest.raises(EvaluationError, match=r"NaN at x=2\.0$"):
-            solve_bracketed(lambda x: math.nan if x == 2.0 else x, -1.0, 2.0, 1e-12)
+            solve(lambda x: math.nan if x == 2.0 else x, -1.0, 2.0, 1e-12)
         # NaN at the first iterate: the secant step from [0, 1] lands on 0.5
         with pytest.raises(EvaluationError, match=r"NaN at x=0\.5$"):
-            solve_bracketed(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
-                            0.0, 1.0, 1e-12)
+            solve(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
+                  0.0, 1.0, 1e-12)
+
+    def test_nan_end_value_raises_naming_the_end(self):
+        def f(x):
+            raise AssertionError(f"f evaluated at {x}")
+
+        with pytest.raises(EvaluationError, match=r"NaN at x=-1\.0$"):
+            solve_bracketed(f, -1.0, 2.0, math.nan, 1.0, 1e-12)
+        with pytest.raises(EvaluationError, match=r"NaN at x=2\.0$"):
+            solve_bracketed(f, -1.0, 2.0, -1.0, math.nan, 1e-12)
+
+    # a wide ability spread puts the root past the first upper end, so the
+    # upper end is expanded once
+    @pytest.mark.parametrize("overrides, expansions", [
+        ({}, 0),
+        ({"gamma": 1.0, "theta": 0.9, "sigma_idio": 0.8}, 0),
+        ({"sigma_mu": 12.0}, 1),
+        ({"sigma_mu": 15.0, "tau": 0.01}, 1),
+        ({"sigma_mu": 20.0, "gamma": 1.0, "theta": 0.9, "sigma_idio": 0.8}, 1),
+    ])
+    def test_solve_threshold_evaluates_each_end_once(self, monkeypatch,
+                                                     overrides, expansions):
+        params = default_params(**overrides)
+        evaluations, brackets = collections.Counter(), []
+        real_rhs, real_solve = threshold._rhs, threshold.solve_bracketed
+
+        def counting_rhs(*args):
+            F = real_rhs(*args)
+
+            def counted(mu):
+                evaluations[mu] += 1  # G(mu) = mu - F(mu) calls F once
+                return F(mu)
+            return counted
+
+        def recording(f, lo, hi, f_lo, f_hi, tol):
+            brackets.append((lo, hi))
+            return real_solve(f, lo, hi, f_lo, f_hi, tol)
+
+        monkeypatch.setattr(threshold, "_rhs", counting_rhs)
+        monkeypatch.setattr(threshold, "solve_bracketed", recording)
+        sol = threshold.solve_threshold.__wrapped__(params.tau, params)
+        (lo, hi), = brackets
+        assert lo < sol.mu_k < hi
+        assert evaluations[lo] == 1 and evaluations[hi] == 1
+        assert sol.iterations == expansions
+
+    @pytest.mark.parametrize("mu_i", [0.0, 3.0, 40.0])
+    def test_solve_lambda_evaluates_each_end_once(self, monkeypatch, mu_i):
+        # g(lam) = lam t* - log(lam) - log(target) calls log once per lam
+        logs = collections.Counter()
+        shim = type("CountingMath", (), {})()
+        for name in dir(math):
+            if not name.startswith("_"):
+                setattr(shim, name, getattr(math, name))
+
+        def counting_log(x):
+            logs[x] += 1
+            return math.log(x)
+
+        shim.log = counting_log
+        brackets = []
+        real_solve = wealth.solve_bracketed
+
+        def recording(f, lo, hi, f_lo, f_hi, tol):
+            brackets.append((lo, hi))
+            return real_solve(f, lo, hi, f_lo, f_hi, tol)
+
+        monkeypatch.setattr(wealth, "math", shim)
+        monkeypatch.setattr(wealth, "solve_bracketed", recording)
+        root = wealth.solve_lambda.__wrapped__(mu_i, default_params())
+        (lo, hi), = brackets
+        assert lo == 1.0 < root < hi
+        assert logs[1.0] == 1 and logs[hi] == 1
 
     def test_no_convergence_raises_solver_error(self):
         # flat at its root, so secant steps crawl: 100 steps do not reach 1e-14
         with pytest.raises(SolverError) as err:
-            solve_bracketed(lambda x: x ** 9, -1.0, 2.0, 1e-14)
+            solve(lambda x: x ** 9, -1.0, 2.0, 1e-14)
         assert type(err.value) is SolverError
         text = str(err.value)
         for part in ("[-1.0, 2.0]", "tolerance 1e-14", "100 iterations",
@@ -459,19 +628,21 @@ class TestBrentMatchesScipy:
             expected = _scipy_root(f, lo, hi, tol)
         except RuntimeError:  # scipy's non-convergence
             with pytest.raises(SolverError):
-                solve_bracketed(f, lo, hi, tol)
+                solve(f, lo, hi, tol)
             return "unconverged"
-        assert solve_bracketed(f, lo, hi, tol).hex() == expected.hex()
+        assert solve(f, lo, hi, tol).hex() == expected.hex()
         return "converged"
 
     def test_real_problems_of_both_callers(self, monkeypatch):
         # every bracket solve_threshold and solve_lambda pose over a seeded
-        # random box of validated parameters
+        # random box of validated parameters, with the end values they hand
+        # over, which must be f's at the ends
         problems = []
 
-        def recording(f, lo, hi, tol):
+        def recording(f, lo, hi, f_lo, f_hi, tol):
+            assert (f_lo.hex(), f_hi.hex()) == (f(lo).hex(), f(hi).hex())
             problems.append((f, lo, hi, tol))
-            return numerics.solve_bracketed(f, lo, hi, tol)
+            return numerics.solve_bracketed(f, lo, hi, f_lo, f_hi, tol)
 
         monkeypatch.setattr(threshold, "solve_bracketed", recording)
         monkeypatch.setattr(wealth, "solve_bracketed", recording)
