@@ -78,17 +78,11 @@ def draw_population(
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     solution = solve_threshold(params.tau, params)
-    ability, idio_spec, agg_spec = (
-        params.ability_spec, params.idio_shock_spec, params.agg_shock_spec
-    )
-    # mean + std * z, written into the drawn arrays
-    abilities = stream.standard_normal(n)
-    abilities *= ability.std
-    abilities += ability.mean
-    idio = stream.standard_normal(n)
-    idio *= idio_spec.std
-    idio += idio_spec.mean
-    agg = float((agg_spec.mean + agg_spec.std * stream.standard_normal(1))[0])
+    ability, idio_spec = params.ability_spec, params.idio_shock_spec
+    # numpy computes mean + std * z from the same standard-normal draw
+    abilities = stream.normal(ability.mean, ability.std, n)
+    idio = stream.normal(idio_spec.mean, idio_spec.std, n)
+    agg = stream.normal(params.agg_shock_spec.mean, params.agg_shock_spec.std)
     roles = solution.is_user(abilities)
     return PopulationSample(
         abilities=abilities,

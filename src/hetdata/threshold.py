@@ -17,7 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError, InvalidInputError, SolverError
+from .errors import (DegenerateInputError, InvalidInputError,
+                     NumericalRangeError, SolverError)
 from .model import TAU_MAX, TAU_MIN, ModelParams
 from .numerics import (
     GaussianSpec,
@@ -76,9 +77,14 @@ def log_output_ratio(mu: float, sigma_mu: float) -> float:
 
 def tail_expectation(K: float, mu_bar: float, sigma_mu: float) -> float:
     """E[e^mu | mu > K] for mu ~ N(mu_bar, sigma_mu^2): e^(mu_bar +
-    sigma_mu^2/2) times the tail ratio at K - mu_bar."""
-    return math.exp(mu_bar + 0.5 * sigma_mu * sigma_mu
-                    + log_output_ratio(K - mu_bar, sigma_mu))
+    sigma_mu^2/2) times the tail ratio at K - mu_bar.  Raises
+    NumericalRangeError where that value overflows."""
+    try:
+        return math.exp(mu_bar + 0.5 * sigma_mu * sigma_mu
+                        + log_output_ratio(K - mu_bar, sigma_mu))
+    except OverflowError:
+        raise NumericalRangeError(f"E[e^mu | mu > K] overflows at mu_bar="
+                                  f"{mu_bar}, sigma_mu={sigma_mu}") from None
 
 
 def _moment_term(params: ModelParams) -> float:
@@ -111,8 +117,8 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     """Unique root of G(mu) = mu - F(tau, mu).
 
     G is strictly increasing (F is decreasing in mu) with limits -inf and
-    +inf, so a sign-change bracket always exists; we expand outward from
-    the logit term, which dominates F at moderate mu.
+    +inf, so a sign-change bracket always exists; we expand its upper end
+    outward from the logit term, which dominates F at moderate mu.
     """
     _check_tau(tau)
     moment = _moment_term(params)
@@ -125,21 +131,14 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
         return mu - F(mu)
 
     # The root sits near the logit for sigma_mu = O(1) but collapses toward
-    # zero as sigma_mu -> 0, so seed the bracket with both anchors and grow
-    # the step geometrically on each failed expansion.
+    # zero as sigma_mu -> 0, so seed the bracket with both anchors.  G(lo) <
+    # -20: at lo the log tail ratio is at least log(1/2) - log Phi(-6), about
+    # 20, and the moment term at most 0 (Jensen: E[theta e^eps + 1 - theta]
+    # = 1).  The upper step grows geometrically on each failed expansion.
     step = 6.0 * params.sigma_mu
     lo, hi = min(logit, 0.0) - step, max(logit, 0.0) + step
     expansions = 0
-    g_lo = G(lo)
-    while g_lo > 0.0:
-        lo -= step
-        step *= 2.0
-        expansions += 1
-        if expansions > 100:
-            raise SolverError(f"no lower bracket for tau={tau}: reached mu={lo}")
-        g_lo = G(lo)
-    step = 6.0 * params.sigma_mu
-    g_hi = G(hi)
+    g_lo, g_hi = G(lo), G(hi)
     while g_hi < 0.0:
         hi += step
         step *= 2.0

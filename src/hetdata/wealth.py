@@ -73,7 +73,11 @@ def _terminal_capital(
     drift = _drift_continuous(params, lam)
     vol = params.alpha * params.sigma_w
     logK = math.log(lam * params.W0) + drift * t
-    logK = logK + vol * math.sqrt(t) * stream.standard_normal(n)
+    if vol == 0.0 and params.w == 0.0:  # nothing random: draw nothing
+        return np.exp(np.full(n, logK))
+    logK = stream.normal(logK, vol * math.sqrt(t), n)
+    if params.w == 0.0:  # no jumps; the Poisson draw is the stream's last
+        return np.exp(logK)
     counts = stream.poisson(params.w * t, n)
     loss = params.loss
     if len(loss.values) == 1:
@@ -120,7 +124,8 @@ def mc_expected_capital(
                 params, lam, t, n, make_stream(master_seed, batch_index)
             )
             total += float(np.sum(terminal))
-            total_sq += float(np.sum(terminal * terminal))
+            np.multiply(terminal, terminal, out=terminal)
+            total_sq += float(np.sum(terminal))
             done += n
             batch_index += 1
     if not math.isfinite(total_sq):

@@ -130,6 +130,16 @@ class TestExitCodes:
         for text in ("theta=0.9", "sigma_idio=2.0", "gamma=8.0"):
             assert text in err
 
+    def test_overflowing_tail_mean_exits_3_naming_inputs(self, tmp_path, capsys):
+        path = _write_params(tmp_path, sigma_mu=40.0, tau=0.99)
+        code = main(["threshold", "--params", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and "Traceback" not in err
+        for text in ("mu_bar=0.0", "sigma_mu=40.0"):
+            assert text in err
+
     def test_population_without_users_fails_verify(self, tmp_path, capsys):
         # seed 6 draws no data user among 2 agents: a failed check, not exit 3
         code = main(["verify", "--seed", "6", "--population", "2",

@@ -3,11 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hetdata.errors import (
     ConvergenceError,
     DegenerateInputError,
+    HetdataError,
     InvalidInputError,
+    NumericalRangeError,
 )
 from hetdata.model import default_params
 from hetdata.numerics import GaussianSpec, make_stream
@@ -64,6 +68,17 @@ class TestTailExpectation:
         # both survival functions underflow individually at K = 45
         value = tail_expectation(45.0, 0.0, 1.0)
         assert math.isfinite(value) and value > math.exp(45.0)
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"sigma_mu": 37.0}, ("mu_bar=0.0", "sigma_mu=37.0")),
+        ({"mu_bar": 710.0}, ("mu_bar=710.0", "sigma_mu=1.0")),
+    ])
+    def test_overflow_raises_named_error(self, overrides, named):
+        params = default_params(**overrides)
+        with pytest.raises(NumericalRangeError, match="overflows") as info:
+            solve_threshold(0.5, params)
+        for text in named:
+            assert text in str(info.value)
 
 
 class TestFThreshold:
@@ -157,6 +172,25 @@ class TestSolveThreshold:
         params = default_params()
         ms = [solve_threshold(t, params).m for t in np.linspace(0.1, 0.9, 9)]
         assert all(b < a for a, b in zip(ms, ms[1:]))
+
+    # the census box of ROADMAP item 12, for the inputs F depends on
+    @given(st.one_of(st.just(1.0), st.floats(0.3, 12.0)),
+           st.floats(0.05, 3.0), st.floats(0.01, 3.0),
+           st.floats(0.001, 0.999), st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_first_lower_end_lies_below_root(self, gamma, sigma_mu,
+                                             sigma_idio, theta, tau):
+        # solve_threshold does not expand the lower end: G(lo) = lo - F(lo)
+        # is below -20 there for every validated parameter set
+        params = default_params(gamma=gamma, sigma_mu=sigma_mu,
+                                sigma_idio=sigma_idio, theta=theta, tau=tau)
+        try:
+            moment = _moment_term(params)
+        except HetdataError:  # an unconverged moment (ROADMAP item 2)
+            assume(False)
+        logit = math.log(tau) - math.log1p(-tau)
+        lo = min(logit, 0.0) - 6.0 * sigma_mu
+        assert _rhs(logit, sigma_mu * sigma_mu, moment)(lo) > lo + 20.0
 
     def test_symmetry_across_sigma_and_gamma(self):
         for sigma_mu in (0.25, 0.5, 1.0, 2.0):

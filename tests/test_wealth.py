@@ -159,6 +159,57 @@ class TestMcExpectedCapital:
         assert mc_expected_capital.cache_info().currsize == 0
 
 
+TWO_POINT = {"values": [0.1, 0.4], "probs": [0.7, 0.3]}
+
+
+class TestMcBits:
+    """mc_expected_capital gives the bits of a plain batch loop that draws
+    every path's normals, jump counts and jump splits, needed or not."""
+
+    CASES = [default_params(alpha=0.0, w=0.0),  # verify's three cases
+             default_params(w=0.0),
+             default_params(),
+             default_params(w=0.5, loss=TWO_POINT),
+             default_params(sigma_w=0.0, w=0.5),
+             default_params(w=0.0, loss=TWO_POINT)]
+
+    @staticmethod
+    def _reference(params, lam, t, n_paths, seed):
+        a, s, loss = params.alpha, params.sigma_w, params.loss
+        drift = params.r_f + a * params.mu_hat - 0.5 * a * a * s * s - lam
+        total = total_sq = 0.0
+        done = batch = 0
+        while done < n_paths:
+            n = min(16384, n_paths - done)
+            stream = make_stream(seed, batch)
+            logK = math.log(lam * params.W0) + drift * t
+            logK = logK + a * s * math.sqrt(t) * stream.standard_normal(n)
+            counts = stream.poisson(params.w * t, n)
+            if len(loss.values) == 1:
+                logK = logK + counts * math.log1p(-a * loss.values[0])
+            else:
+                k1 = stream.binomial(counts, loss.probs[0])
+                logK = (logK + k1 * math.log1p(-a * loss.values[0])
+                        + (counts - k1) * math.log1p(-a * loss.values[1]))
+            k = np.exp(logK)
+            total += float(np.sum(k))
+            total_sq += float(np.sum(k * k))
+            done += n
+            batch += 1
+        mean = total / n_paths
+        var = max(total_sq / n_paths - mean * mean, 0.0)
+        return mean, math.sqrt(var / n_paths)
+
+    @pytest.mark.parametrize("params", CASES)
+    @pytest.mark.parametrize("n_paths", [100, 16_384, 40_000])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_bitwise_equal_to_plain_loop(self, params, n_paths, seed):
+        args = (params, 1.5, params.t_star, n_paths, seed)
+        est, se = mc_expected_capital.__wrapped__(*args)
+        ref_est, ref_se = self._reference(*args)
+        assert (est.hex(), se.hex()) == (ref_est.hex(), ref_se.hex())
+
+
 class TestFLambda:
     def test_values(self):
         assert f_lambda(1.0, 2.0) == pytest.approx(math.e ** 2, rel=1e-14)

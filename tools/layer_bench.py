@@ -1,10 +1,12 @@
-"""Per-call times of hetdata's deterministic layers, memo misses and hits.
+"""Per-call times of hetdata's layers: memo misses and hits, and arrays.
 
 Times ``numerics.portfolio_moment``, ``threshold.solve_threshold``,
 ``statics.threshold_sensitivity``, ``wealth.solve_lambda`` and
 ``model.validate`` over a fixed, seeded set of parameter sets drawn from
 the box of perfbench's ``param_scan`` workload (a quarter at gamma = 1),
-and adds the result, under ``--label``, to the JSON file ``--out``.  A
+and the two array layers ``mc.draw_population`` and
+``wealth.mc_expected_capital`` at verify's sizes, and adds the result,
+under ``--label``, to the JSON file ``--out``.  A
 label already there for the same source and seed keeps, for each time,
 the best of both runs, so that runs of two checkouts can be alternated:
 
@@ -24,6 +26,13 @@ For each memoised layer it reports three per-call times, each the best of
 ``_hermite_nodes`` stays warm throughout: it is built once per quadrature
 order, not per parameter set.  ``validate`` has no memo and gets one
 time, ``call_us``.  A layer that raises on any case stops the script.
+
+The array layers get one time per call, in milliseconds, also the best of
+``--repeats``: ``mc.draw_population`` draws 10^6 agents at default
+parameters (``call_ms``; its threshold solve is a memo hit), and
+``wealth.mc_expected_capital`` simulates 10^5 paths of each of verify's
+three ``jump_diffusion_mean`` cases with its memo cleared (one
+``<case>_ms`` each).
 """
 from __future__ import annotations
 
@@ -40,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 import hetdata
-from hetdata import model, numerics, statics, threshold, wealth
+from hetdata import mc, model, numerics, statics, threshold, wealth
 
 BOX = {  # perfbench param_scan's box
     "gamma": (0.5, 8.0),
@@ -56,6 +65,14 @@ MU_RANGE = (3.0, 8.0)
 # under the smallest memo a pass fills (threshold.ability_specs, 64), so a
 # hit pass hits every layer below
 CASES = 60
+
+POPULATION = 10**6  # verify's default --population
+PATHS = 10**5       # verify's default --paths
+MC_CASES = {  # verify.check_jump_diffusion_mean's cases
+    "degenerate_alpha0": {"alpha": 0.0, "w": 0.0},
+    "diffusion_only": {"w": 0.0},
+    "diffusion_and_jumps": {},
+}
 
 MEMOS = {  # layer: its own memos
     "numerics.portfolio_moment": [numerics.portfolio_moment],
@@ -115,6 +132,23 @@ def _fresh(raw_cases: list) -> list:
     return [(model.validate(raw), mu) for raw, mu in raw_cases]
 
 
+def _array_calls(seed: int) -> dict:
+    """(layer, key): one zero-argument call of an array layer."""
+    params = model.default_params()
+    calls = {("mc.draw_population", "call_ms"):
+             lambda: mc.draw_population(POPULATION, params,
+                                        numerics.make_stream(seed, 1))}
+    for name, overrides in MC_CASES.items():
+        case = model.default_params(**overrides)
+
+        def simulate(case=case):
+            wealth.mc_expected_capital.cache_clear()
+            wealth.mc_expected_capital(case, wealth.LAMBDA_DEFAULT,
+                                       case.t_star, PATHS, seed)
+        calls[("wealth.mc_expected_capital", f"{name}_ms")] = simulate
+    return calls
+
+
 def bench(seed: int, repeats: int) -> dict:
     """Best per-call times; each repeat passes over every layer in turn, so
     a slow spell of the machine costs every layer one sample, not one
@@ -126,6 +160,11 @@ def bench(seed: int, repeats: int) -> dict:
     times = {layer: {"miss_us": [], "cold_us": [], "hit_us": []}
              for layer in MEMOS}
     times["model.validate"] = {"call_us": []}
+    array_calls = _array_calls(seed)
+    for layer, key in array_calls:
+        times.setdefault(layer, {})[key] = []
+    for call in array_calls.values():  # warm the threshold memo and numpy
+        call()
     for _ in range(repeats):
         for layer, own in MEMOS.items():
             calls = _calls(layer, _fresh(raw_cases))
@@ -140,6 +179,10 @@ def bench(seed: int, repeats: int) -> dict:
             times[layer]["miss_us"].append(_pass_us(_calls(layer, cases)))
         times["model.validate"]["call_us"].append(
             _pass_us([lambda r=r: model.validate(r) for r in raws]))
+        default = model.default_params()  # the passes above cleared its solve
+        threshold.solve_threshold(default.tau, default)
+        for (layer, key), call in array_calls.items():
+            times[layer][key].append(_pass_us([call]) / 1e3)
     return {layer: {key: round(min(samples), 3) for key, samples in t.items()}
             for layer, t in times.items()}
 
