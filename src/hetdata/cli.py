@@ -196,15 +196,12 @@ def load_config(argv: List[str]) -> RunConfig:
 
     mu_grid = _parse_grid(args.mu_grid, "mu-grid") if args.mu_grid else None
     if mu_grid is not None and "figure1" in stages:
-        # f_mu and lambda* increase with mu.  Only a value out of range is a
-        # configuration error: no root is an answer, and any other failure
-        # is the run's to report.
+        # f_mu increases with mu; only its level, figure1.csv's level column,
+        # can overflow, since lambda* is solved in log space
         try:
-            wealth.solve_lambda(mu_grid[-1], params)
+            wealth.f_mu(mu_grid[-1], params)
         except NumericalRangeError as exc:
             raise ConfigError(f"--mu-grid for {args.command}: {exc}") from exc
-        except HetdataError:
-            pass
 
     return RunConfig(
         command=args.command,

@@ -51,8 +51,8 @@ class NoSolutionError(SolverError):
         self.target = target
         self.branch_minimum = branch_minimum
         super().__init__(
-            f"target {target} lies below the branch minimum {branch_minimum}; "
-            "no root exists on the increasing branch"
+            f"log target {target} lies below the log branch minimum "
+            f"{branch_minimum}; no root exists on the increasing branch"
         )
 
 

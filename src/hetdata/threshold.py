@@ -78,13 +78,17 @@ def log_output_ratio(mu: float, sigma_mu: float) -> float:
 def tail_expectation(K: float, mu_bar: float, sigma_mu: float) -> float:
     """E[e^mu | mu > K] for mu ~ N(mu_bar, sigma_mu^2): e^(mu_bar +
     sigma_mu^2/2) times the tail ratio at K - mu_bar.  Raises
-    NumericalRangeError where that value overflows."""
+    NumericalRangeError where that value overflows or underflows to 0."""
     try:
-        return math.exp(mu_bar + 0.5 * sigma_mu * sigma_mu
-                        + log_output_ratio(K - mu_bar, sigma_mu))
+        value = math.exp(mu_bar + 0.5 * sigma_mu * sigma_mu
+                         + log_output_ratio(K - mu_bar, sigma_mu))
     except OverflowError:
-        raise NumericalRangeError(f"E[e^mu | mu > K] overflows at mu_bar="
-                                  f"{mu_bar}, sigma_mu={sigma_mu}") from None
+        value = math.inf
+    if value in (0.0, math.inf):
+        raise NumericalRangeError(
+            f"E[e^mu | mu > K] {'overflows' if value else 'underflows to 0'}"
+            f" at mu_bar={mu_bar}, sigma_mu={sigma_mu}")
+    return value
 
 
 def _moment_term(params: ModelParams) -> float:

@@ -14,7 +14,7 @@ so simulation carries no discretization bias and the closed-form mean
 
 can be verified by Monte Carlo to statistical accuracy.  The friction
 coefficient lambda >= 1 solves e^(lambda t*)/lambda = f(mu_i, t*) on the
-increasing branch.
+increasing branch, solved in log space with no upper bound on lambda.
 """
 from __future__ import annotations
 
@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import InvalidInputError, NoSolutionError, NumericalRangeError
 from .model import ModelParams
-from .numerics import make_stream, solve_bracketed
+from .numerics import make_stream
 
 _EXP_ARG_MAX = 700.0  # exp overflows just above this
+_LOG_2 = math.log(2.0)
 _MC_BATCH = 16384     # paths per stream; fixed so results are seed-reproducible
 # the friction coefficient of the wealth stage's Monte Carlo check, and of
 # verify's jump_diffusion_mean cases, when no grid is given
@@ -148,29 +149,32 @@ def f_lambda(lam: float, t: float) -> float:
     return math.exp(lam * t) / lam
 
 
-def f_mu(mu_i: float, params: ModelParams) -> float:
-    """Ability side of the friction match, at the target capital level.
+def log_f_mu(mu_i: float, params: ModelParams) -> float:
+    """log f(mu_i, t*), the ability side of the friction match at the target
+    capital level, summed from its log terms, so finite where f overflows:
 
     f(mu_i, t*) = e^(mu_i + eps0 + eps_i0) D (1 - tau) / EK_target
                   * exp{(r_f + alpha*mu_hat + w[E(1 - alpha L) - 1]) t*},
     with initial wealth W0 = y_0 (1 - tau) built from the shock pair
-    (eps0, eps_i0) fixed at its means.  Raises NumericalRangeError where
-    that value overflows.
+    (eps0, eps_i0) fixed at its means.
     """
     eps0, eps_i0 = params.agg_shock_spec.mean, params.idio_shock_spec.mean
-    try:
-        value = (
-            math.exp(mu_i + eps0 + eps_i0)
-            * params.D
-            * (1.0 - params.tau)
-            / params.EK_target
-            * math.exp(_mean_rate(params, 0.0) * params.t_star)
-        )
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise NumericalRangeError(f"f(mu_i, t*) overflows at mu_i={mu_i}")
+    value = (mu_i + eps0 + eps_i0 + math.log(params.D)
+             + math.log1p(-params.tau) - math.log(params.EK_target)
+             + _mean_rate(params, 0.0) * params.t_star)
+    if not math.isfinite(value):  # mu_i is not finite, or the sum overflows
+        raise InvalidInputError(f"log f(mu_i, t*) is {value} at mu_i={mu_i}")
     return value
+
+
+def f_mu(mu_i: float, params: ModelParams) -> float:
+    """f(mu_i, t*), the level of figure 1.  Raises NumericalRangeError
+    where it overflows."""
+    try:
+        return math.exp(log_f_mu(mu_i, params))
+    except OverflowError:
+        raise NumericalRangeError(
+            f"f(mu_i, t*) overflows at mu_i={mu_i}") from None
 
 
 # Memoised like threshold.solve_threshold; theorem1_report makes two friction
@@ -183,35 +187,29 @@ def solve_lambda(mu_i: float, params: ModelParams) -> float:
 
     The branch starts at lambda = max(1, 1/t*) = 1 (t* > 1 is enforced at
     validation), where f_lambda attains its minimum e^(t*); targets below
-    that minimum have no solution and are reported, never fabricated.
+    that minimum have no solution and are reported, as log f < t*, never
+    fabricated.  In u = lambda t* and c = log f - log t* the match is
+    u - log u = c, with root -W_{-1}(-e^(-c)) (Corless et al. 1996, Adv.
+    Comput. Math. 5:329); no e^(lambda t*) is formed, so lambda* is unbounded.
     """
     t = params.t_star
-    target = f_mu(mu_i, params)
-    f_min = f_lambda(1.0, t)
-    if target < f_min * (1.0 - 1e-12):
-        raise NoSolutionError(target, f_min)
-
-    log_target = math.log(target)
-
-    def g(lam: float) -> float:
-        return lam * t - math.log(lam) - log_target
-
+    log_f = log_f_mu(mu_i, params)
+    if log_f < t + math.log1p(-1e-12):  # f < e^(t*) (1 - 1e-12)
+        raise NoSolutionError(log_f, t)
     # the target is at the minimum e^(t*), or below it by less than the
     # no-solution tolerance: lambda* is the branch start
-    g_one = g(1.0)
-    if g_one >= -1e-13 * max(1.0, abs(log_target)):
+    if t - log_f >= -1e-13 * max(1.0, abs(log_f)):
         return 1.0
-    # double the bracket up to the largest lambda whose e^(lambda t*) is
-    # finite; a root beyond it cannot be represented
-    hi, g_hi, cap = 1.0, g_one, _EXP_ARG_MAX / t
-    while g_hi < 0.0:
-        if hi >= cap:
-            raise NumericalRangeError(
-                f"lambda root lies beyond the overflow bound lambda={cap}"
-            )
-        hi = min(2.0 * hi, cap)
-        g_hi = g(hi)
-    return solve_bracketed(g, 1.0, hi, g_one, g_hi, 1e-12)
+    # c > t* - log t* > 1 here: c + log(2c) bounds the root from above, and
+    # Newton steps on the increasing, convex h(u) = u - log u - c fall to it;
+    # stop once u no longer falls (a step below half an ulp leaves u as is)
+    c = log_f - math.log(t)
+    u = c + math.log(c) + _LOG_2  # log(2c) overflows for c >= 2^1023
+    while True:
+        nxt = u - (u - math.log(u) - c) / (1.0 - 1.0 / u)
+        if not nxt < u:
+            return u / t
+        u = nxt
 
 
 def figure1_curves(

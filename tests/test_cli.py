@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,18 @@ class TestExitCodes:
         for text in ("mu_bar=0.0", "sigma_mu=40.0"):
             assert text in err
 
+    def test_underflowing_tail_mean_exits_3_naming_inputs(self, tmp_path,
+                                                          capsys):
+        # E[e^mu | mu > K] underflows to 0, which provider_utility refuses
+        path = _write_params(tmp_path, mu_bar=-800.0)
+        code = main(["threshold", "--params", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and "underflows" in err
+        for text in ("mu_bar=-800.0", "sigma_mu=1.0"):
+            assert text in err
+
     def test_population_without_users_fails_verify(self, tmp_path, capsys):
         # seed 6 draws no data user among 2 agents: a failed check, not exit 3
         code = main(["verify", "--seed", "6", "--population", "2",
@@ -234,7 +247,7 @@ class TestExitCodes:
         ["threshold", "--tau-grid", "0.0000001:0.5:0.1"],
         ["figure1", "--mu-grid", "800:900:50"],       # f(mu_i, t*) overflows
         ["report", "--seed", "1", "--mu-grid", "700:710:5"],
-        ["figure1", "--mu-grid", "600:700:50"],       # lambda* > 700 / t*
+        ["figure1", "--mu-grid", "700:709:9"],        # e^709 is finite, f is not
         ["figure1", "--mu-grid", "nan:1:0.5"],        # non-finite ends or step
         ["figure1", "--mu-grid", "0:inf:0.5"],
         ["threshold", "--tau-grid", "nan:0.5:0.1"],
@@ -296,6 +309,18 @@ class TestExitCodes:
         rows = (tmp_path / "figure1.csv").read_text().splitlines()
         stars = rows[rows.index("mu,level,lambda_star") + 1:]
         assert stars and {row.split(",")[2] for row in stars} == {lambda_star}
+
+    def test_mu_grid_past_exp_overflow_bound_runs(self, tmp_path, capsys):
+        # lambda* at mu_i = 700 lies past 700 / t* = 350, where e^(lambda t*)
+        # overflows; the friction solve in log space has no such bound
+        code = main(["figure1", "--mu-grid", "600:700:50", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "figure1.csv").read_text().splitlines()
+        stars = [float(row.split(",")[2])
+                 for row in rows[rows.index("mu,level,lambda_star") + 1:]]
+        assert len(stars) == 3 and all(map(math.isfinite, stars))
+        assert stars[-1] * 2.0 > 700.0
 
     def test_threshold_ok(self, tmp_path):
         assert main(["threshold", "--out", str(tmp_path)]) == EXIT_OK

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import brentq
 
-from hetdata import numerics, threshold, wealth
+from hetdata import numerics, threshold
 from hetdata.errors import (
     BracketingError,
     ConvergenceError,
@@ -574,34 +574,6 @@ class TestSolveBracketed:
         assert evaluations[lo] == 1 and evaluations[hi] == 1
         assert sol.iterations == expansions
 
-    @pytest.mark.parametrize("mu_i", [0.0, 3.0, 40.0])
-    def test_solve_lambda_evaluates_each_end_once(self, monkeypatch, mu_i):
-        # g(lam) = lam t* - log(lam) - log(target) calls log once per lam
-        logs = collections.Counter()
-        shim = type("CountingMath", (), {})()
-        for name in dir(math):
-            if not name.startswith("_"):
-                setattr(shim, name, getattr(math, name))
-
-        def counting_log(x):
-            logs[x] += 1
-            return math.log(x)
-
-        shim.log = counting_log
-        brackets = []
-        real_solve = wealth.solve_bracketed
-
-        def recording(f, lo, hi, f_lo, f_hi, tol):
-            brackets.append((lo, hi))
-            return real_solve(f, lo, hi, f_lo, f_hi, tol)
-
-        monkeypatch.setattr(wealth, "math", shim)
-        monkeypatch.setattr(wealth, "solve_bracketed", recording)
-        root = wealth.solve_lambda.__wrapped__(mu_i, default_params())
-        (lo, hi), = brackets
-        assert lo == 1.0 < root < hi
-        assert logs[1.0] == 1 and logs[hi] == 1
-
     def test_no_convergence_raises_solver_error(self):
         # flat at its root, so secant steps crawl: 100 steps do not reach 1e-14
         with pytest.raises(SolverError) as err:
@@ -634,9 +606,9 @@ class TestBrentMatchesScipy:
         return "converged"
 
     def test_real_problems_of_both_callers(self, monkeypatch):
-        # every bracket solve_threshold and solve_lambda pose over a seeded
-        # random box of validated parameters, with the end values they hand
-        # over, which must be f's at the ends
+        # every bracket solve_threshold poses over a seeded random box of
+        # validated parameters, with the end values it hands over, which must
+        # be f's at the ends
         problems = []
 
         def recording(f, lo, hi, f_lo, f_hi, tol):
@@ -645,7 +617,6 @@ class TestBrentMatchesScipy:
             return numerics.solve_bracketed(f, lo, hi, f_lo, f_hi, tol)
 
         monkeypatch.setattr(threshold, "solve_bracketed", recording)
-        monkeypatch.setattr(wealth, "solve_bracketed", recording)
         rng = np.random.default_rng(20261018)
         for _ in range(300):
             gamma = 1.0 if rng.random() < 0.25 else float(rng.uniform(0.3, 10.0))
@@ -663,18 +634,11 @@ class TestBrentMatchesScipy:
                 t_star=float(rng.uniform(1.01, 20.0)),
                 EK_target=float(rng.uniform(0.001, 1.0)),
             )
-            for solve, args in ((threshold.solve_threshold.__wrapped__,
-                                 (params.tau, params)),
-                                (wealth.solve_lambda.__wrapped__,
-                                 (float(rng.uniform(-5.0, 15.0)), params))):
-                try:
-                    solve(*args)
-                except HetdataError:
-                    pass  # no root to compare, e.g. a NoSolutionError
-        by_caller = collections.Counter(f.__qualname__.split(".")[0]
-                                        for f, *_ in problems)
-        assert by_caller["solve_threshold"] >= 250
-        assert by_caller["solve_lambda"] >= 50
+            try:
+                threshold.solve_threshold.__wrapped__(params.tau, params)
+            except HetdataError:
+                pass  # no root to compare
+        assert len(problems) >= 250
         for problem in problems:
             assert self.assert_same(*problem) == "converged"
 

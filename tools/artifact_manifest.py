@@ -1,6 +1,6 @@
 """sha256 manifest of every artifact the hetdata CLI writes for fixed inputs.
 
-Runs eight CLI invocations, each in its own directory under a temporary
+Runs nine CLI invocations, each in its own directory under a temporary
 directory, and prints one ``sha256  run/file`` line per artifact, per
 captured stdout and stderr and per exit code, followed by the sha256 of
 the manifest itself.  Two checkouts whose manifests match write
@@ -32,6 +32,8 @@ RUNS = (
     ("statics_grid", ["statics", "--tau-grid", "0.2:0.8:0.05"]),
     ("wealth", ["wealth", "--seed", "7", "--lambda-grid", "1.2:2.0:0.4"]),
     ("figure1", ["figure1"]),
+    # lambda* past 700 / t*, where e^(lambda t*) overflows
+    ("figure1_mu_grid", ["figure1", "--mu-grid", "600:700:50"]),
 )
 
 
