@@ -17,16 +17,6 @@ class EvaluationError(HetdataError):
     """A user-supplied callable returned a non-finite value."""
 
 
-class BracketingError(HetdataError):
-    """Root bracket does not straddle a sign change."""
-
-    def __init__(self, lo, hi, f_lo, f_hi):
-        self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
-        super().__init__(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
-        )
-
-
 class SolverError(HetdataError):
     """A solver failed to locate a root."""
 

@@ -1,36 +1,31 @@
-"""Gaussian kernels, Gauss-Hermite quadrature, root finding, seeded streams.
+"""Gaussian kernels, Gauss-Hermite quadrature, seeded streams.
 
-Every other module builds on these four pieces:
+Every other module builds on these three pieces:
 
 * Gaussian kernels on the math module (erfcx, log_ndtr, ndtr) and the
-  pdf/cdf/hazard built on them, stable deep in either tail (no 1-cdf
-  cancellation),
+  log tail and hazard built on them, stable deep in either tail (no
+  1-cdf cancellation),
 * Gauss-Hermite quadrature of the portfolio moment E[(θe^ε + 1-θ)^(1-γ)],
-* a bracketed root finder (Brent's method, ported from scipy's brentq),
 * reproducible, independently-seeded random streams for Monte Carlo.
 """
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
-    BracketingError,
     ConvergenceError,
     EvaluationError,
     InvalidInputError,
     NumericalRangeError,
-    SolverError,
 )
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _LOG_HALF = math.log(0.5)
@@ -106,17 +101,6 @@ def _standardize(x: float, spec: GaussianSpec) -> float:
     if not math.isfinite(z):
         raise InvalidInputError(f"non-finite evaluation point {x}")
     return z
-
-
-def normal_pdf(x: float, spec: GaussianSpec) -> float:
-    """Density of N(mean, variance) at x."""
-    z = _standardize(x, spec)
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / spec.std
-
-
-def normal_cdf(x: float, spec: GaussianSpec) -> float:
-    """P(X <= x) for X ~ N(mean, variance)."""
-    return ndtr(_standardize(x, spec))
 
 
 def log_normal_sf(x: float, spec: GaussianSpec) -> float:
@@ -228,92 +212,6 @@ def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
             return refined
         value, order = refined, 2 * order
     raise ConvergenceError(theta, sigma1, gamma, order, change)
-
-
-# Brent's method as in scipy's C brentq: a relative tolerance of 8 machine
-# epsilons on top of the caller's absolute one, and at most 100 steps.
-_BRENT_RTOL = 8.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
-
-
-def _value(x: float, fx: float) -> float:
-    """fx = f(x) as a float; a NaN raises EvaluationError naming x."""
-    fx = float(fx)
-    if math.isnan(fx):
-        raise EvaluationError(f"root finder: f returned NaN at x={x}")
-    return fx
-
-
-def _brent(
-    f: Callable[[float], float],
-    lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
-) -> float:
-    """Brent (1973, ch. 4) on [lo, hi], where f_lo and f_hi have opposite
-    signs, step for step as scipy's C brentq, so every root keeps its bits."""
-    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        good = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-                good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-            except ZeroDivisionError:
-                pass  # C gets an infinite or NaN step, which fails the test
-        if good:
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _value(xcur, f(xcur))
-    raise SolverError(
-        f"root finder did not converge on [{lo}, {hi}] at tolerance {xtol} "
-        f"in {_BRENT_MAXITER} iterations: last iterate x={xcur}, f={fcur}"
-    )
-
-
-def solve_bracketed(
-    f: Callable[[float], float],
-    lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
-) -> float:
-    """Root of f on [lo, hi] given a sign change at the endpoints.
-
-    f_lo and f_hi are f(lo) and f(hi), which every caller has evaluated
-    while finding the bracket, so f is evaluated at neither end.
-    Interpolation-accelerated bisection (Brent) with guaranteed bracket
-    shrinkage; the result never leaves [lo, hi].  A NaN from f, at an end
-    too, raises EvaluationError naming x; no convergence in 100 steps
-    raises SolverError.
-    """
-    if tol <= 0.0:
-        raise InvalidInputError(f"tol must be > 0, got {tol}")
-    if not (lo < hi):
-        raise InvalidInputError(f"need lo < hi, got [{lo}, {hi}]")
-    f_lo, f_hi = _value(lo, f_lo), _value(hi, f_hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise BracketingError(lo, hi, f_lo, f_hi)
-    return min(max(_brent(f, lo, hi, f_lo, f_hi, tol), lo), hi)
 
 
 def make_stream(master_seed: int, index: int) -> np.random.Generator:

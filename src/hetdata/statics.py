@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
-from .numerics import hazard_rate, log_normal_sf, normal_cdf, normal_pdf
-from .threshold import ability_specs, log_output_ratio, solve_threshold
+from .numerics import log_normal_sf
+from .threshold import (ability_specs, log_output_ratio, log_ratio_and_slope,
+                        solve_threshold)
 from . import wealth
 
 # the tau grid of `hetdata statics` and verify's comparative-statics check,
@@ -79,15 +80,12 @@ class Theorem1Report:
 def partials(tau: float, mu_k: float, params: ModelParams) -> Tuple[float, float]:
     """(dF/dtau, dF/dmu) at a solved threshold.
 
-    dF/dmu = -[hazard(mu_k; sigma^2, sigma^2) + pdf(mu_k)/cdf(mu_k)] < 0.
+    dF/dmu = -[hazard(mu_k; sigma^2, sigma^2) + pdf(mu_k)/cdf(mu_k)] < 0,
+    the slope solve_threshold's Newton steps use.
     """
     dF_dtau = 1.0 / (tau * (1.0 - tau))
-    spec_hi, spec_lo = ability_specs(params.sigma_mu * params.sigma_mu)
-    dF_dmu = -(
-        hazard_rate(mu_k, spec_hi)
-        + normal_pdf(mu_k, spec_lo) / normal_cdf(mu_k, spec_lo)
-    )
-    return dF_dtau, dF_dmu
+    v = params.sigma_mu * params.sigma_mu
+    return dF_dtau, log_ratio_and_slope(mu_k, v)[1]
 
 
 # Memoised like threshold.solve_threshold; one slope per threshold, so the

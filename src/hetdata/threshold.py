@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (DegenerateInputError, InvalidInputError,
                      NumericalRangeError, SolverError)
 from .model import TAU_MAX, TAU_MIN, ModelParams
-from .numerics import (
-    GaussianSpec,
-    log_normal_sf,
-    portfolio_moment,
-    solve_bracketed,
-)
+from .numerics import GaussianSpec, log_ndtr, log_normal_sf, portfolio_moment
 
+# solve_threshold stops once a Newton step is below half of 1e-13 plus 8
+# machine epsilons of the iterate (the tolerance of scipy's brentq)
 _ROOT_TOL = 1e-13
+_ROOT_RTOL = 8.0 * sys.float_info.epsilon
+_MAX_STEPS = 60
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ class ThresholdSolution:
     K: float           # uncentered threshold mu_k + mu_bar
     m: float           # user measure 1 - Phi(mu_k; 0, sigma_mu^2)
     tail_mean: float   # E[e^mu | mu > K]
-    residual: float
-    iterations: int
+    residual: float    # G(mu_k), of the returned iterate
+    iterations: int    # Newton (or bisection) steps taken
 
     def is_user(self, ability):
         """Data user iff the (uncentered) ability exceeds K; a tie goes to
@@ -99,17 +100,19 @@ def _moment_term(params: ModelParams) -> float:
     return math.log(m) / (1.0 - params.gamma)
 
 
-def _rhs(logit: float, v: float, moment: float):
-    """F(tau, .) as a function of mu, built from its mu-free parts: the
-    logit of tau, the ability variance v and the precomputed moment term."""
-    spec_hi, spec_lo = ability_specs(v)
-
-    def F(mu: float) -> float:
-        # log CDF(mu; 0, v) as log SF(-mu; 0, v): negation is exact
-        log_ratio = log_normal_sf(mu, spec_hi) - log_normal_sf(-mu, spec_lo)
-        return logit + 0.5 * v + log_ratio - moment
-
-    return F
+def log_ratio_and_slope(mu: float, v: float) -> tuple[float, float]:
+    """The mu-dependent term of F at centered ability mu, for ability
+    variance v, and the slope of F: the log ratio log SF(mu; v, v) -
+    log CDF(mu; 0, v), and dF/dmu = -(h_hi + r_lo) < 0, where h_hi =
+    pdf/SF of N(v, v) and r_lo = pdf/CDF of N(0, v) at mu.  Each of h_hi
+    and r_lo is exp(log pdf - log tail) from the same two log_ndtr values
+    the ratio uses, so the slope costs two exp more."""
+    s = math.sqrt(v)
+    z_hi, z_lo = (mu - v) / s, mu / s
+    log_sf_hi, log_cdf_lo = log_ndtr(-z_hi), log_ndtr(z_lo)
+    h_hi = math.exp(-0.5 * z_hi * z_hi - _LOG_SQRT_2PI - log_sf_hi)
+    r_lo = math.exp(-0.5 * z_lo * z_lo - _LOG_SQRT_2PI - log_cdf_lo)
+    return log_sf_hi - log_cdf_lo, -(h_hi + r_lo) / s
 
 
 # Memoised on (tau, params): ModelParams is frozen and hashable, and the
@@ -118,49 +121,65 @@ def _rhs(logit: float, v: float, moment: float):
 # that an int tau never answers for a float one.  Exceptions are not cached.
 @functools.lru_cache(maxsize=512, typed=True)
 def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
-    """Unique root of G(mu) = mu - F(tau, mu).
+    """Unique root of G(mu) = mu - F(tau, mu), by safeguarded Newton.
 
-    G is strictly increasing (F is decreasing in mu) with limits -inf and
-    +inf, so a sign-change bracket always exists; we expand its upper end
-    outward from the logit term, which dominates F at moderate mu.
+    F = c + log ratio, with c = logit(tau) + v/2 - moment term, so G' =
+    1 - dF/dmu >= 1: G is strictly increasing from -inf to +inf.  The
+    first step is closed-form, from mu = v/2, where both log tails are
+    log Phi(sigma_mu/2), so the log ratio is exactly 0 and G = v/2 - c.
+    Each iterate with G < 0 raises the lower end of a bracket and each
+    with G >= 0 lowers its upper end; a Newton step that leaves the
+    bracket is replaced by bisection.  Stops when the step is below
+    (1e-13 + 8 eps |mu|) / 2, returning the iterate and its G; raises
+    SolverError after 60 steps.
     """
     _check_tau(tau)
     moment = _moment_term(params)
     v = params.sigma_mu * params.sigma_mu
+    spec_lo = ability_specs(v)[1]
+    s = spec_lo.std
     logit = math.log(tau) - math.log1p(-tau)
+    c = logit + 0.5 * v - moment
 
-    F = _rhs(logit, v, moment)
+    # G(lo) < -20, so lo needs no evaluation: at lo the log tail ratio is at
+    # least log(1/2) - log Phi(-6), about 20, and the moment term at most 0
+    # (Jensen: E[theta e^eps + 1 - theta] = 1).
+    lo, hi = min(logit, 0.0) - 6.0 * params.sigma_mu, math.inf
+    mu = 0.5 * v
+    z = 0.5 * v / s  # z_lo at v/2, and -z_hi: h_hi = r_lo there
+    g = mu - c
+    slope = 1.0 + 2.0 * math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z)) / s
+    steps = 0
+    while True:
+        step = g / slope
+        if abs(step) <= 0.5 * (_ROOT_TOL + _ROOT_RTOL * abs(mu)):
+            break
+        if steps == _MAX_STEPS:
+            raise SolverError(
+                f"threshold solve did not converge for tau={tau} in "
+                f"{_MAX_STEPS} steps: last iterate mu={mu}, G={g}, "
+                f"bracket [{lo}, {hi}]")
+        if g < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        mu -= step
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+        steps += 1
+        log_ratio, dF_dmu = log_ratio_and_slope(mu, v)
+        g = mu - (c + log_ratio)
+        slope = 1.0 - dF_dmu
 
-    def G(mu: float) -> float:
-        return mu - F(mu)
-
-    # The root sits near the logit for sigma_mu = O(1) but collapses toward
-    # zero as sigma_mu -> 0, so seed the bracket with both anchors.  G(lo) <
-    # -20: at lo the log tail ratio is at least log(1/2) - log Phi(-6), about
-    # 20, and the moment term at most 0 (Jensen: E[theta e^eps + 1 - theta]
-    # = 1).  The upper step grows geometrically on each failed expansion.
-    step = 6.0 * params.sigma_mu
-    lo, hi = min(logit, 0.0) - step, max(logit, 0.0) + step
-    expansions = 0
-    g_lo, g_hi = G(lo), G(hi)
-    while g_hi < 0.0:
-        hi += step
-        step *= 2.0
-        expansions += 1
-        if expansions > 100:
-            raise SolverError(f"no upper bracket for tau={tau}: reached mu={hi}")
-        g_hi = G(hi)
-
-    mu_k = solve_bracketed(G, lo, hi, g_lo, g_hi, _ROOT_TOL)
-    K = mu_k + params.mu_bar
-    m = math.exp(log_normal_sf(mu_k, ability_specs(v)[1]))
+    K = mu + params.mu_bar
+    m = math.exp(log_normal_sf(mu, spec_lo))
     return ThresholdSolution(
-        mu_k=mu_k,
+        mu_k=mu,
         K=K,
         m=m,
         tail_mean=tail_expectation(K, params.mu_bar, params.sigma_mu),
-        residual=G(mu_k),
-        iterations=expansions,
+        residual=g,
+        iterations=steps,
     )
 
 

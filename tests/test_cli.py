@@ -240,7 +240,7 @@ class TestExitCodes:
         ["statics", "--tau-grid", "0.3:0.4:1.0"],    # one point: tau_L = tau_H
         ["wealth", "--seed", "1", "--lambda-grid", "0.5:1.0:0.5"],
         ["figure1", "--lambda-grid", "0.0:1.0:0.5"],  # f(lambda) needs lambda > 0
-        ["figure1", "--lambda-grid", "100:400:100"],  # e^(lambda t*) overflows
+        ["figure1", "--lambda-grid", "100:400:100"],  # f(lambda, t*) overflows
         # E K_t* underflows at 201, before figure1's ends are checked
         ["report", "--seed", "1", "--lambda-grid", "1:400:100"],
         ["threshold", "--tau", "0.0000001"],          # below the solver's band
@@ -321,6 +321,15 @@ class TestExitCodes:
                  for row in rows[rows.index("mu,level,lambda_star") + 1:]]
         assert len(stars) == 3 and all(map(math.isfinite, stars))
         assert stars[-1] * 2.0 > 700.0
+
+    def test_lambda_grid_past_old_exp_bound_runs(self, tmp_path, capsys):
+        # lambda t* = 704 at the curve's end: e^704 / 352 is finite
+        code = main(["figure1", "--lambda-grid", "1:352:351", "--mu-grid",
+                     "600:700:50", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "figure1.csv").read_text().splitlines()
+        assert rows[2] == f"352.0,{math.exp(704.0) / 352.0!r}"
 
     def test_threshold_ok(self, tmp_path):
         assert main(["threshold", "--out", str(tmp_path)]) == EXIT_OK

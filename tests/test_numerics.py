@@ -7,29 +7,20 @@ from dataclasses import FrozenInstanceError, fields
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import special
-from scipy.optimize import brentq
 
-from hetdata import numerics, threshold
+from hetdata import numerics
 from hetdata.errors import (
-    BracketingError,
     ConvergenceError,
     EvaluationError,
     HetdataError,
     InvalidInputError,
-    SolverError,
 )
-from hetdata.model import default_params
 from hetdata.numerics import (
     GaussianSpec,
     hazard_rate,
     make_stream,
-    normal_cdf,
-    normal_pdf,
     portfolio_moment,
-    solve_bracketed,
 )
 
 mpmath.mp.dps = 50
@@ -67,38 +58,8 @@ class TestGaussianSpec:
 
 
 class TestNormalKernels:
-    def test_pdf_at_zero(self):
-        assert normal_pdf(0.0, STD) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
-                                                     abs=1e-15)
-
-    def test_pdf_mode_value(self):
-        for mean, var in [(0.3, 2.0), (-1.0, 0.25)]:
-            spec = GaussianSpec(mean, var)
-            assert normal_pdf(mean, spec) == pytest.approx(
-                1.0 / math.sqrt(2 * math.pi * var), abs=1e-15
-            )
-
-    def test_pdf_oracle_value(self):
-        # exp(-1/2)/sqrt(2 pi) via arbitrary precision
-        assert normal_pdf(1.0, STD) == pytest.approx(mp_pdf(1.0), abs=1e-15)
-
-    def test_cdf_median_and_limit(self):
-        assert normal_cdf(0.0, STD) == 0.5
-        assert normal_cdf(40.0, STD) == 1.0
-
-    def test_cdf_against_erf_oracle(self):
-        for x in np.linspace(-6, 6, 41):
-            assert abs(normal_cdf(float(x), STD) - mp_cdf(float(x))) < 1e-12
-
-    def test_cdf_quantile_95(self):
-        assert normal_cdf(1.6449, STD) == pytest.approx(0.95, abs=1e-4)
-
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(InvalidInputError):
-                normal_pdf(bad, STD)
-            with pytest.raises(InvalidInputError):
-                normal_cdf(bad, STD)
             with pytest.raises(InvalidInputError):
                 numerics.log_normal_sf(bad, STD)
             with pytest.raises(InvalidInputError):
@@ -107,7 +68,7 @@ class TestNormalKernels:
     def test_overflowing_standardized_point_rejected(self):
         # finite x, but (x - mean) / std overflows to inf
         spec = GaussianSpec(-1e308, 1.0)
-        for kernel in (normal_cdf, numerics.log_normal_sf, hazard_rate):
+        for kernel in (numerics.log_normal_sf, hazard_rate):
             with pytest.raises(InvalidInputError):
                 kernel(1e308, spec)
 
@@ -116,13 +77,6 @@ class TestNormalKernels:
             GaussianSpec(0.0, 0.0)
         with pytest.raises(InvalidInputError):
             GaussianSpec(0.0, -1.0)
-
-    @given(st.floats(-20, 20), st.floats(-3, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_cdf_symmetry(self, x, mean):
-        spec = GaussianSpec(mean, 1.7)
-        assert normal_cdf(mean + x, spec) + normal_cdf(mean - x, spec) == \
-            pytest.approx(1.0, abs=1e-12)
 
 
 class TestHazard:
@@ -483,185 +437,6 @@ class TestMomentMatchesGenericQuadrature:
         assert {"value", "ConvergenceError", "EvaluationError",
                 "InvalidInputError"} <= set(kinds)
         assert kinds["value"] >= 200
-
-
-def solve(f, lo, hi, tol):
-    """solve_bracketed on [lo, hi] with the end values f(lo) and f(hi)."""
-    return solve_bracketed(f, lo, hi, f(lo), f(hi), tol)
-
-
-class TestSolveBracketed:
-    def test_linear(self):
-        assert solve(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == \
-            pytest.approx(1.0, abs=1e-12)
-
-    def test_sqrt2(self):
-        root = solve(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketingError) as err:
-            solve(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
-        assert err.value.f_lo == 2.0 and err.value.f_hi == 2.0
-
-    @given(st.floats(-3, 3), st.floats(0.1, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_root_stays_in_bracket(self, center, width):
-        lo, hi = center - width, center + width
-        root = solve(lambda x: math.tanh(x - center), lo, hi, 1e-10)
-        assert lo <= root <= hi
-
-    def test_each_end_evaluated_once(self):
-        calls = collections.Counter()
-
-        def f(x):
-            calls[x] += 1
-            return x * x - 2.0
-
-        # the caller evaluates each end once; the solver evaluates neither
-        solve_bracketed(f, 0.0, 2.0, f(0.0), f(2.0), 1e-12)
-        assert calls[0.0] == 1 and calls[2.0] == 1
-
-    def test_nan_raises_evaluation_error_naming_x(self):
-        with pytest.raises(EvaluationError, match=r"NaN at x=2\.0$"):
-            solve(lambda x: math.nan if x == 2.0 else x, -1.0, 2.0, 1e-12)
-        # NaN at the first iterate: the secant step from [0, 1] lands on 0.5
-        with pytest.raises(EvaluationError, match=r"NaN at x=0\.5$"):
-            solve(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
-                  0.0, 1.0, 1e-12)
-
-    def test_nan_end_value_raises_naming_the_end(self):
-        def f(x):
-            raise AssertionError(f"f evaluated at {x}")
-
-        with pytest.raises(EvaluationError, match=r"NaN at x=-1\.0$"):
-            solve_bracketed(f, -1.0, 2.0, math.nan, 1.0, 1e-12)
-        with pytest.raises(EvaluationError, match=r"NaN at x=2\.0$"):
-            solve_bracketed(f, -1.0, 2.0, -1.0, math.nan, 1e-12)
-
-    # a wide ability spread puts the root past the first upper end, so the
-    # upper end is expanded once
-    @pytest.mark.parametrize("overrides, expansions", [
-        ({}, 0),
-        ({"gamma": 1.0, "theta": 0.9, "sigma_idio": 0.8}, 0),
-        ({"sigma_mu": 12.0}, 1),
-        ({"sigma_mu": 15.0, "tau": 0.01}, 1),
-        ({"sigma_mu": 20.0, "gamma": 1.0, "theta": 0.9, "sigma_idio": 0.8}, 1),
-    ])
-    def test_solve_threshold_evaluates_each_end_once(self, monkeypatch,
-                                                     overrides, expansions):
-        params = default_params(**overrides)
-        evaluations, brackets = collections.Counter(), []
-        real_rhs, real_solve = threshold._rhs, threshold.solve_bracketed
-
-        def counting_rhs(*args):
-            F = real_rhs(*args)
-
-            def counted(mu):
-                evaluations[mu] += 1  # G(mu) = mu - F(mu) calls F once
-                return F(mu)
-            return counted
-
-        def recording(f, lo, hi, f_lo, f_hi, tol):
-            brackets.append((lo, hi))
-            return real_solve(f, lo, hi, f_lo, f_hi, tol)
-
-        monkeypatch.setattr(threshold, "_rhs", counting_rhs)
-        monkeypatch.setattr(threshold, "solve_bracketed", recording)
-        sol = threshold.solve_threshold.__wrapped__(params.tau, params)
-        (lo, hi), = brackets
-        assert lo < sol.mu_k < hi
-        assert evaluations[lo] == 1 and evaluations[hi] == 1
-        assert sol.iterations == expansions
-
-    def test_no_convergence_raises_solver_error(self):
-        # flat at its root, so secant steps crawl: 100 steps do not reach 1e-14
-        with pytest.raises(SolverError) as err:
-            solve(lambda x: x ** 9, -1.0, 2.0, 1e-14)
-        assert type(err.value) is SolverError
-        text = str(err.value)
-        for part in ("[-1.0, 2.0]", "tolerance 1e-14", "100 iterations",
-                     "last iterate x="):
-            assert part in text
-
-
-def _scipy_root(f, lo, hi, tol):
-    """What solve_bracketed returned when it called scipy's brentq."""
-    root = brentq(f, lo, hi, xtol=tol, rtol=8.0 * np.finfo(float).eps)
-    return float(min(max(root, lo), hi))
-
-
-class TestBrentMatchesScipy:
-    """The in-repo Brent gives scipy.optimize.brentq's root bit for bit."""
-
-    @staticmethod
-    def assert_same(f, lo, hi, tol):
-        try:
-            expected = _scipy_root(f, lo, hi, tol)
-        except RuntimeError:  # scipy's non-convergence
-            with pytest.raises(SolverError):
-                solve(f, lo, hi, tol)
-            return "unconverged"
-        assert solve(f, lo, hi, tol).hex() == expected.hex()
-        return "converged"
-
-    def test_real_problems_of_both_callers(self, monkeypatch):
-        # every bracket solve_threshold poses over a seeded random box of
-        # validated parameters, with the end values it hands over, which must
-        # be f's at the ends
-        problems = []
-
-        def recording(f, lo, hi, f_lo, f_hi, tol):
-            assert (f_lo.hex(), f_hi.hex()) == (f(lo).hex(), f(hi).hex())
-            problems.append((f, lo, hi, tol))
-            return numerics.solve_bracketed(f, lo, hi, f_lo, f_hi, tol)
-
-        monkeypatch.setattr(threshold, "solve_bracketed", recording)
-        rng = np.random.default_rng(20261018)
-        for _ in range(300):
-            gamma = 1.0 if rng.random() < 0.25 else float(rng.uniform(0.3, 10.0))
-            params = default_params(
-                gamma=gamma,
-                sigma_mu=float(rng.uniform(0.02, 3.0)),
-                sigma_idio=float(rng.uniform(0.02, 0.8)),
-                theta=float(rng.uniform(0.001, 0.999)),
-                tau=float(rng.uniform(1e-6, 1.0 - 1e-6)),
-                sigma_agg=float(rng.uniform(0.01, 0.8)),
-                D=float(rng.uniform(0.1, 5.0)),
-                mu_bar=float(rng.uniform(-2.0, 2.0)),
-                alpha=float(rng.uniform(0.0, 1.0)),
-                w=float(rng.uniform(0.0, 2.0)),
-                t_star=float(rng.uniform(1.01, 20.0)),
-                EK_target=float(rng.uniform(0.001, 1.0)),
-            )
-            try:
-                threshold.solve_threshold.__wrapped__(params.tau, params)
-            except HetdataError:
-                pass  # no root to compare
-        assert len(problems) >= 250
-        for problem in problems:
-            assert self.assert_same(*problem) == "converged"
-
-    # coarse tolerances too: there the -delta in the step-acceptance test binds
-    @pytest.mark.parametrize("tol", [0.3, 0.1, 1e-3, 1e-8, 1e-10, 1e-12, 1e-13,
-                                     1e-14])
-    def test_synthetic_functions(self, tol):
-        rng = np.random.default_rng(round(-10 * math.log10(tol)))
-        outcomes = collections.Counter()
-        for i in range(120):
-            c, a = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 10.0))
-            lo = c - float(rng.uniform(0.01, 5.0))
-            hi = c + float(rng.uniform(0.01, 5.0))
-            f = [lambda x: math.tanh(a * (x - c)),
-                 lambda x: a * (x - c) ** 3 + 1e-3 * (x - c),
-                 lambda x: math.expm1(a * (x - c)),
-                 lambda x: a * math.atan(x - c) - 1e-12,
-                 lambda x: (x - c) ** 9,  # flat: may not converge
-                 lambda x: -1.0 if x < c else 1.0][i % 6]
-            outcomes[self.assert_same(f, lo, hi, tol)] += 1
-        assert outcomes["converged"] >= 100
-        if tol <= 1e-12:  # both fail to converge on some flat-root cases
-            assert outcomes["unconverged"] >= 1
 
 
 class TestRandomStream:

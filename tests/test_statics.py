@@ -22,7 +22,7 @@ from hetdata.statics import (
     theorem1_report,
     threshold_sensitivity,
 )
-from hetdata.threshold import _moment_term, _rhs, solve_threshold
+from hetdata.threshold import _moment_term, log_ratio_and_slope, solve_threshold
 
 mpmath.mp.dps = 50
 
@@ -32,7 +32,7 @@ def F_threshold(tau, mu, params):
     from the solver's own parts."""
     logit = math.log(tau) - math.log1p(-tau)
     v = params.sigma_mu * params.sigma_mu
-    return _rhs(logit, v, _moment_term(params))(mu)
+    return logit + 0.5 * v - _moment_term(params) + log_ratio_and_slope(mu, v)[0]
 
 
 def mp_sf(x, mean=0.0, var=1.0):

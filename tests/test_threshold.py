@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -6,20 +7,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hetdata import threshold
 from hetdata.errors import (
     ConvergenceError,
     DegenerateInputError,
     HetdataError,
     InvalidInputError,
     NumericalRangeError,
+    SolverError,
 )
-from hetdata.model import default_params
+from hetdata.model import TAU_MAX, TAU_MIN, default_params
 from hetdata.numerics import GaussianSpec, make_stream
 from hetdata.statics import aggregate_output, output_ratio, threshold_sensitivity
 from hetdata.threshold import (
     _moment_term,
-    _rhs,
     ability_specs,
+    log_ratio_and_slope,
     provider_utility,
     solve_threshold,
     tail_expectation,
@@ -34,7 +37,7 @@ def F_threshold(tau, mu, params):
     from the solver's own parts."""
     logit = math.log(tau) - math.log1p(-tau)
     v = params.sigma_mu * params.sigma_mu
-    return _rhs(logit, v, _moment_term(params))(mu)
+    return logit + 0.5 * v - _moment_term(params) + log_ratio_and_slope(mu, v)[0]
 
 
 def mp_sf(x, mean=0.0, var=1.0):
@@ -182,7 +185,7 @@ class TestSolveThreshold:
     @settings(max_examples=200, deadline=None)
     def test_first_lower_end_lies_below_root(self, gamma, sigma_mu,
                                              sigma_idio, theta, tau):
-        # solve_threshold does not expand the lower end: G(lo) = lo - F(lo)
+        # solve_threshold never evaluates its lower end: G(lo) = lo - F(lo)
         # is below -20 there for every validated parameter set
         params = default_params(gamma=gamma, sigma_mu=sigma_mu,
                                 sigma_idio=sigma_idio, theta=theta, tau=tau)
@@ -192,7 +195,9 @@ class TestSolveThreshold:
             assume(False)
         logit = math.log(tau) - math.log1p(-tau)
         lo = min(logit, 0.0) - 6.0 * sigma_mu
-        assert _rhs(logit, sigma_mu * sigma_mu, moment)(lo) > lo + 20.0
+        v = sigma_mu * sigma_mu
+        F = logit + 0.5 * v - moment + log_ratio_and_slope(lo, v)[0]
+        assert F > lo + 20.0
 
     def test_symmetry_across_sigma_and_gamma(self):
         for sigma_mu in (0.25, 0.5, 1.0, 2.0):
@@ -202,6 +207,163 @@ class TestSolveThreshold:
                 )
                 sol = solve_threshold(0.5, params)
                 assert abs(sol.mu_k - 0.5 * sigma_mu ** 2) <= 1e-10
+
+
+def mp_threshold(tau, params, moment):
+    """Root of G(mu) = mu - F(tau, mu) by bisection at 40 digits, from the
+    float parameters and the float moment term (the quadrature is not the
+    solver's).  G(lo) < 0 at the solver's lower end, and G > mu - c > 0
+    above max(c, v/2), where the log tail ratio is at most 0."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(tau)
+        logit = mpmath.log(t / (1 - t))
+        v = mpmath.mpf(params.sigma_mu) ** 2
+        s = mpmath.sqrt(v)
+        c = logit + v / 2 - moment
+
+        def G(mu):
+            return (mu - c - mpmath.log(mpmath.ncdf((v - mu) / s))
+                    + mpmath.log(mpmath.ncdf(mu / s)))
+
+        lo, hi = min(logit, 0) - 6 * s, max(c, v / 2) + 1
+        assert G(lo) < 0 < G(hi)
+        while hi - lo > mpmath.mpf(10) ** -24 * (1 + abs(lo)):
+            mid = (lo + hi) / 2
+            if G(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def count_evaluations(monkeypatch):
+    """The points at which solve_threshold evaluates G, recorded through
+    the slope function it calls once per evaluation."""
+    points, real = [], threshold.log_ratio_and_slope
+
+    def counted(mu, v):
+        points.append(mu)
+        return real(mu, v)
+
+    monkeypatch.setattr(threshold, "log_ratio_and_slope", counted)
+    return points
+
+
+# every solve in the box below took at most 6 evaluations of G in 20,000
+# seeded sets (the first step is closed-form and evaluates nothing)
+MAX_EVALUATIONS = 6
+
+
+class TestNewtonSolve:
+    # ROADMAP item 12's census box, tau at the ends of its validated band,
+    # and sigma_mu up to 36, just short of the tail mean's overflow
+    @given(st.one_of(st.just(1.0), st.floats(0.3, 12.0)),
+           st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 36.0)),
+           st.floats(0.01, 3.0), st.floats(0.001, 0.999),
+           st.one_of(st.floats(0.01, 0.99), st.sampled_from([TAU_MIN, TAU_MAX])))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_mpmath_bisection(self, gamma, sigma_mu, sigma_idio,
+                                      theta, tau):
+        params = default_params(gamma=gamma, sigma_mu=sigma_mu,
+                                sigma_idio=sigma_idio, theta=theta, tau=tau)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            points = count_evaluations(monkeypatch)
+            try:
+                sol = solve_threshold.__wrapped__(tau, params)
+            except HetdataError:  # an unconverged moment or tail mean
+                assume(False)
+        assert len(points) == sol.iterations <= MAX_EVALUATIONS
+        moment = _moment_term(params)
+        exact = mp_threshold(tau, params, moment)
+        # the stopping step, plus a few eps of G's terms: G' >= 1, so an
+        # error in G moves the root by no more
+        v = sigma_mu * sigma_mu
+        logit = math.log(tau) - math.log1p(-tau)
+        log_tails = abs(mpmath.log(mpmath.ncdf((v - sol.mu_k) / sigma_mu))) \
+            + abs(mpmath.log(mpmath.ncdf(sol.mu_k / sigma_mu)))
+        terms = abs(sol.mu_k) + abs(logit) + 0.5 * v + abs(moment) + log_tails
+        eps = sys.float_info.epsilon
+        bound = 0.5 * (1e-13 + 8 * eps * abs(sol.mu_k)) + 4 * eps * terms
+        assert abs(sol.mu_k - exact) <= bound
+
+    # the cases that expanded the old bracket's upper end, and the default
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"gamma": 1.0, "theta": 0.9, "sigma_idio": 0.8},
+        {"sigma_mu": 12.0},
+        {"sigma_mu": 15.0, "tau": 0.01},
+        {"sigma_mu": 20.0, "gamma": 1.0, "theta": 0.9, "sigma_idio": 0.8},
+    ])
+    def test_evaluation_count(self, monkeypatch, overrides):
+        params = default_params(**overrides)
+        points = count_evaluations(monkeypatch)
+        sol = solve_threshold.__wrapped__(params.tau, params)
+        assert len(points) == sol.iterations <= MAX_EVALUATIONS
+        # the lower end is never evaluated, the last point is the root, and
+        # the residual is G there, not a further evaluation
+        logit = math.log(params.tau) - math.log1p(-params.tau)
+        lo = min(logit, 0.0) - 6.0 * params.sigma_mu
+        assert all(mu > lo for mu in points)
+        assert points[-1] == sol.mu_k
+        assert abs(sol.residual) <= 1e-13
+
+    def test_step_leaving_the_bracket_is_bisected(self, monkeypatch):
+        # a slope taken as 1 (dF/dmu as 0) overshoots the root; each point
+        # must still lie inside the bracket that the start point v/2 and the
+        # points before it make, and the solve still ends at the root
+        params = default_params(sigma_mu=0.5, tau=0.5)
+        points, real = [], threshold.log_ratio_and_slope
+
+        def flat(mu, v):
+            points.append(mu)
+            return real(mu, v)[0], 0.0
+
+        monkeypatch.setattr(threshold, "log_ratio_and_slope", flat)
+        sol = solve_threshold.__wrapped__(params.tau, params)
+        monkeypatch.undo()
+
+        def G(mu):
+            return mu - F_threshold(params.tau, mu, params)
+
+        lo, hi = -6.0 * params.sigma_mu, math.inf
+        bisected = 0
+        for mu in [0.5 * params.sigma_mu ** 2] + points:
+            assert lo < mu < hi
+            bisected += mu == 0.5 * (lo + hi)
+            lo, hi = (mu, hi) if G(mu) < 0.0 else (lo, mu)
+        assert bisected >= 1
+        assert abs(sol.mu_k - solve_threshold.__wrapped__(
+            params.tau, params).mu_k) <= 1e-13
+
+    def test_no_convergence_raises_solver_error(self, monkeypatch):
+        # a G that jumps by 2 across every point never takes a small step
+        def jumping(mu, v):
+            return (-1.0 if mu > 0.3 else 1.0), 0.0
+
+        monkeypatch.setattr(threshold, "log_ratio_and_slope", jumping)
+        params = default_params()
+        with pytest.raises(SolverError) as err:
+            solve_threshold.__wrapped__(0.5, params)
+        assert type(err.value) is SolverError
+        for part in ("tau=0.5", "60 steps", "last iterate mu=", "bracket ["):
+            assert part in str(err.value)
+
+    @pytest.mark.parametrize("sigma_mu", [0.05, 1.0, 3.0, 20.0])
+    def test_slope_matches_mpmath(self, sigma_mu):
+        v = sigma_mu * sigma_mu
+        with mpmath.workdps(40):
+            s = mpmath.sqrt(mpmath.mpf(v))
+
+            def log_ratio(mu):
+                return (mpmath.log(mpmath.ncdf((v - mu) / s))
+                        - mpmath.log(mpmath.ncdf(mu / s)))
+
+            for k in np.linspace(-8.0, 8.0, 33).tolist():
+                mu = 0.5 * v + k * sigma_mu
+                value, slope = log_ratio_and_slope(mu, v)
+                assert abs(value - log_ratio(mu)) <= 1e-13 * max(1.0, abs(value))
+                exact = mpmath.diff(log_ratio, mpmath.mpf(mu))
+                assert abs(slope - exact) <= 1e-12 * abs(exact)
 
 
 def _bits(sol):

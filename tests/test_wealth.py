@@ -256,6 +256,25 @@ class TestFLambda:
         with pytest.raises(NumericalRangeError):
             f_lambda(400.0, 2.0)
 
+    def test_value_below_exp_overflow_keeps_its_bits(self):
+        # lambda t = 704, past the old cap of 700
+        assert f_lambda(352.0, 2.0).hex() == (math.exp(704.0) / 352.0).hex()
+
+    def test_finite_quotient_past_exp_overflow(self):
+        # e^(lambda t) overflows above lambda t = 709.78; the quotient is
+        # e^704.13.  Rounding lambda t - log lambda costs half an ulp of 704,
+        # 5.7e-14 relative
+        expected = mpmath.exp(710) / 355
+        assert f_lambda(355.0, 2.0) == pytest.approx(float(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("lam, t", [
+        (358.0, 2.0),    # lambda t - log lambda = 710.1
+        (0.5, 1419.0),   # e^709.5 is finite, its quotient by 0.5 is not
+    ])
+    def test_overflowing_quotient_raises(self, lam, t):
+        with pytest.raises(NumericalRangeError, match="overflows"):
+            f_lambda(lam, t)
+
 
 class TestFMu:
     def test_exponential_factorization(self):

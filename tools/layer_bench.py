@@ -23,6 +23,12 @@ For each memoised layer it reports three per-call times, each the best of
   costs a fresh parameter set, the layers below included;
 * ``hit_us``: the same inputs again, a memo hit.
 
+``solve_threshold`` also gets ``g_evals_per_miss``, the mean number of
+evaluations of its G per miss over the cases, counted (untimed) through
+``threshold.log_ratio_and_slope``, which each evaluation calls once, or,
+in a checkout from before the Newton solve, the ``F`` that
+``threshold._rhs`` builds.
+
 ``_hermite_nodes`` stays warm throughout: it is built once per quadrature
 order, not per parameter set.  ``validate`` has no memo and gets one
 time, ``call_us``.  A layer that raises on any case stops the script.
@@ -149,6 +155,38 @@ def _array_calls(seed: int) -> dict:
     return calls
 
 
+def _g_evaluations(raw_cases: list) -> float:
+    """Mean evaluations of G per solve_threshold miss, every memo cold."""
+    count = 0
+    if hasattr(threshold, "log_ratio_and_slope"):
+        name, real = "log_ratio_and_slope", threshold.log_ratio_and_slope
+
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return real(*args)
+    else:  # a checkout from before the Newton solve: Brent on _rhs's F
+        name, real = "_rhs", threshold._rhs
+
+        def counted(*args):
+            F = real(*args)
+
+            def counted_F(mu):
+                nonlocal count
+                count += 1
+                return F(mu)
+            return counted_F
+    calls = _calls("threshold.solve_threshold", _fresh(raw_cases))
+    _clear(ALL_MEMOS)
+    setattr(threshold, name, counted)
+    try:
+        for call in calls:
+            call()
+    finally:
+        setattr(threshold, name, real)
+    return count / len(calls)
+
+
 def bench(seed: int, repeats: int) -> dict:
     """Best per-call times; each repeat passes over every layer in turn, so
     a slow spell of the machine costs every layer one sample, not one
@@ -183,8 +221,12 @@ def bench(seed: int, repeats: int) -> dict:
         threshold.solve_threshold(default.tau, default)
         for (layer, key), call in array_calls.items():
             times[layer][key].append(_pass_us([call]) / 1e3)
-    return {layer: {key: round(min(samples), 3) for key, samples in t.items()}
-            for layer, t in times.items()}
+    result = {layer: {key: round(min(samples), 3)
+                      for key, samples in t.items()}
+              for layer, t in times.items()}
+    result["threshold.solve_threshold"]["g_evals_per_miss"] = round(
+        _g_evaluations(raw_cases), 3)
+    return result
 
 
 def _source_hash() -> str:
