@@ -1,19 +1,21 @@
-"""Gaussian kernels, Gauss-Hermite quadrature, seeded streams.
+"""Gaussian kernels, Gauss-Hermite quadrature, root finding, seeded streams.
 
-Every other module builds on these three pieces:
+Every other module builds on these four pieces:
 
 * Gaussian kernels on the math module (erfcx, log_ndtr, ndtr) and the
-  log tail and hazard built on them, stable deep in either tail (no
+  pdf/cdf/log tail/hazard built on them, stable deep in either tail (no
   1-cdf cancellation),
 * Gauss-Hermite quadrature of the portfolio moment E[(θe^ε + 1-θ)^(1-γ)],
+* a bracketed root finder (safeguarded Newton) for increasing functions,
 * reproducible, independently-seeded random streams for Monte Carlo.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -23,9 +25,11 @@ from .errors import (
     EvaluationError,
     InvalidInputError,
     NumericalRangeError,
+    SolverError,
 )
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _LOG_HALF = math.log(0.5)
@@ -101,6 +105,17 @@ def _standardize(x: float, spec: GaussianSpec) -> float:
     if not math.isfinite(z):
         raise InvalidInputError(f"non-finite evaluation point {x}")
     return z
+
+
+def normal_pdf(x: float, spec: GaussianSpec) -> float:
+    """Density of N(mean, variance) at x."""
+    z = _standardize(x, spec)
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / spec.std
+
+
+def normal_cdf(x: float, spec: GaussianSpec) -> float:
+    """P(X <= x) for X ~ N(mean, variance)."""
+    return ndtr(_standardize(x, spec))
 
 
 def log_normal_sf(x: float, spec: GaussianSpec) -> float:
@@ -212,6 +227,55 @@ def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
             return refined
         value, order = refined, 2 * order
     raise ConvergenceError(theta, sigma1, gamma, order, change)
+
+
+# solve_bracketed stops once a Newton step is below half of the caller's
+# absolute tolerance plus 8 machine epsilons of the iterate (the tolerance
+# of scipy's brentq), and gives up after 60 steps
+_NEWTON_RTOL = 8.0 * sys.float_info.epsilon
+_NEWTON_MAXITER = 60
+
+
+def solve_bracketed(
+    fg: Callable[[float], Tuple[float, float]],
+    lo: float, hi: float, x: float, fx: float, slope: float, tol: float,
+) -> Tuple[float, float, int]:
+    """Root of an increasing f in (lo, hi), by safeguarded Newton from x.
+
+    fg(x) gives f(x) and its slope f'(x) > 0; the caller knows f(lo) < 0
+    <= f(hi), and gives x in (lo, hi) with fx = f(x) and slope = f'(x).
+    Neither end is evaluated, so hi may be inf.  Each iterate with f < 0
+    raises lo and each other one lowers hi; a Newton step that leaves
+    (lo, hi) is replaced by bisection.  Stops once a step is below
+    (tol + 8 eps |x|) / 2 and returns that iterate, f there and the number
+    of steps, with no further evaluation.  A NaN from fg raises
+    EvaluationError naming x; no stop in 60 steps raises SolverError.
+    """
+    if tol <= 0.0:
+        raise InvalidInputError(f"tol must be > 0, got {tol}")
+    if not lo < x < hi:
+        raise InvalidInputError(f"need lo < x < hi, got {lo}, {x}, {hi}")
+    steps = 0
+    while True:
+        step = fx / slope
+        if step != step:
+            raise EvaluationError(f"root finder: f or f' is NaN at x={x}")
+        if abs(step) <= 0.5 * (tol + _NEWTON_RTOL * abs(x)):
+            return x, fx, steps
+        if steps == _NEWTON_MAXITER:
+            raise SolverError(
+                f"root finder did not converge on [{lo}, {hi}] at tolerance "
+                f"{tol} in {_NEWTON_MAXITER} iterations: last iterate x={x}, "
+                f"f={fx}")
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        steps += 1
+        fx, slope = fg(x)
 
 
 def make_stream(master_seed: int, index: int) -> np.random.Generator:

@@ -15,19 +15,14 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import (DegenerateInputError, InvalidInputError,
-                     NumericalRangeError, SolverError)
+from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .model import TAU_MAX, TAU_MIN, ModelParams
-from .numerics import GaussianSpec, log_ndtr, log_normal_sf, portfolio_moment
+from .numerics import (GaussianSpec, log_ndtr, log_normal_sf, portfolio_moment,
+                       solve_bracketed)
 
-# solve_threshold stops once a Newton step is below half of 1e-13 plus 8
-# machine epsilons of the iterate (the tolerance of scipy's brentq)
-_ROOT_TOL = 1e-13
-_ROOT_RTOL = 8.0 * sys.float_info.epsilon
-_MAX_STEPS = 60
+_ROOT_TOL = 1e-13  # absolute tolerance of the threshold solve
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -124,14 +119,12 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     """Unique root of G(mu) = mu - F(tau, mu), by safeguarded Newton.
 
     F = c + log ratio, with c = logit(tau) + v/2 - moment term, so G' =
-    1 - dF/dmu >= 1: G is strictly increasing from -inf to +inf.  The
-    first step is closed-form, from mu = v/2, where both log tails are
-    log Phi(sigma_mu/2), so the log ratio is exactly 0 and G = v/2 - c.
-    Each iterate with G < 0 raises the lower end of a bracket and each
-    with G >= 0 lowers its upper end; a Newton step that leaves the
-    bracket is replaced by bisection.  Stops when the step is below
-    (1e-13 + 8 eps |mu|) / 2, returning the iterate and its G; raises
-    SolverError after 60 steps.
+    1 - dF/dmu >= 1: G is strictly increasing from -inf to +inf, and
+    numerics.solve_bracketed finds its root to 1e-13 plus 8 eps |mu|.  The
+    start is mu = v/2, where both log tails are log Phi(sigma_mu/2), so the
+    log ratio is exactly 0 and G = v/2 - c: its first step is closed-form.
+    The residual is G at the returned iterate; iterations counts the
+    Newton (or bisection) steps.
     """
     _check_tau(tau)
     moment = _moment_term(params)
@@ -141,35 +134,18 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     logit = math.log(tau) - math.log1p(-tau)
     c = logit + 0.5 * v - moment
 
+    def G(mu):
+        log_ratio, dF_dmu = log_ratio_and_slope(mu, v)
+        return mu - (c + log_ratio), 1.0 - dF_dmu
+
     # G(lo) < -20, so lo needs no evaluation: at lo the log tail ratio is at
     # least log(1/2) - log Phi(-6), about 20, and the moment term at most 0
     # (Jensen: E[theta e^eps + 1 - theta] = 1).
-    lo, hi = min(logit, 0.0) - 6.0 * params.sigma_mu, math.inf
-    mu = 0.5 * v
+    lo = min(logit, 0.0) - 6.0 * params.sigma_mu
     z = 0.5 * v / s  # z_lo at v/2, and -z_hi: h_hi = r_lo there
-    g = mu - c
     slope = 1.0 + 2.0 * math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z)) / s
-    steps = 0
-    while True:
-        step = g / slope
-        if abs(step) <= 0.5 * (_ROOT_TOL + _ROOT_RTOL * abs(mu)):
-            break
-        if steps == _MAX_STEPS:
-            raise SolverError(
-                f"threshold solve did not converge for tau={tau} in "
-                f"{_MAX_STEPS} steps: last iterate mu={mu}, G={g}, "
-                f"bracket [{lo}, {hi}]")
-        if g < 0.0:
-            lo = mu
-        else:
-            hi = mu
-        mu -= step
-        if not lo < mu < hi:
-            mu = 0.5 * (lo + hi)
-        steps += 1
-        log_ratio, dF_dmu = log_ratio_and_slope(mu, v)
-        g = mu - (c + log_ratio)
-        slope = 1.0 - dF_dmu
+    mu, g, steps = solve_bracketed(G, lo, math.inf, 0.5 * v, 0.5 * v - c, slope,
+                                   _ROOT_TOL)
 
     K = mu + params.mu_bar
     m = math.exp(log_normal_sf(mu, spec_lo))

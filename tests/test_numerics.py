@@ -7,20 +7,27 @@ from dataclasses import FrozenInstanceError, fields
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
-from hetdata import numerics
+from hetdata import numerics, threshold
 from hetdata.errors import (
     ConvergenceError,
     EvaluationError,
     HetdataError,
     InvalidInputError,
+    SolverError,
 )
+from hetdata.model import default_params
 from hetdata.numerics import (
     GaussianSpec,
     hazard_rate,
     make_stream,
+    normal_cdf,
+    normal_pdf,
     portfolio_moment,
+    solve_bracketed,
 )
 
 mpmath.mp.dps = 50
@@ -58,8 +65,38 @@ class TestGaussianSpec:
 
 
 class TestNormalKernels:
+    def test_pdf_at_zero(self):
+        assert normal_pdf(0.0, STD) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
+                                                     abs=1e-15)
+
+    def test_pdf_mode_value(self):
+        for mean, var in [(0.3, 2.0), (-1.0, 0.25)]:
+            spec = GaussianSpec(mean, var)
+            assert normal_pdf(mean, spec) == pytest.approx(
+                1.0 / math.sqrt(2 * math.pi * var), abs=1e-15
+            )
+
+    def test_pdf_oracle_value(self):
+        # exp(-1/2)/sqrt(2 pi) via arbitrary precision
+        assert normal_pdf(1.0, STD) == pytest.approx(mp_pdf(1.0), abs=1e-15)
+
+    def test_cdf_median_and_limit(self):
+        assert normal_cdf(0.0, STD) == 0.5
+        assert normal_cdf(40.0, STD) == 1.0
+
+    def test_cdf_against_erf_oracle(self):
+        for x in np.linspace(-6, 6, 41):
+            assert abs(normal_cdf(float(x), STD) - mp_cdf(float(x))) < 1e-12
+
+    def test_cdf_quantile_95(self):
+        assert normal_cdf(1.6449, STD) == pytest.approx(0.95, abs=1e-4)
+
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError):
+                normal_pdf(bad, STD)
+            with pytest.raises(InvalidInputError):
+                normal_cdf(bad, STD)
             with pytest.raises(InvalidInputError):
                 numerics.log_normal_sf(bad, STD)
             with pytest.raises(InvalidInputError):
@@ -68,7 +105,7 @@ class TestNormalKernels:
     def test_overflowing_standardized_point_rejected(self):
         # finite x, but (x - mean) / std overflows to inf
         spec = GaussianSpec(-1e308, 1.0)
-        for kernel in (numerics.log_normal_sf, hazard_rate):
+        for kernel in (normal_cdf, numerics.log_normal_sf, hazard_rate):
             with pytest.raises(InvalidInputError):
                 kernel(1e308, spec)
 
@@ -77,6 +114,13 @@ class TestNormalKernels:
             GaussianSpec(0.0, 0.0)
         with pytest.raises(InvalidInputError):
             GaussianSpec(0.0, -1.0)
+
+    @given(st.floats(-20, 20), st.floats(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_cdf_symmetry(self, x, mean):
+        spec = GaussianSpec(mean, 1.7)
+        assert normal_cdf(mean + x, spec) + normal_cdf(mean - x, spec) == \
+            pytest.approx(1.0, abs=1e-12)
 
 
 class TestHazard:
@@ -437,6 +481,114 @@ class TestMomentMatchesGenericQuadrature:
         assert {"value", "ConvergenceError", "EvaluationError",
                 "InvalidInputError"} <= set(kinds)
         assert kinds["value"] >= 200
+
+
+def solve(f, df, lo, hi, tol):
+    """solve_bracketed on (lo, hi) from the midpoint, where the caller
+    evaluates f and f' once; returns the root."""
+    x = 0.5 * (lo + hi)
+    root, _, _ = solve_bracketed(lambda t: (f(t), df(t)), lo, hi,
+                                 x, f(x), df(x), tol)
+    return root
+
+
+class TestSolveBracketed:
+    def test_linear(self):
+        assert solve(lambda x: x - 1.0, lambda x: 1.0, 0.0, 3.0, 1e-12) == \
+            pytest.approx(1.0, abs=1e-12)
+
+    def test_sqrt2(self):
+        root = solve(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0, 1e-12)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    # tanh is flat away from its root, so Newton steps from the start
+    # overshoot the bracket and bisection must take over
+    @given(st.floats(-3, 3), st.floats(0.1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_root_stays_in_bracket(self, center, width):
+        lo, hi = center - width, center + 3.0 * width
+        points = []
+
+        def f(x):
+            points.append(x)
+            return math.tanh(x - center)
+
+        root = solve(f, lambda x: 1.0 / math.cosh(x - center) ** 2,
+                     lo, hi, 1e-10)
+        assert all(lo < x < hi for x in points)
+        assert lo < root < hi
+        assert root == pytest.approx(center, abs=1e-9)
+
+    def test_nan_raises_evaluation_error_naming_x(self):
+        # NaN at the start (the midpoint 1.0), in f and in f'
+        with pytest.raises(EvaluationError, match=r"NaN at x=1\.0$"):
+            solve(lambda x: math.nan if x == 1.0 else x, lambda x: 1.0,
+                  0.0, 2.0, 1e-12)
+        with pytest.raises(EvaluationError, match=r"NaN at x=1\.0$"):
+            solve(lambda x: x - 0.5, lambda x: math.nan, 0.0, 2.0, 1e-12)
+        # NaN at the first iterate: the Newton step from 1.0 lands on 0.5
+        with pytest.raises(EvaluationError, match=r"NaN at x=0\.5$"):
+            solve(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
+                  lambda x: 1.0, 0.0, 2.0, 1e-12)
+
+    # the default, a log-utility set, and three wide ability spreads, whose
+    # roots lie deep in the tails (a user measure below 1e-9)
+    @pytest.mark.parametrize("overrides, deep", [
+        ({}, 0),
+        ({"gamma": 1.0, "theta": 0.9, "sigma_idio": 0.8}, 0),
+        ({"sigma_mu": 12.0}, 1),
+        ({"sigma_mu": 15.0, "tau": 0.01}, 1),
+        ({"sigma_mu": 20.0, "gamma": 1.0, "theta": 0.9, "sigma_idio": 0.8}, 1),
+    ])
+    def test_solve_threshold_evaluates_each_end_once(self, monkeypatch,
+                                                     overrides, deep):
+        params = default_params(**overrides)
+        evaluations, brackets = collections.Counter(), []
+        real_slope, real_solve = (threshold.log_ratio_and_slope,
+                                  threshold.solve_bracketed)
+
+        def counting_slope(mu, v):
+            evaluations[mu] += 1  # G calls it once per evaluation
+            return real_slope(mu, v)
+
+        def recording(fg, lo, hi, x, fx, slope, tol):
+            brackets.append((lo, hi, x))
+            return real_solve(fg, lo, hi, x, fx, slope, tol)
+
+        monkeypatch.setattr(threshold, "log_ratio_and_slope", counting_slope)
+        monkeypatch.setattr(threshold, "solve_bracketed", recording)
+        sol = threshold.solve_threshold.__wrapped__(params.tau, params)
+        (lo, hi, start), = brackets
+        assert lo < sol.mu_k < hi == math.inf
+        # the proven lower end and the closed-form start are never evaluated;
+        # every upper end is an iterate, evaluated once, as is every other
+        # point; the residual is G at the last one, not a further evaluation
+        assert evaluations[lo] == 0 and evaluations[start] == 0
+        assert set(evaluations.values()) == {1}
+        # at most 6 evaluations, as test_threshold's mpmath check bounds them
+        assert sum(evaluations.values()) == sol.iterations <= 6
+        assert list(evaluations)[-1] == sol.mu_k
+        assert abs(sol.residual) <= 1e-13
+        assert (sol.m < 1e-9) == bool(deep)
+
+    def test_no_convergence_raises_solver_error(self):
+        # flat at its root, so Newton steps shrink by 8/9 each: 60 steps do
+        # not reach 1e-14
+        with pytest.raises(SolverError) as err:
+            solve(lambda x: x ** 9, lambda x: 9.0 * x ** 8, -1.0, 2.0, 1e-14)
+        assert type(err.value) is SolverError
+        text = str(err.value)
+        for part in ("[-1.0, ", "tolerance 1e-14", "60 iterations",
+                     "last iterate x="):
+            assert part in text
+
+    def test_bad_arguments_rejected(self):
+        fg = lambda x: (x, 1.0)  # noqa: E731
+        with pytest.raises(InvalidInputError):
+            solve_bracketed(fg, -1.0, 1.0, 0.5, 0.5, 1.0, 0.0)
+        for x in (-1.0, 1.0, 2.0, math.nan):
+            with pytest.raises(InvalidInputError):
+                solve_bracketed(fg, -1.0, 1.0, x, x, 1.0, 1e-12)
 
 
 class TestRandomStream:
