@@ -16,6 +16,7 @@ from hetdata.mc import (
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
 from hetdata.statics import aggregate_output
+from hetdata.threshold import solve_threshold
 
 
 class TestDrawPopulation:
@@ -30,7 +31,25 @@ class TestDrawPopulation:
 
     def test_single_agent(self):
         sample = draw_population(1, default_params(), make_stream(2, 1))
-        assert len(sample.abilities) == len(sample.idio_shocks) == len(sample.roles) == 1
+        assert len(sample.abilities) == len(sample.roles) == 1
+        assert len(sample.user_shocks) == int(sample.roles[0])
+
+    # (5, 2) draws no user, so the aggregate shock follows the abilities
+    @pytest.mark.parametrize("seed, n", [(1, 1000), (42, 4097), (7, 3),
+                                         (5, 2)])
+    def test_user_shocks_follow_the_abilities(self, seed, n):
+        params = default_params(sigma_mu=0.5, mu_bar=0.3, sigma_idio=0.8)
+        sample = draw_population(n, params, make_stream(seed, 9))
+        k = int(np.count_nonzero(sample.roles))
+        z = make_stream(seed, 9).standard_normal(n + k + 1)
+        ability, idio, agg = (params.ability_spec, params.idio_shock_spec,
+                              params.agg_shock_spec)
+        assert sample.abilities.tobytes() == (
+            ability.mean + ability.std * z[:n]).tobytes()
+        assert sample.user_shocks.tobytes() == (
+            idio.mean + idio.std * z[n:n + k]).tobytes()
+        assert sample.agg_shock == agg.mean + agg.std * z[n + k]
+        assert (k == 0) == (seed == 5)
 
     def test_roles_consistent_with_threshold(self):
         sample = draw_population(10_000, default_params(), make_stream(2, 2))
@@ -108,19 +127,28 @@ class TestInPlacePasses:
 
     @staticmethod
     def _reference_draw(n, params, stream):
+        """Abilities, roles, then one shock per user, then the aggregate."""
         ability, idio_spec, agg_spec = (
             params.ability_spec, params.idio_shock_spec, params.agg_shock_spec
         )
         abilities = ability.mean + ability.std * stream.standard_normal(n)
-        idio = idio_spec.mean + idio_spec.std * stream.standard_normal(n)
+        users = abilities > solve_threshold(params.tau, params).K
+        shocks = idio_spec.mean + idio_spec.std * stream.standard_normal(
+            int(np.sum(users)))
         agg = float((agg_spec.mean + agg_spec.std * stream.standard_normal(1))[0])
-        return abilities, idio, agg
+        return abilities, users, shocks, agg
 
     @staticmethod
-    def _reference_lln(abilities, idio, agg, users, sol, params):
-        terms = np.where(users, np.exp(abilities + idio), 0.0)
-        observed = float(np.mean(terms))
-        se = float(np.std(terms, ddof=1) / math.sqrt(len(terms)))
+    def _reference_mean_se(terms, n):
+        """The users' terms with n - len(terms) zeros for the providers."""
+        mean = np.sum(terms) / n
+        squares = np.sum((terms - mean) ** 2) + (n - len(terms)) * mean ** 2
+        return float(mean), float(np.sqrt(squares / (n - 1)) / math.sqrt(n))
+
+    @classmethod
+    def _reference_lln(cls, abilities, users, shocks, agg, sol, params):
+        observed, se = cls._reference_mean_se(
+            np.exp(abilities[users] + shocks), len(abilities))
         scale = params.D * math.exp(agg)
         return [
             ("lln_user_aggregate", sol.m * sol.tail_mean, observed, se),
@@ -138,15 +166,16 @@ class TestInPlacePasses:
     @pytest.mark.parametrize("params, seed, n", CASES)
     def test_bitwise_equal_to_array_expressions(self, params, seed, n):
         sample = draw_population(n, params, make_stream(seed, 1))
-        abilities, idio, agg = self._reference_draw(n, params, make_stream(seed, 1))
+        abilities, users, shocks, agg = self._reference_draw(
+            n, params, make_stream(seed, 1))
         assert sample.abilities.tobytes() == abilities.tobytes()
-        assert sample.idio_shocks.tobytes() == idio.tobytes()
+        assert sample.roles.tobytes() == users.tobytes()
+        assert sample.user_shocks.tobytes() == shocks.tobytes()
         assert sample.agg_shock.hex() == agg.hex()
-        users = sample.roles
         if np.any(users):
             got = [(r.statistic, r.expected, r.observed, r.se)
                    for r in lln_check(sample, params)]
-            want = self._reference_lln(abilities, idio, agg, users,
+            want = self._reference_lln(abilities, users, shocks, agg,
                                        sample.threshold, params)
             assert _hex_rows(got) == _hex_rows(want)
         else:
@@ -159,13 +188,54 @@ class TestInPlacePasses:
     def test_inputs_left_untouched(self):
         params = default_params()
         sample = draw_population(1000, params, make_stream(5, 1))
-        before = [sample.abilities.copy(), sample.idio_shocks.copy(),
+        before = [sample.abilities.copy(), sample.user_shocks.copy(),
                   sample.roles.copy()]
         lln_check(sample, params)
         market_clearing_check(sample, params)
-        for old, new in zip(before, [sample.abilities, sample.idio_shocks,
+        for old, new in zip(before, [sample.abilities, sample.user_shocks,
                                      sample.roles]):
             assert old.tobytes() == new.tobytes()
+
+
+class TestLlnStatistics:
+    """The users-only reduction against the zero-filled n-element array."""
+
+    PARAMS = TestInPlacePasses.PARAMS + [
+        default_params(sigma_mu=1.5, sigma_idio=0.1, tau=0.8, D=2.0)]
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("n", [2, 50, 1000, 100_000])
+    def test_matches_numpy_on_zero_filled_terms(self, params, n):
+        # the sums run over the users alone, so the bits may differ from
+        # numpy's n-element ones by rounding
+        checked = 0
+        for seed in range(20):
+            sample = draw_population(n, params, make_stream(seed, 4))
+            if not np.any(sample.roles):
+                continue
+            terms = np.zeros(n)
+            terms[sample.roles] = np.exp(sample.abilities[sample.roles]
+                                         + sample.user_shocks)
+            report = lln_check(sample, params)[0]
+            assert report.observed == pytest.approx(np.mean(terms), rel=1e-14)
+            assert report.se == pytest.approx(
+                np.std(terms, ddof=1) / math.sqrt(n), rel=1e-14)
+            checked += 1
+        assert checked
+
+    def test_three_se_coverage(self):
+        # lognormal terms skew z at n = 10^4: 10,000 draws on another stream
+        # missed 3 SE at a rate of 0.41% (1.6 of 400 expected; more than 7
+        # has chance under 0.1%) with sd(z) = 1.01
+        params = default_params()
+        z = []
+        for seed in range(400):
+            sample = draw_population(10_000, params, make_stream(seed, 5))
+            report = lln_check(sample, params)[0]
+            z.append((report.observed - report.expected) / report.se)
+        z = np.array(z)
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 7
+        assert 0.85 < np.std(z, ddof=1) < 1.15
 
 
 class TestConsumptionConvergence:
@@ -212,10 +282,10 @@ class TestConsumptionBitwise:
     def _reference(params, sizes, stream):
         theta, rows = params.theta, []
         for n in sizes:
-            sample = draw_population(n, params, stream)
-            users = sample.roles
-            mu, eps_i = sample.abilities[users], sample.idio_shocks[users]
-            scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
+            abilities, users, eps_i, agg = TestInPlacePasses._reference_draw(
+                n, params, stream)
+            mu = abilities[users]
+            scale = params.D * math.exp(agg) * (1.0 - params.tau)
             own = theta * scale * np.exp(mu + eps_i)
             pool_ratio = float(np.sum(np.exp(mu + eps_i)) / np.sum(np.exp(mu)))
             built = own + (1.0 - theta) * scale * np.exp(mu) * pool_ratio
@@ -225,17 +295,16 @@ class TestConsumptionBitwise:
                 np.std(pool_terms, ddof=1) / math.sqrt(len(pool_terms)))
             rows.append((f"consumption_gap_n{n}", 0.0,
                          float(np.mean(built - closed)), se))
-        shock = math.exp(sample.agg_shock)
-        user_output = params.D * shock * np.exp(
-            sample.abilities + sample.idio_shocks) * sample.roles
-        m_hat = float(np.mean(sample.roles))
-        sol = sample.threshold
+        # the users' output, 0 for each provider, at the largest size
+        scale = params.tau * params.D * math.exp(agg)
+        mean, se = TestInPlacePasses._reference_mean_se(np.exp(mu + eps_i), n)
+        m_hat = float(np.mean(users))
+        sol = solve_threshold(params.tau, params)
         rows.append((
             "provider_consumption",
-            params.tau * params.D * shock * sol.m * sol.tail_mean / (1.0 - sol.m),
-            params.tau * float(np.mean(user_output)) / (1.0 - m_hat),
-            params.tau * float(np.std(user_output, ddof=1)) / math.sqrt(n)
-            / (1.0 - m_hat),
+            scale * sol.m * sol.tail_mean / (1.0 - sol.m),
+            scale * mean / (1.0 - m_hat),
+            scale * se / (1.0 - m_hat),
         ))
         return rows
 

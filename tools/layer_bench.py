@@ -4,11 +4,12 @@ Times ``numerics.portfolio_moment``, ``threshold.solve_threshold``,
 ``statics.threshold_sensitivity``, ``wealth.solve_lambda`` and
 ``model.validate`` over a fixed, seeded set of parameter sets drawn from
 the box of perfbench's ``param_scan`` workload (a quarter at gamma = 1),
-and the two array layers ``mc.draw_population`` and
-``wealth.mc_expected_capital`` at verify's sizes, and adds the result,
-under ``--label``, to the JSON file ``--out``.  A
-label already there for the same source and seed keeps, for each time,
-the best of both runs, so that runs of two checkouts can be alternated:
+and the array layers ``mc.draw_population``, ``mc.lln_check``,
+``mc.market_clearing_check`` and ``wealth.mc_expected_capital`` at
+verify's sizes, and adds the result, under ``--label``, to the JSON file
+``--out``.  A label already there for the same source and seed keeps,
+for each time, the best of both runs, so that runs of two checkouts can
+be alternated:
 
     PYTHONPATH=src python tools/layer_bench.py --label change --out BENCH.json
     PYTHONPATH=/path/to/other/checkout/src python tools/layer_bench.py \
@@ -35,10 +36,11 @@ time, ``call_us``.  A layer that raises on any case stops the script.
 
 The array layers get one time per call, in milliseconds, also the best of
 ``--repeats``: ``mc.draw_population`` draws 10^6 agents at default
-parameters (``call_ms``; its threshold solve is a memo hit), and
-``wealth.mc_expected_capital`` simulates 10^5 paths of each of verify's
-three ``jump_diffusion_mean`` cases with its memo cleared (one
-``<case>_ms`` each).
+parameters (``call_ms``; its threshold solve is a memo hit),
+``mc.lln_check`` and ``mc.market_clearing_check`` check one such sample,
+drawn once (``call_ms`` each), and ``wealth.mc_expected_capital``
+simulates 10^5 paths of each of verify's three ``jump_diffusion_mean``
+cases with its memo cleared (one ``<case>_ms`` each).
 """
 from __future__ import annotations
 
@@ -141,9 +143,13 @@ def _fresh(raw_cases: list) -> list:
 def _array_calls(seed: int) -> dict:
     """(layer, key): one zero-argument call of an array layer."""
     params = model.default_params()
+    sample = mc.draw_population(POPULATION, params, numerics.make_stream(seed, 1))
     calls = {("mc.draw_population", "call_ms"):
              lambda: mc.draw_population(POPULATION, params,
-                                        numerics.make_stream(seed, 1))}
+                                        numerics.make_stream(seed, 1)),
+             ("mc.lln_check", "call_ms"): lambda: mc.lln_check(sample, params),
+             ("mc.market_clearing_check", "call_ms"):
+             lambda: mc.market_clearing_check(sample, params)}
     for name, overrides in MC_CASES.items():
         case = model.default_params(**overrides)
 
