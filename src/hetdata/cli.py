@@ -176,17 +176,23 @@ def load_config(argv: List[str]) -> RunConfig:
         if lambda_grid is not None and lambda_grid[0] < 1.0:
             raise ConfigError(f"--lambda-grid points must be >= 1 for "
                               f"{args.command}, got {lambda_grid[0]}")
-        for lam in lambda_grid or [wealth.LAMBDA_DEFAULT]:
+        # the one judged sample, at LAMBDA_DEFAULT, against both bounds; the
+        # rows rescale it by E K_t*(lambda) / E K_t*(LAMBDA_DEFAULT), whose
+        # log falls with lambda (slope 1/lambda - t* < 0, as t* > 1), so the
+        # upper bound at the grid's first point keeps every row finite
+        bounds = [(wealth.LAMBDA_DEFAULT, _MIN_JUDGED_CAPITAL)]
+        bounds += [(lambda_grid[0], 0.0)] if lambda_grid else []
+        for lam, low in bounds:
             try:
                 closed = wealth.expected_capital(params, params.t_star, lam)
             except NumericalRangeError:
                 closed = math.inf
-            if not _MIN_JUDGED_CAPITAL <= closed <= _MAX_JUDGED_CAPITAL:
+            if not low <= closed <= _MAX_JUDGED_CAPITAL:
                 raise ConfigError(
                     f"lambda {lam} for {args.command}: E K_t* = {closed} is "
-                    f"outside [{_MIN_JUDGED_CAPITAL:.3g}, "
-                    f"{_MAX_JUDGED_CAPITAL:.3g}], where the squared Monte "
-                    f"Carlo paths underflow or overflow")
+                    f"outside [{low:.3g}, {_MAX_JUDGED_CAPITAL:.3g}], where "
+                    f"the squared Monte Carlo paths, or the rows that "
+                    f"rescale them, underflow or overflow")
     if lambda_grid is not None and "figure1" in stages:
         try:
             wealth.f_lambda(lambda_grid[0], params.t_star)
@@ -259,18 +265,20 @@ def _run_statics(config: RunConfig) -> int:
 
 
 def _run_wealth(config: RunConfig) -> int:
-    params = config.params
-    lams = config.lambda_grid or [wealth.LAMBDA_DEFAULT]
+    params, t = config.params, config.params.t_star
+    # lambda moves a path only through its deterministic term, and every
+    # draw comes from streams keyed by the seed alone: so each row is the
+    # one sample drawn and judged at LAMBDA_DEFAULT, times the ratio of the
+    # closed forms (exactly 1.0 there), and carries that sample's verdict
+    case = verify.mc_mean_case(params, config.seed, config.n_paths)
     rows = []
-    for lam in lams:
-        case = verify.mc_mean_case(
-            params, lam, params.t_star, config.seed, config.n_paths
-        )
-        rows.append((lam, params.t_star, case["closed_form"], case["estimate"],
-                     case["se"], case["pass"]))
+    for lam in config.lambda_grid or [wealth.LAMBDA_DEFAULT]:
+        c = wealth.expected_capital(params, t, lam) / case["closed_form"]
+        rows.append((lam, t, case["closed_form"] * c, case["estimate"] * c,
+                     case["se"] * c, case["pass"]))
     _write_csv(config.output_dir / "wealth.csv",
                ("lambda,t,closed_form,mc_estimate,mc_se,pass", rows))
-    return EXIT_OK if all(row[-1] for row in rows) else EXIT_VERIFY_FAIL
+    return EXIT_OK if case["pass"] else EXIT_VERIFY_FAIL
 
 
 def _run_figure1(config: RunConfig) -> int:

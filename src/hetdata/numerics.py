@@ -2,9 +2,9 @@
 
 Every other module builds on these four pieces:
 
-* Gaussian kernels on the math module (erfcx, log_ndtr, ndtr) and the
-  pdf/cdf/log tail/hazard built on them, stable deep in either tail (no
-  1-cdf cancellation),
+* Gaussian kernels on the math module (erfcx, log_ndtr) and the log tail
+  and hazard built on them, stable deep in either tail (no 1-cdf
+  cancellation),
 * Gauss-Hermite quadrature of the portfolio moment E[(θe^ε + 1-θ)^(1-γ)],
 * a bracketed root finder (safeguarded Newton) for increasing functions,
 * reproducible, independently-seeded random streams for Monte Carlo.
@@ -29,7 +29,6 @@ from .errors import (
 )
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _LOG_HALF = math.log(0.5)
@@ -93,11 +92,6 @@ def log_ndtr(z: float) -> float:
     return math.log(erfcx(t)) - t * t + _LOG_HALF
 
 
-def ndtr(z: float) -> float:
-    """Phi(z), the standard normal CDF, at a float."""
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
 def _standardize(x: float, spec: GaussianSpec) -> float:
     """(x - mean) / std; a point that is not finite, or whose standardized
     value is not, raises."""
@@ -105,17 +99,6 @@ def _standardize(x: float, spec: GaussianSpec) -> float:
     if not math.isfinite(z):
         raise InvalidInputError(f"non-finite evaluation point {x}")
     return z
-
-
-def normal_pdf(x: float, spec: GaussianSpec) -> float:
-    """Density of N(mean, variance) at x."""
-    z = _standardize(x, spec)
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / spec.std
-
-
-def normal_cdf(x: float, spec: GaussianSpec) -> float:
-    """P(X <= x) for X ~ N(mean, variance)."""
-    return ndtr(_standardize(x, spec))
 
 
 def log_normal_sf(x: float, spec: GaussianSpec) -> float:

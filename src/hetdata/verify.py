@@ -166,9 +166,10 @@ def check_lln_and_clearing(seed: int, population: int) -> CheckResult:
     )
 
 
-def mc_mean_case(params: ModelParams, lam: float, t: float, seed: int,
-                 n_paths: int) -> dict:
-    """Closed-form E K_t vs its Monte Carlo estimate under the 3-SE rule."""
+def mc_mean_case(params: ModelParams, seed: int, n_paths: int) -> dict:
+    """Closed-form E K_t* vs its Monte Carlo estimate under the 3-SE rule,
+    at lambda = wealth.LAMBDA_DEFAULT."""
+    lam, t = wealth.LAMBDA_DEFAULT, params.t_star
     closed = wealth.expected_capital(params, t, lam)
     est, se = wealth.mc_expected_capital(params, lam, t, n_paths, seed)
     return {
@@ -189,8 +190,7 @@ def check_jump_diffusion_mean(seed: int, n_paths: int) -> CheckResult:
     detail = {}
     ok = True
     for name, params in cases.items():
-        result = mc_mean_case(params, wealth.LAMBDA_DEFAULT, params.t_star,
-                              seed, n_paths)
+        result = mc_mean_case(params, seed, n_paths)
         detail[name] = result
         ok &= result["pass"]
     return CheckResult("jump_diffusion_mean", ok, detail)

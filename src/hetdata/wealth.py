@@ -30,8 +30,10 @@ from .numerics import make_stream
 
 _LOG_2 = math.log(2.0)
 _MC_BATCH = 16384     # paths per stream; fixed so results are seed-reproducible
-# the friction coefficient of the wealth stage's Monte Carlo check, and of
-# verify's jump_diffusion_mean cases, when no grid is given
+# the friction coefficient of verify's jump_diffusion_mean cases and of the
+# one Monte Carlo sample the wealth stage draws and judges, which its grid
+# rows rescale; the CLI holds E K_t* to both bounds here, and to the upper
+# one at a grid's first point
 LAMBDA_DEFAULT = 1.5
 
 
@@ -53,10 +55,10 @@ def _mean_rate(params: ModelParams, lam: float) -> float:
 
 def expected_capital(params: ModelParams, t: float, lam: float) -> float:
     """Closed-form E K_t.  Raises NumericalRangeError where it overflows."""
-    if t <= 0.0:
-        raise InvalidInputError(f"t must be > 0, got {t}")
-    if lam < 1.0:
-        raise InvalidInputError(f"lambda must be >= 1, got {lam}")
+    if not 0.0 < t < math.inf:  # NaN too
+        raise InvalidInputError(f"t must be finite and > 0, got {t}")
+    if not 1.0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be finite and >= 1, got {lam}")
     try:
         value = lam * params.W0 * math.exp(_mean_rate(params, lam) * t)
     except OverflowError:
@@ -110,12 +112,15 @@ def mc_expected_capital(
     Paths are drawn in fixed-size batches with one stream per batch
     index, then reduced in batch order, so the result is bit-identical
     for a given master seed regardless of how batches are scheduled.
-    Raises NumericalRangeError where a path or its square overflows.
+    Refuses the t and lambda that expected_capital refuses, and raises
+    NumericalRangeError where a path or its square overflows.
     """
     if n_paths < 100:
         raise InvalidInputError(f"n_paths must be >= 100, got {n_paths}")
-    if t <= 0.0:
-        raise InvalidInputError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:  # NaN too
+        raise InvalidInputError(f"t must be finite and > 0, got {t}")
+    if not 1.0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be finite and >= 1, got {lam}")
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -144,10 +149,10 @@ def mc_expected_capital(
 def f_lambda(lam: float, t: float) -> float:
     """e^(lambda t) / lambda; increasing in lambda where lambda*t > 1.
     Raises NumericalRangeError where the quotient overflows."""
-    if t <= 0.0:
-        raise InvalidInputError(f"t must be > 0, got {t}")
-    if lam <= 0.0:
-        raise InvalidInputError(f"lambda must be > 0, got {lam}")
+    if not 0.0 < t < math.inf:  # NaN too
+        raise InvalidInputError(f"t must be finite and > 0, got {t}")
+    if not 0.0 < lam < math.inf:
+        raise InvalidInputError(f"lambda must be finite and > 0, got {lam}")
     try:
         value = math.exp(lam * t) / lam
     except OverflowError:  # e^(lambda t) overflows; the quotient may not

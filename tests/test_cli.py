@@ -23,7 +23,7 @@ from hetdata.cli import (
     load_config,
     main,
 )
-from hetdata import statics, threshold, verify
+from hetdata import statics, threshold, verify, wealth
 from hetdata.errors import ConfigError
 from hetdata.model import ModelParams, default_params, load_params
 
@@ -38,6 +38,15 @@ def _write_params(tmp_path, **overrides):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(record))
     return path
+
+
+def _wealth_rows(out):
+    """wealth.csv's rows as (lambda, t, closed_form, mc_estimate, mc_se,
+    pass) tuples."""
+    header, *lines = (out / "wealth.csv").read_text().splitlines()
+    assert header == "lambda,t,closed_form,mc_estimate,mc_se,pass"
+    return [(*map(float, fields[:5]), fields[5] == "True")
+            for fields in (line.split(",") for line in lines)]
 
 
 class TestLoadConfig:
@@ -241,8 +250,6 @@ class TestExitCodes:
         ["wealth", "--seed", "1", "--lambda-grid", "0.5:1.0:0.5"],
         ["figure1", "--lambda-grid", "0.0:1.0:0.5"],  # f(lambda) needs lambda > 0
         ["figure1", "--lambda-grid", "100:400:100"],  # f(lambda, t*) overflows
-        # E K_t* underflows at 201, before figure1's ends are checked
-        ["report", "--seed", "1", "--lambda-grid", "1:400:100"],
         ["threshold", "--tau", "0.0000001"],          # below the solver's band
         ["threshold", "--tau-grid", "0.0000001:0.5:0.1"],
         ["figure1", "--mu-grid", "800:900:50"],       # f(mu_i, t*) overflows
@@ -253,15 +260,16 @@ class TestExitCodes:
         ["threshold", "--tau-grid", "nan:0.5:0.1"],
         ["figure1", "--lambda-grid", "1:2:nan"],
         ["wealth", "--seed", "1", "--lambda-grid", "1:inf:1"],
-        # E K_t* of 9e-259 and, at 501, of 0: the se underflows
-        ["wealth", "--seed", "1", "--paths", "100", "--lambda-grid", "300:301:1"],
-        ["wealth", "--seed", "1", "--lambda-grid", "1:1000:500"],
         # more than a million points: each is past numpy's size limit, so
         # without the point cap np.arange raises instead of allocating
         ["threshold", "--tau-grid", "0:1e12:1e-9"],
         ["threshold", "--tau-grid", "0.1:0.2:1e-300"],
         ["wealth", "--seed", "1", "--lambda-grid", "1:1e300:1"],
         ["figure1", "--mu-grid=-1e308:1e308:1"],      # b - a overflows to inf
+        # malformed specs stop every command before it writes
+        ["wealth", "--seed", "1", "--lambda-grid", "1:2"],  # not a:b:step
+        ["report", "--seed", "1", "--lambda-grid", "3:1:1"],  # decreasing
+        ["statics", "--tau-grid", "0.1:0.5:-0.1"],          # negative step
     ])
     def test_bad_grid_exits_2_without_outputs(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -282,6 +290,16 @@ class TestExitCodes:
                      str(path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         assert ("config error: lambda 1.5 for wealth: E K_t* ="
+                in capsys.readouterr().err)
+
+    def test_overflowing_first_grid_row_exits_2(self, tmp_path, capsys):
+        # E K_t* is about 1.5 at lambda 1.5, but overflows at lambda 1
+        path = _write_params(tmp_path, t_star=1500.0, mu0=2.96)
+        out = tmp_path / "out"
+        assert main(["wealth", "--seed", "1", "--params", str(path),
+                     "--lambda-grid", "1:2:0.5", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert ("config error: lambda 1.0 for wealth: E K_t* = inf"
                 in capsys.readouterr().err)
 
     @pytest.mark.filterwarnings("error")
@@ -439,6 +457,62 @@ _BAD_LOSS = st.one_of(
     st.fixed_dictionaries({"values": _NOT_NUMBER_LIST, "probs": st.just([1.0])}),
     st.fixed_dictionaries({"values": st.just([0.2]), "probs": _NOT_NUMBER_LIST}),
 )
+
+
+class TestWealthGrid:
+    """wealth draws and judges one Monte Carlo sample, at lambda 1.5; each
+    grid row is that sample rescaled by the ratio of the closed forms."""
+
+    def test_grid_draws_one_sample(self, tmp_path):
+        wealth.mc_expected_capital.cache_clear()
+        assert main(["wealth", "--seed", "7", "--lambda-grid", "1:3:0.1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        info = wealth.mc_expected_capital.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        assert len(_wealth_rows(tmp_path)) == 21
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides, argv, code", [
+        (None, ["wealth", "--seed", "7", "--lambda-grid", "1:3:0.1"], EXIT_OK),
+        # E K_t* of 6e-173 at 201, 9e-259 at 300 and 0 at 501: these rows
+        # rescale the sample judged at lambda 1.5; none judges paths that
+        # underflowed
+        (None, ["report", "--seed", "1", "--lambda-grid", "1:400:100"], EXIT_OK),
+        (None, ["wealth", "--seed", "1", "--paths", "100", "--lambda-grid",
+                "300:301:1"], EXIT_OK),
+        (None, ["wealth", "--seed", "1", "--lambda-grid", "1:1000:500"], EXIT_OK),
+        # E K_t* of 1.5 at lambda 1.5, which 1,000 paths miss
+        ({"t_star": 1500.0, "mu0": 2.96},
+         ["wealth", "--seed", "1", "--paths", "1000", "--lambda-grid",
+          "1.5:1.7:0.1"], EXIT_VERIFY_FAIL),
+    ], ids=["seed7", "report_underflow", "underflow", "zero", "fails"])
+    def test_rows_share_one_sample_and_one_verdict(self, tmp_path, capsys,
+                                                   overrides, argv, code):
+        params = default_params()
+        if overrides is not None:
+            path = _write_params(tmp_path, **overrides)
+            argv = argv + ["--params", str(path)]
+            params = load_params(path)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().err == ""
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        # the one sample, drawn and judged at lambda 1.5
+        case = verify.mc_mean_case(params, int(flags["--seed"]),
+                                   int(flags.get("--paths", 100_000)))
+        assert case["pass"] is (code == EXIT_OK)
+        rows = _wealth_rows(out)
+        assert [row[0] for row in rows] == _parse_grid(flags["--lambda-grid"],
+                                                       "lambda-grid")
+        for row in rows:
+            assert row[-1] is case["pass"]
+            if row[2] == 0.0:  # E K_t* underflows, and so does the rest
+                assert row[3:5] == (0.0, 0.0)
+                continue
+            assert row[3] / row[2] == pytest.approx(
+                case["estimate"] / case["closed_form"], rel=1e-13)
+            assert row[4] / row[2] == pytest.approx(
+                case["se"] / case["closed_form"], rel=1e-13)
 
 
 class TestParamsFileKinds:

@@ -24,8 +24,6 @@ from hetdata.numerics import (
     GaussianSpec,
     hazard_rate,
     make_stream,
-    normal_cdf,
-    normal_pdf,
     portfolio_moment,
     solve_bracketed,
 )
@@ -63,64 +61,11 @@ class TestGaussianSpec:
         with pytest.raises(TypeError):
             GaussianSpec(0.5, 2.0, 1.0)
 
-
-class TestNormalKernels:
-    def test_pdf_at_zero(self):
-        assert normal_pdf(0.0, STD) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
-                                                     abs=1e-15)
-
-    def test_pdf_mode_value(self):
-        for mean, var in [(0.3, 2.0), (-1.0, 0.25)]:
-            spec = GaussianSpec(mean, var)
-            assert normal_pdf(mean, spec) == pytest.approx(
-                1.0 / math.sqrt(2 * math.pi * var), abs=1e-15
-            )
-
-    def test_pdf_oracle_value(self):
-        # exp(-1/2)/sqrt(2 pi) via arbitrary precision
-        assert normal_pdf(1.0, STD) == pytest.approx(mp_pdf(1.0), abs=1e-15)
-
-    def test_cdf_median_and_limit(self):
-        assert normal_cdf(0.0, STD) == 0.5
-        assert normal_cdf(40.0, STD) == 1.0
-
-    def test_cdf_against_erf_oracle(self):
-        for x in np.linspace(-6, 6, 41):
-            assert abs(normal_cdf(float(x), STD) - mp_cdf(float(x))) < 1e-12
-
-    def test_cdf_quantile_95(self):
-        assert normal_cdf(1.6449, STD) == pytest.approx(0.95, abs=1e-4)
-
-    def test_non_finite_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(InvalidInputError):
-                normal_pdf(bad, STD)
-            with pytest.raises(InvalidInputError):
-                normal_cdf(bad, STD)
-            with pytest.raises(InvalidInputError):
-                numerics.log_normal_sf(bad, STD)
-            with pytest.raises(InvalidInputError):
-                hazard_rate(bad, STD)
-
-    def test_overflowing_standardized_point_rejected(self):
-        # finite x, but (x - mean) / std overflows to inf
-        spec = GaussianSpec(-1e308, 1.0)
-        for kernel in (normal_cdf, numerics.log_normal_sf, hazard_rate):
-            with pytest.raises(InvalidInputError):
-                kernel(1e308, spec)
-
     def test_bad_variance_rejected(self):
         with pytest.raises(InvalidInputError):
             GaussianSpec(0.0, 0.0)
         with pytest.raises(InvalidInputError):
             GaussianSpec(0.0, -1.0)
-
-    @given(st.floats(-20, 20), st.floats(-3, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_cdf_symmetry(self, x, mean):
-        spec = GaussianSpec(mean, 1.7)
-        assert normal_cdf(mean + x, spec) + normal_cdf(mean - x, spec) == \
-            pytest.approx(1.0, abs=1e-12)
 
 
 class TestHazard:
@@ -171,13 +116,25 @@ class TestHazard:
         for z in (-8.0, -20.0, -37.0):
             assert hazard_rate(z, STD) == pytest.approx(mp_pdf(z), rel=1e-12)
 
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError):
+                numerics.log_normal_sf(bad, STD)
+            with pytest.raises(InvalidInputError):
+                hazard_rate(bad, STD)
+
+    def test_overflowing_standardized_point_rejected(self):
+        # finite x, but (x - mean) / std overflows to inf
+        spec = GaussianSpec(-1e308, 1.0)
+        for kernel in (numerics.log_normal_sf, hazard_rate):
+            with pytest.raises(InvalidInputError):
+                kernel(1e308, spec)
+
 
 def _kernel_oracle(name, x):
     x = mpmath.mpf(x)
     if name == "erfcx":
         return mpmath.exp(x * x) * mpmath.erfc(x)
-    if name == "ndtr":
-        return mpmath.ncdf(x)
     # log1p keeps the digits of log Phi(x) as it nears 0 in the right tail
     return mpmath.log1p(-mpmath.ncdf(-x)) if x > 0 else mpmath.log(mpmath.ncdf(x))
 
@@ -193,8 +150,8 @@ def _kernel_points():
 
 
 class TestKernelAccuracy:
-    """erfcx, log_ndtr and ndtr against an mpmath oracle, where the exact
-    value is a normal float: the worst relative error is no larger than
+    """erfcx and log_ndtr against an mpmath oracle, where the exact value
+    is a normal float: the worst relative error is no larger than
     scipy.special's on the same points."""
 
     @staticmethod
@@ -207,7 +164,7 @@ class TestKernelAccuracy:
                 worst = max(worst, float(error))
         return worst / sys.float_info.epsilon
 
-    @pytest.mark.parametrize("name", ["erfcx", "log_ndtr", "ndtr"])
+    @pytest.mark.parametrize("name", ["erfcx", "log_ndtr"])
     def test_worst_error_within_scipy(self, name):
         points = _kernel_points()
         ours = self._worst(getattr(numerics, name), name, points)
@@ -215,7 +172,7 @@ class TestKernelAccuracy:
         assert ours <= theirs, (ours, theirs)
 
     def test_returns_python_floats(self):
-        for kernel in (numerics.erfcx, numerics.log_ndtr, numerics.ndtr):
+        for kernel in (numerics.erfcx, numerics.log_ndtr):
             assert type(kernel(0.5)) is float
 
     def test_erfcx_overflows_to_inf(self):

@@ -74,6 +74,15 @@ class TestExpectedCapital:
             2.0 * math.exp(params.r_f + 0.5 * 0.08 - 2.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize("t, lam", [
+        (math.nan, 1.5), (2.0, math.nan), (math.inf, 1.5), (2.0, math.inf),
+        (0.0, 1.5), (2.0, 0.5),
+    ])
+    def test_bad_t_or_lambda_rejected(self, t, lam):
+        # each NaN, and lambda = inf, gave nan before
+        with pytest.raises(InvalidInputError):
+            expected_capital(REFERENCE, t, lam)
+
     @pytest.mark.parametrize("mu0, W0", [(1000.0, 1.0), (700.0, 1e10)])
     def test_overflow_raises_named_error(self, mu0, W0):
         # the exponential overflows, or the product with W0 does
@@ -169,6 +178,19 @@ class TestMcExpectedCapital:
         info = mc_expected_capital.cache_info()
         assert (info.misses, info.hits) == (len(cases), len(cases))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t, lam", [
+        (math.nan, 1.5), (2.0, math.nan), (math.inf, 1.5), (2.0, math.inf),
+        (2.0, 0.5), (2.0, 0.0), (2.0, -1.0),
+    ])
+    def test_bad_t_or_lambda_rejected(self, t, lam):
+        # the lambdas and ts that expected_capital refuses: before, lambda
+        # 0.5 was simulated, 0 and -1 raised an untyped math domain error,
+        # NaN lambda read as an overflow, and NaN or inf t raised numpy's
+        # untyped ValueError
+        with pytest.raises(InvalidInputError):
+            mc_expected_capital(REFERENCE, lam, t, 1000, 1)
+
     def test_failed_call_leaves_no_entry(self):
         mc_expected_capital.cache_clear()
         for args in [(REFERENCE, 1.5, 2.0, 50, 1), (REFERENCE, 1.5, 0.0, 1000, 1)]:
@@ -255,6 +277,15 @@ class TestFLambda:
     def test_overflow_guard(self):
         with pytest.raises(NumericalRangeError):
             f_lambda(400.0, 2.0)
+
+    @pytest.mark.parametrize("lam, t", [
+        (math.nan, 2.0), (1.5, math.nan), (math.inf, 2.0), (1.5, math.inf),
+        (0.0, 2.0), (1.5, 0.0),
+    ])
+    def test_bad_lambda_or_t_rejected(self, lam, t):
+        # each NaN, and lambda = inf, gave nan before
+        with pytest.raises(InvalidInputError):
+            f_lambda(lam, t)
 
     def test_value_below_exp_overflow_keeps_its_bits(self):
         # lambda t = 704, past the old cap of 700

@@ -26,9 +26,7 @@ For each memoised layer it reports three per-call times, each the best of
 
 ``solve_threshold`` also gets ``g_evals_per_miss``, the mean number of
 evaluations of its G per miss over the cases, counted (untimed) through
-``threshold.log_ratio_and_slope``, which each evaluation calls once, or,
-in a checkout from before the Newton solve, the ``F`` that
-``threshold._rhs`` builds.
+``threshold.log_ratio_and_slope``, which each evaluation calls once.
 
 ``_hermite_nodes`` stays warm throughout: it is built once per quadrature
 order, not per parameter set.  ``validate`` has no memo and gets one
@@ -40,7 +38,10 @@ parameters (``call_ms``; its threshold solve is a memo hit),
 ``mc.lln_check`` and ``mc.market_clearing_check`` check one such sample,
 drawn once (``call_ms`` each), and ``wealth.mc_expected_capital``
 simulates 10^5 paths of each of verify's three ``jump_diffusion_mean``
-cases with its memo cleared (one ``<case>_ms`` each).
+cases with its memo cleared (one ``<case>_ms`` each).  ``cli.wealth_grid``
+(``call_ms``) is the whole command ``hetdata wealth --seed SEED
+--lambda-grid 1:3:0.1``, in-process, with the ``mc_expected_capital`` memo
+cleared, writing its ``wealth.csv`` to a temporary directory.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -57,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 import hetdata
-from hetdata import mc, model, numerics, statics, threshold, wealth
+from hetdata import cli, mc, model, numerics, statics, threshold, wealth
 
 BOX = {  # perfbench param_scan's box
     "gamma": (0.5, 8.0),
@@ -140,8 +142,9 @@ def _fresh(raw_cases: list) -> list:
     return [(model.validate(raw), mu) for raw, mu in raw_cases]
 
 
-def _array_calls(seed: int) -> dict:
-    """(layer, key): one zero-argument call of an array layer."""
+def _array_calls(seed: int, out: str) -> dict:
+    """(layer, key): one zero-argument call of an array layer, or of the
+    wealth command, which writes into the directory out."""
     params = model.default_params()
     sample = mc.draw_population(POPULATION, params, numerics.make_stream(seed, 1))
     calls = {("mc.draw_population", "call_ms"):
@@ -158,45 +161,40 @@ def _array_calls(seed: int) -> dict:
             wealth.mc_expected_capital(case, wealth.LAMBDA_DEFAULT,
                                        case.t_star, PATHS, seed)
         calls[("wealth.mc_expected_capital", f"{name}_ms")] = simulate
+
+    def wealth_grid():
+        wealth.mc_expected_capital.cache_clear()
+        if cli.main(["wealth", "--seed", str(seed), "--lambda-grid", "1:3:0.1",
+                     "--out", out]) != cli.EXIT_OK:
+            raise RuntimeError("hetdata wealth did not exit 0")
+    calls[("cli.wealth_grid", "call_ms")] = wealth_grid
     return calls
 
 
 def _g_evaluations(raw_cases: list) -> float:
     """Mean evaluations of G per solve_threshold miss, every memo cold."""
     count = 0
-    if hasattr(threshold, "log_ratio_and_slope"):
-        name, real = "log_ratio_and_slope", threshold.log_ratio_and_slope
+    real = threshold.log_ratio_and_slope
 
-        def counted(*args):
-            nonlocal count
-            count += 1
-            return real(*args)
-    else:  # a checkout from before the Newton solve: Brent on _rhs's F
-        name, real = "_rhs", threshold._rhs
-
-        def counted(*args):
-            F = real(*args)
-
-            def counted_F(mu):
-                nonlocal count
-                count += 1
-                return F(mu)
-            return counted_F
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
     calls = _calls("threshold.solve_threshold", _fresh(raw_cases))
     _clear(ALL_MEMOS)
-    setattr(threshold, name, counted)
+    threshold.log_ratio_and_slope = counted
     try:
         for call in calls:
             call()
     finally:
-        setattr(threshold, name, real)
+        threshold.log_ratio_and_slope = real
     return count / len(calls)
 
 
-def bench(seed: int, repeats: int) -> dict:
+def bench(seed: int, repeats: int, out: str) -> dict:
     """Best per-call times; each repeat passes over every layer in turn, so
     a slow spell of the machine costs every layer one sample, not one
-    layer all of them."""
+    layer all of them.  The wealth command writes into the directory out."""
     raw_cases = _raw_cases(seed)
     raws = [raw for raw, _ in raw_cases]
     for order in (40, 80, 160, 320):
@@ -204,7 +202,7 @@ def bench(seed: int, repeats: int) -> dict:
     times = {layer: {"miss_us": [], "cold_us": [], "hit_us": []}
              for layer in MEMOS}
     times["model.validate"] = {"call_us": []}
-    array_calls = _array_calls(seed)
+    array_calls = _array_calls(seed, out)
     for layer, key in array_calls:
         times.setdefault(layer, {})[key] = []
     for call in array_calls.values():  # warm the threshold memo and numpy
@@ -255,6 +253,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    with tempfile.TemporaryDirectory() as out:
+        layers = bench(args.seed, args.repeats, out)
     result = {
         "src_sha256": _source_hash(),
         "cases": CASES,
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "layers": bench(args.seed, args.repeats),
+        "layers": layers,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("tool", "tools/layer_bench.py")
