@@ -267,15 +267,16 @@ def _run_statics(config: RunConfig) -> int:
 def _run_wealth(config: RunConfig) -> int:
     params, t = config.params, config.params.t_star
     # lambda moves a path only through its deterministic term, and every
-    # draw comes from streams keyed by the seed alone: so each row is the
-    # one sample drawn and judged at LAMBDA_DEFAULT, times the ratio of the
+    # draw comes from streams keyed by the seed alone: so each row rescales
+    # the one sample drawn and judged at LAMBDA_DEFAULT by the ratio of the
     # closed forms (exactly 1.0 there), and carries that sample's verdict
     case = verify.mc_mean_case(params, config.seed, config.n_paths)
     rows = []
     for lam in config.lambda_grid or [wealth.LAMBDA_DEFAULT]:
-        c = wealth.expected_capital(params, t, lam) / case["closed_form"]
-        rows.append((lam, t, case["closed_form"] * c, case["estimate"] * c,
-                     case["se"] * c, case["pass"]))
+        closed = wealth.expected_capital(params, t, lam)
+        c = closed / case["closed_form"]
+        rows.append((lam, t, closed, case["estimate"] * c, case["se"] * c,
+                     case["pass"]))
     _write_csv(config.output_dir / "wealth.csv",
                ("lambda,t,closed_form,mc_estimate,mc_se,pass", rows))
     return EXIT_OK if case["pass"] else EXIT_VERIFY_FAIL

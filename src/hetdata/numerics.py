@@ -264,13 +264,13 @@ def solve_bracketed(
 def make_stream(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic sub-stream keyed by (master_seed, index).
 
-    Counter-based Philox generator: identical keys reproduce identical
-    sequences, distinct stream indices give statistically independent
-    ones.  Single-owner: never share one generator between workers.
+    SFC64 generator, numpy's fastest: equal keys reproduce equal sequences,
+    and SeedSequence spawn keys make distinct indices independent streams.
+    Single-owner: never share one generator between workers.
     """
     if master_seed < 0:
         raise InvalidInputError(f"master seed must be >= 0, got {master_seed}")
     if index < 0:
         raise InvalidInputError(f"stream index must be >= 0, got {index}")
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))

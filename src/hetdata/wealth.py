@@ -59,12 +59,19 @@ def expected_capital(params: ModelParams, t: float, lam: float) -> float:
         raise InvalidInputError(f"t must be finite and > 0, got {t}")
     if not 1.0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be finite and >= 1, got {lam}")
-    try:
-        value = lam * params.W0 * math.exp(_mean_rate(params, lam) * t)
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise NumericalRangeError(f"E K_t overflows at lambda={lam}, t={t}")
+    rate_t = _mean_rate(params, lam) * t
+    # the product while e^(rate t) is normal and the product finite; else a
+    # factor leaves the float range where E K_t may not: sum the logs
+    value = math.nan
+    if abs(rate_t) < 708.0:
+        value = lam * params.W0 * math.exp(rate_t)
+    if not math.isfinite(value):
+        try:
+            value = math.exp(math.log(lam) + math.log(params.W0) + rate_t)
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise NumericalRangeError(f"E K_t overflows at lambda={lam}, t={t}")
     return value
 
 
@@ -74,7 +81,7 @@ def _terminal_capital(
     """Vectorized exact terminal K for n paths (one stream)."""
     drift = _drift_continuous(params, lam)
     vol = params.alpha * params.sigma_w
-    mean = math.log(lam * params.W0) + drift * t
+    mean = math.log(lam) + math.log(params.W0) + drift * t  # lam W0 may overflow
     if vol == 0.0 and params.w == 0.0:  # nothing random: draw nothing
         return np.exp(np.full(n, mean))
     # the bits of stream.normal(mean, vol sqrt t, n), which is mean + scale

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -23,9 +24,10 @@ from hetdata.cli import (
     load_config,
     main,
 )
-from hetdata import statics, threshold, verify, wealth
+from hetdata import mc, statics, threshold, verify, wealth
 from hetdata.errors import ConfigError
 from hetdata.model import ModelParams, default_params, load_params
+from hetdata.numerics import make_stream
 
 
 def _write_params(tmp_path, **overrides):
@@ -163,8 +165,12 @@ class TestExitCodes:
             assert text in err
 
     def test_population_without_users_fails_verify(self, tmp_path, capsys):
-        # seed 6 draws no data user among 2 agents: a failed check, not exit 3
-        code = main(["verify", "--seed", "6", "--population", "2",
+        # the first of seeds 0, 1, 2, ... whose population stream (index 1)
+        # draws no data user among 2 agents (2): a failed check, not exit 3
+        params = default_params()
+        seed = next(s for s in itertools.count() if not mc.draw_population(
+            2, params, make_stream(s, 1)).roles.any())
+        code = main(["verify", "--seed", str(seed), "--population", "2",
                      "--paths", "100", "--out", str(tmp_path)])
         assert code == EXIT_VERIFY_FAIL
         assert "[FAIL] lln_and_clearing" in capsys.readouterr().out
@@ -469,7 +475,13 @@ class TestWealthGrid:
                      "--out", str(tmp_path)]) == EXIT_OK
         info = wealth.mc_expected_capital.cache_info()
         assert (info.misses, info.hits) == (1, 0)
-        assert len(_wealth_rows(tmp_path)) == 21
+        rows = _wealth_rows(tmp_path)
+        assert len(rows) == 21
+        # each closed form is expected_capital itself, not a rescaled one
+        params = default_params()
+        assert [row[2] for row in rows] == [
+            wealth.expected_capital(params, params.t_star, row[0])
+            for row in rows]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("overrides, argv, code", [
@@ -481,8 +493,10 @@ class TestWealthGrid:
         (None, ["wealth", "--seed", "1", "--paths", "100", "--lambda-grid",
                 "300:301:1"], EXIT_OK),
         (None, ["wealth", "--seed", "1", "--lambda-grid", "1:1000:500"], EXIT_OK),
-        # E K_t* of 1.5 at lambda 1.5, which 1,000 paths miss
-        ({"t_star": 1500.0, "mu0": 2.96},
+        # E K_t* of 1.5 at lambda 1.5, which 1,000 paths miss: at t* = 3000
+        # the estimate passed at none of seeds 1 to 200 (at t* = 1500, at 14
+        # of them, seed 1 among them)
+        ({"t_star": 3000.0, "mu0": 2.96},
          ["wealth", "--seed", "1", "--paths", "1000", "--lambda-grid",
           "1.5:1.7:0.1"], EXIT_VERIFY_FAIL),
     ], ids=["seed7", "report_underflow", "underflow", "zero", "fails"])

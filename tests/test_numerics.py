@@ -555,11 +555,23 @@ class TestRandomStream:
         assert np.array_equal(a, b)
 
     def test_stream_independence(self):
-        n = 100_000
-        a = make_stream(7, 0).standard_normal(n)
-        b = make_stream(7, 1).standard_normal(n)
-        corr = float(np.corrcoef(a, b)[0, 1])
-        assert abs(corr) < 3.0 / math.sqrt(n)
+        # streams 0 and 1 of 200 master seeds: z = corr sqrt(n - 1) is
+        # N(0, 1) for independent streams, so sum z^2 is chi-square(200) and
+        # sum z / sqrt(200) is N(0, 1); each is held to its two-sided band of
+        # 0.05%, so the test raises a false alarm at most 0.1% of the time.
+        # Against a constant correlation of 3/sqrt(n), which a 3-SE test of
+        # one pair detects half the time, sum z / sqrt(200) has mean 42.4,
+        # so the power is 1 to double precision.
+        n, seeds, alarm = 100_000, 200, 0.00025
+        z = np.array([
+            np.corrcoef(make_stream(seed, 0).standard_normal(n),
+                        make_stream(seed, 1).standard_normal(n))[0, 1]
+            for seed in range(seeds)]) * math.sqrt(n - 1)
+        chi2 = float(np.sum(z * z))
+        assert special.chdtri(seeds, 1.0 - alarm) < chi2 < special.chdtri(
+            seeds, alarm)
+        assert abs(float(np.sum(z))) / math.sqrt(seeds) < special.ndtri(
+            1.0 - alarm)
 
     def test_poisson_moment(self):
         n = 100_000

@@ -89,6 +89,21 @@ class TestExpectedCapital:
         with pytest.raises(NumericalRangeError, match="E K_t overflows"):
             expected_capital(default_params(mu0=mu0, W0=W0), 2.0, 1.5)
 
+    @pytest.mark.parametrize("t, lam", [(2.0, 1e10), (5e-8, 1e9),
+                                        (8e-7, 1e9)])
+    def test_out_of_range_factor_meets_mpmath(self, t, lam):
+        # lambda W0 overflows while e^(rate t) underflows to 0 or is 1.9e-22,
+        # or e^(rate t) underflows alone: the product read NaN, raised or
+        # read 0, though E K_t is 0 to double precision, 1.93e287 or 3.6e-39
+        params = default_params(W0=1e300)
+        mpf = mpmath.mpf
+        rate = (mpf(params.r_f) + mpf(params.alpha) * mpf(params.mu_hat)
+                - mpf(lam) - mpf(params.w) * mpf(params.alpha)
+                * mpf(params.loss.mean))
+        exact = float(mpf(lam) * mpf(params.W0) * mpmath.exp(rate * mpf(t)))
+        assert expected_capital(params, t, lam) == pytest.approx(exact,
+                                                                 rel=1e-13)
+
 
 class TestTerminalCapital:
     """The vectorized exact paths behind mc_expected_capital."""
@@ -208,6 +223,14 @@ class TestMcExpectedCapital:
             mc_expected_capital(params, 1.5, params.t_star, 1000, 1)
         assert mc_expected_capital.cache_info().currsize == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_initial_capital_underflows_to_zero(self):
+        # lambda W0 overflows, but the paths' log mean sums the logs, so every
+        # path underflows to 0, as E K_t does, instead of reading NaN, which
+        # was reported as squared paths that overflow
+        params = default_params(W0=1e300)
+        assert mc_expected_capital(params, 1e10, 2.0, 1000, 1) == (0.0, 0.0)
+
 
 TWO_POINT = {"values": [0.1, 0.4], "probs": [0.7, 0.3]}
 
@@ -232,7 +255,7 @@ class TestMcBits:
         while done < n_paths:
             n = min(16384, n_paths - done)
             stream = make_stream(seed, batch)
-            logK = math.log(lam * params.W0) + drift * t
+            logK = math.log(lam) + math.log(params.W0) + drift * t
             logK = logK + a * s * math.sqrt(t) * stream.standard_normal(n)
             counts = stream.poisson(params.w * t, n)
             if len(loss.values) == 1:

@@ -41,13 +41,17 @@ simulates 10^5 paths of each of verify's three ``jump_diffusion_mean``
 cases with its memo cleared (one ``<case>_ms`` each).  ``cli.wealth_grid``
 (``call_ms``) is the whole command ``hetdata wealth --seed SEED
 --lambda-grid 1:3:0.1``, in-process, with the ``mc_expected_capital`` memo
-cleared, writing its ``wealth.csv`` to a temporary directory.
+cleared, writing its ``wealth.csv`` to a temporary directory, and
+``cli.report`` (``call_ms``) is ``hetdata report --seed SEED`` the same way,
+with every artifact of the command written there.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import platform
 import sys
@@ -162,12 +166,17 @@ def _array_calls(seed: int, out: str) -> dict:
                                        case.t_star, PATHS, seed)
         calls[("wealth.mc_expected_capital", f"{name}_ms")] = simulate
 
-    def wealth_grid():
-        wealth.mc_expected_capital.cache_clear()
-        if cli.main(["wealth", "--seed", str(seed), "--lambda-grid", "1:3:0.1",
-                     "--out", out]) != cli.EXIT_OK:
-            raise RuntimeError("hetdata wealth did not exit 0")
-    calls[("cli.wealth_grid", "call_ms")] = wealth_grid
+    def command(*argv):
+        def call():
+            wealth.mc_expected_capital.cache_clear()
+            with contextlib.redirect_stdout(io.StringIO()):  # verify's lines
+                code = cli.main([*argv, "--seed", str(seed), "--out", out])
+            if code != cli.EXIT_OK:
+                raise RuntimeError(f"hetdata {argv[0]} did not exit 0")
+        return call
+    calls[("cli.wealth_grid", "call_ms")] = command("wealth", "--lambda-grid",
+                                                    "1:3:0.1")
+    calls[("cli.report", "call_ms")] = command("report")
     return calls
 
 
