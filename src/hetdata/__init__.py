@@ -2,13 +2,12 @@
 statics, jump-diffusion friction matching, and brute-force verification."""
 
 from .model import ModelParams, LossSpec, default_params, load_params, validate
-from .numerics import GaussianSpec, make_stream
+from .numerics import make_stream
 from .threshold import ThresholdSolution, solve_threshold
 from .statics import Theorem1Report, theorem1_report
 from .wealth import expected_capital, solve_lambda
 
 __all__ = [
-    "GaussianSpec",
     "LossSpec",
     "ModelParams",
     "Theorem1Report",

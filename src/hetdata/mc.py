@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
+from .numerics import shock_mean
 from .statics import aggregate_output
 from .threshold import (
     ThresholdSolution,
@@ -79,14 +80,13 @@ def draw_population(
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     solution = solve_threshold(params.tau, params)
-    ability, idio_spec = params.ability_spec, params.idio_shock_spec
     # numpy computes mean + std * z from the same standard-normal draw
-    abilities = stream.normal(ability.mean, ability.std, n)
+    abilities = stream.normal(params.mu_bar, params.sigma_mu, n)
     roles = solution.is_user(abilities)
     # drawn after every ability, so independent of the roles
-    user_shocks = stream.normal(idio_spec.mean, idio_spec.std,
+    user_shocks = stream.normal(shock_mean(params.sigma_idio), params.sigma_idio,
                                 int(np.count_nonzero(roles)))
-    agg = stream.normal(params.agg_shock_spec.mean, params.agg_shock_spec.std)
+    agg = stream.normal(shock_mean(params.sigma_agg), params.sigma_agg)
     return PopulationSample(
         abilities=abilities,
         roles=roles,

@@ -10,16 +10,15 @@ Field conventions:
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, fields as dc_fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Union
 
 from .errors import InvalidInputError, ParamError
-from .numerics import GaussianSpec
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,6 @@ def _parse_loss(raw) -> LossSpec:
     raise InvalidInputError(f"unrecognized loss descriptor: {raw!r}")
 
 
-class _cached(functools.cached_property):
-    """A cached_property that stores with object.__setattr__: the stdlib one
-    writes through __dict__, after which field reads take ~4x as long
-    on CPython 3.11."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.func(instance)
-        object.__setattr__(instance, self.attrname, value)
-        return value
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable, validated model parameters.  Build via `validate`."""
@@ -131,21 +117,6 @@ class ModelParams:
     def __hash__(self) -> int:
         return self._hash
 
-    # -- derived specs, built once per parameter set ---------------------
-    @_cached
-    def ability_spec(self) -> GaussianSpec:
-        return GaussianSpec(self.mu_bar, self.sigma_mu * self.sigma_mu)
-
-    @_cached
-    def agg_shock_spec(self) -> GaussianSpec:
-        s2 = self.sigma_agg * self.sigma_agg
-        return GaussianSpec(-0.5 * s2, s2)
-
-    @_cached
-    def idio_shock_spec(self) -> GaussianSpec:
-        s2 = self.sigma_idio * self.sigma_idio
-        return GaussianSpec(-0.5 * s2, s2)
-
     @property
     def mu_hat(self) -> float:
         """Total expected excess return: continuous part + jump compensation."""
@@ -154,12 +125,16 @@ class ModelParams:
 
 # log(tau/(1-tau)) overflows floats outside this band
 TAU_MIN, TAU_MAX = 1e-6, 1.0 - 1e-6
+# exactly the stds s whose square is a normal float, where sqrt(s * s) == s:
+# so each law's std is its sigma, and its variance sigma^2 is > 0 and finite
+_STD_MIN, _STD_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+_STD_RANGE = f"must be in [{_STD_MIN:.5g}, {_STD_MAX:.5g}]"
 
 _RANGE_CHECKS = [
     ("gamma", lambda p: p["gamma"] > 0.0, "must be > 0"),
-    ("sigma_mu", lambda p: p["sigma_mu"] > 0.0, "must be > 0"),
-    ("sigma_agg", lambda p: p["sigma_agg"] > 0.0, "must be > 0"),
-    ("sigma_idio", lambda p: p["sigma_idio"] > 0.0, "must be > 0"),
+    ("sigma_mu", lambda p: _STD_MIN <= p["sigma_mu"] <= _STD_MAX, _STD_RANGE),
+    ("sigma_agg", lambda p: _STD_MIN <= p["sigma_agg"] <= _STD_MAX, _STD_RANGE),
+    ("sigma_idio", lambda p: _STD_MIN <= p["sigma_idio"] <= _STD_MAX, _STD_RANGE),
     ("theta", lambda p: 0.0 < p["theta"] < 1.0, "must be in (0, 1)"),
     ("tau", lambda p: TAU_MIN <= p["tau"] <= TAU_MAX,
      f"must be in [{TAU_MIN}, {TAU_MAX}]"),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
@@ -34,21 +33,9 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _LOG_HALF = math.log(0.5)
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """N(mean, variance); variance is the *variance*, not the std."""
-
-    mean: float
-    variance: float
-    # every kernel call reads it, so it is taken once, here
-    std: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise InvalidInputError("GaussianSpec fields must be finite")
-        if self.variance <= 0.0:
-            raise InvalidInputError(f"variance must be > 0, got {self.variance}")
-        object.__setattr__(self, "std", math.sqrt(self.variance))
+def shock_mean(sigma: float) -> float:
+    """Mean -sigma^2/2 of a N(mean, sigma^2) shock eps with E[e^eps] = 1."""
+    return -0.5 * (sigma * sigma)
 
 
 def erfcx(x: float) -> float:
@@ -92,29 +79,31 @@ def log_ndtr(z: float) -> float:
     return math.log(erfcx(t)) - t * t + _LOG_HALF
 
 
-def _standardize(x: float, spec: GaussianSpec) -> float:
-    """(x - mean) / std; a point that is not finite, or whose standardized
-    value is not, raises."""
-    z = (x - spec.mean) / spec.std
+def _standardize(x: float, mean: float, std: float) -> float:
+    """(x - mean) / std; a std that is not > 0, or a point that is not
+    finite or whose standardized value is not, raises."""
+    if not std > 0.0:  # NaN too
+        raise InvalidInputError(f"std must be > 0, got {std}")
+    z = (x - mean) / std
     if not math.isfinite(z):
         raise InvalidInputError(f"non-finite evaluation point {x}")
     return z
 
 
-def log_normal_sf(x: float, spec: GaussianSpec) -> float:
-    """log P(X > x); stable arbitrarily deep in the right tail."""
-    return log_ndtr(-_standardize(x, spec))
+def log_normal_sf(x: float, mean: float, std: float) -> float:
+    """log P(X > x), X ~ N(mean, std^2); stable deep in the right tail."""
+    return log_ndtr(-_standardize(x, mean, std))
 
 
-def hazard_rate(x: float, spec: GaussianSpec) -> float:
-    """pdf / (1 - cdf), via the scaled complementary error function.
+def hazard_rate(x: float, mean: float, std: float) -> float:
+    """pdf / (1 - cdf) of N(mean, std^2) at x, via erfcx.
 
     h(z) = sqrt(2/pi) / erfcx(z / sqrt 2) for the standard normal, which
     stays accurate deep in the right tail where pdf and 1-cdf both
     underflow, and in the left tail, where it is the pdf.
     """
-    z = _standardize(x, spec)
-    value = _SQRT_2_OVER_PI / erfcx(z / _SQRT2) / spec.std
+    z = _standardize(x, mean, std)
+    value = _SQRT_2_OVER_PI / erfcx(z / _SQRT2) / std
     if not math.isfinite(value):
         raise NumericalRangeError(f"hazard evaluation failed at z={z}")
     return value
@@ -195,12 +184,13 @@ def portfolio_moment(theta: float, sigma1: float, gamma: float) -> float:
             raise InvalidInputError(f"{name} must be finite, got {value}")
     if not 0.0 <= theta <= 1.0:
         raise InvalidInputError(f"theta must be in [0, 1], got {theta}")
-    if sigma1 <= 0.0:
-        raise InvalidInputError(f"sigma1 must be > 0, got {sigma1}")
+    mean = shock_mean(sigma1)
+    if not (sigma1 > 0.0 and mean > -math.inf):  # else nodes at -inf or NaN
+        raise InvalidInputError(f"sigma1 must be > 0 with a finite square, "
+                                f"got {sigma1}")
     if gamma <= 0.0:
         raise InvalidInputError(f"gamma must be > 0, got {gamma}")
-    spec = GaussianSpec(mean=-0.5 * sigma1 * sigma1, variance=sigma1 * sigma1)
-    mean, scale = spec.mean, spec.std * _SQRT2
+    scale = sigma1 * _SQRT2
     order = _GH_ORDER_START
     value = _moment_sum(theta, gamma, mean, scale, order)
     while order < _GH_ORDER_MAX:

@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
-from .numerics import log_normal_sf
-from .threshold import (ability_specs, log_output_ratio, log_ratio_and_slope,
-                        solve_threshold)
+from .numerics import log_normal_sf, shock_mean
+from .threshold import log_output_ratio, log_ratio_and_slope, solve_threshold
 from . import wealth
 
 # the tau grid of `hetdata statics` and verify's comparative-statics check,
@@ -115,7 +114,7 @@ def aggregate_output(mu_k: float, eps_agg: float, params: ModelParams) -> float:
     """
     v = params.sigma_mu * params.sigma_mu
     prefactor = params.D * math.exp(eps_agg) * math.exp(params.mu_bar + 0.5 * v)
-    return prefactor * math.exp(log_normal_sf(mu_k, ability_specs(v)[0]))
+    return prefactor * math.exp(log_normal_sf(mu_k, v, params.sigma_mu))
 
 
 def tech_from_tau(tau: float, params: ModelParams) -> Tuple[float, float]:
@@ -150,7 +149,7 @@ def theorem1_report(
             f"tau_L must be < tau_H, got tau_L={tau_L}, tau_H={tau_H}"
         )
     delta = 0.5 * params.sigma_mu
-    eps_agg = params.agg_shock_spec.mean
+    eps_agg = shock_mean(params.sigma_agg)
 
     sol_L = solve_threshold(tau_L, params)
     sol_H = solve_threshold(tau_H, params)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .model import TAU_MAX, TAU_MIN, ModelParams
-from .numerics import (GaussianSpec, log_ndtr, log_normal_sf, portfolio_moment,
+from .numerics import (log_ndtr, log_normal_sf, portfolio_moment, shock_mean,
                        solve_bracketed)
 
-_ROOT_TOL = 1e-13  # absolute tolerance of the threshold solve
+_ROOT_TOL = 1e-13  # the solve's tolerance, times min(1, sigma_mu): the root's scale
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -52,23 +52,13 @@ def _check_tau(tau: float) -> None:
         )
 
 
-# One pair per parameter set; typed, so that an int v never answers for a
-# float one.  Exceptions are not cached.
-@functools.lru_cache(maxsize=64, typed=True)
-def ability_specs(v: float) -> tuple[GaussianSpec, GaussianSpec]:
-    """N(v, v) and N(0, v), whose tails make up the output ratio."""
-    return GaussianSpec(v, v), GaussianSpec(0.0, v)
-
-
 def log_output_ratio(mu: float, sigma_mu: float) -> float:
     """log of the tail ratio SF(mu; sigma^2, sigma^2) / SF(mu; 0, sigma^2)
     at centered ability mu.  Log space keeps full relative resolution where
     both tails underflow, and in the far left tail where the ratio itself
-    rounds to 1."""
-    if sigma_mu <= 0.0:
-        raise InvalidInputError(f"sigma_mu must be > 0, got {sigma_mu}")
-    spec_hi, spec_lo = ability_specs(sigma_mu * sigma_mu)
-    return log_normal_sf(mu, spec_hi) - log_normal_sf(mu, spec_lo)
+    rounds to 1.  The kernels refuse a sigma_mu that is not > 0."""
+    v = sigma_mu * sigma_mu
+    return log_normal_sf(mu, v, sigma_mu) - log_normal_sf(mu, 0.0, sigma_mu)
 
 
 def tail_expectation(K: float, mu_bar: float, sigma_mu: float) -> float:
@@ -120,17 +110,16 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
 
     F = c + log ratio, with c = logit(tau) + v/2 - moment term, so G' =
     1 - dF/dmu >= 1: G is strictly increasing from -inf to +inf, and
-    numerics.solve_bracketed finds its root to 1e-13 plus 8 eps |mu|.  The
-    start is mu = v/2, where both log tails are log Phi(sigma_mu/2), so the
-    log ratio is exactly 0 and G = v/2 - c: its first step is closed-form.
-    The residual is G at the returned iterate; iterations counts the
-    Newton (or bisection) steps.
+    numerics.solve_bracketed finds its root to 1e-13 min(1, sigma_mu) plus
+    8 eps |mu|.  The start is mu = v/2, where both log tails are
+    log Phi(sigma_mu/2), so the log ratio is exactly 0 and G = v/2 - c: its
+    first step is closed-form.  The residual is G at the returned iterate;
+    iterations counts the Newton (or bisection) steps.
     """
     _check_tau(tau)
     moment = _moment_term(params)
-    v = params.sigma_mu * params.sigma_mu
-    spec_lo = ability_specs(v)[1]
-    s = spec_lo.std
+    s = params.sigma_mu
+    v = s * s
     logit = math.log(tau) - math.log1p(-tau)
     c = logit + 0.5 * v - moment
 
@@ -145,10 +134,10 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     z = 0.5 * v / s  # z_lo at v/2, and -z_hi: h_hi = r_lo there
     slope = 1.0 + 2.0 * math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z)) / s
     mu, g, steps = solve_bracketed(G, lo, math.inf, 0.5 * v, 0.5 * v - c, slope,
-                                   _ROOT_TOL)
+                                   _ROOT_TOL * min(1.0, s))
 
     K = mu + params.mu_bar
-    m = math.exp(log_normal_sf(mu, spec_lo))
+    m = math.exp(log_normal_sf(mu, 0.0, s))
     return ThresholdSolution(
         mu_k=mu,
         K=K,
@@ -174,7 +163,7 @@ def user_utility(mu_i: float, tau: float, params: ModelParams) -> float:
             math.log1p(-tau)
             + math.log(params.D)
             + mu_i
-            - 0.5 * params.sigma_agg * params.sigma_agg
+            + shock_mean(params.sigma_agg)
             + portfolio_moment(params.theta, params.sigma_idio, 1.0)
         )
     a = 1.0 - params.gamma
@@ -201,7 +190,7 @@ def provider_utility(
         return (
             math.log(tau)
             + math.log(params.D)
-            - 0.5 * params.sigma_agg * params.sigma_agg
+            + shock_mean(params.sigma_agg)
             + math.log(m)
             + math.log(tail_mean)
             - math.log1p(-m)

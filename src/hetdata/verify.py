@@ -16,7 +16,7 @@ import numpy as np
 from . import mc, statics, threshold, wealth
 from .errors import DegenerateInputError, NoSolutionError
 from .model import ModelParams, default_params, validate
-from .numerics import GaussianSpec, hazard_rate, make_stream, portfolio_moment
+from .numerics import hazard_rate, make_stream, portfolio_moment
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,12 @@ def check_hazard_and_output_ratio() -> CheckResult:
     """Hazard inequality and tail-ratio monotonicity on the grid."""
     grid = np.arange(-4.0, 4.0 + 1e-12, 0.01).tolist()
     ok = True
-    for var in (0.25, 1.0, 4.0):
-        spec = GaussianSpec(0.0, var)
-        ok &= all(hazard_rate(x, spec) > hazard_rate(x - var, spec) for x in grid)
+    for sigma in (0.5, 1.0, 2.0):
+        var = sigma * sigma
+        ok &= all(hazard_rate(x, 0.0, sigma) > hazard_rate(x - var, 0.0, sigma)
+                  for x in grid)
         # log scale: for sigma=0.5 the ratio itself rounds to 1.0 near -4
-        log_ratios = [threshold.log_output_ratio(x, math.sqrt(var)) for x in grid]
+        log_ratios = [threshold.log_output_ratio(x, sigma) for x in grid]
         ok &= all(b > a for a, b in zip(log_ratios, log_ratios[1:]))
     return CheckResult("hazard_and_output_ratio", ok, {"grid_points": len(grid)})
 

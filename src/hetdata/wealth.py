@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoSolutionError, NumericalRangeError
 from .model import ModelParams
-from .numerics import make_stream
+from .numerics import make_stream, shock_mean
 
 _LOG_2 = math.log(2.0)
 _MC_BATCH = 16384     # paths per stream; fixed so results are seed-reproducible
@@ -53,12 +53,17 @@ def _mean_rate(params: ModelParams, lam: float) -> float:
     )
 
 
-def expected_capital(params: ModelParams, t: float, lam: float) -> float:
-    """Closed-form E K_t.  Raises NumericalRangeError where it overflows."""
+def _check_t_lambda(t: float, lam: float) -> None:
+    """The horizon and friction coefficient E K_t is defined for."""
     if not 0.0 < t < math.inf:  # NaN too
         raise InvalidInputError(f"t must be finite and > 0, got {t}")
     if not 1.0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be finite and >= 1, got {lam}")
+
+
+def expected_capital(params: ModelParams, t: float, lam: float) -> float:
+    """Closed-form E K_t.  Raises NumericalRangeError where it overflows."""
+    _check_t_lambda(t, lam)
     rate_t = _mean_rate(params, lam) * t
     # the product while e^(rate t) is normal and the product finite; else a
     # factor leaves the float range where E K_t may not: sum the logs
@@ -124,10 +129,7 @@ def mc_expected_capital(
     """
     if n_paths < 100:
         raise InvalidInputError(f"n_paths must be >= 100, got {n_paths}")
-    if not 0.0 < t < math.inf:  # NaN too
-        raise InvalidInputError(f"t must be finite and > 0, got {t}")
-    if not 1.0 <= lam < math.inf:
-        raise InvalidInputError(f"lambda must be finite and >= 1, got {lam}")
+    _check_t_lambda(t, lam)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -182,7 +184,7 @@ def log_f_mu(mu_i: float, params: ModelParams) -> float:
     with initial wealth W0 = y_0 (1 - tau) built from the shock pair
     (eps0, eps_i0) fixed at its means.
     """
-    eps0, eps_i0 = params.agg_shock_spec.mean, params.idio_shock_spec.mean
+    eps0, eps_i0 = shock_mean(params.sigma_agg), shock_mean(params.sigma_idio)
     value = (mu_i + eps0 + eps_i0 + math.log(params.D)
              + math.log1p(-params.tau) - math.log(params.EK_target)
              + _mean_rate(params, 0.0) * params.t_star)

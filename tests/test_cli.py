@@ -121,6 +121,16 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    def test_underflowing_sigma_mu_square_exits_2_naming_it(self, tmp_path,
+                                                             capsys):
+        # 1e-163 squared underflows to 0
+        path = _write_params(tmp_path, sigma_mu=1e-163)
+        out = tmp_path / "out"
+        code = main(["threshold", "--params", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "sigma_mu: must be in [" in capsys.readouterr().err
+
     def test_missing_seed_exits_2(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == EXIT_CONFIG
 

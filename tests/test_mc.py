@@ -20,6 +20,15 @@ from hetdata.statics import aggregate_output
 from hetdata.threshold import solve_threshold
 
 
+def gaussian_laws(params):
+    """(mean, std) of the ability, idiosyncratic and aggregate laws, each
+    std the square root of its variance, each shock mean -variance/2."""
+    ability = (params.mu_bar, math.sqrt(params.sigma_mu * params.sigma_mu))
+    idio, agg = ((-0.5 * (s * s), math.sqrt(s * s))
+                 for s in (params.sigma_idio, params.sigma_agg))
+    return ability, idio, agg
+
+
 class TestDrawPopulation:
     def test_sample_moments(self):
         params = default_params()
@@ -47,13 +56,12 @@ class TestDrawPopulation:
         sample = draw_population(n, params, make_stream(seed, 9))
         k = int(np.count_nonzero(sample.roles))
         z = make_stream(seed, 9).standard_normal(n + k + 1)
-        ability, idio, agg = (params.ability_spec, params.idio_shock_spec,
-                              params.agg_shock_spec)
+        ability, idio, agg = gaussian_laws(params)
         assert sample.abilities.tobytes() == (
-            ability.mean + ability.std * z[:n]).tobytes()
+            ability[0] + ability[1] * z[:n]).tobytes()
         assert sample.user_shocks.tobytes() == (
-            idio.mean + idio.std * z[n:n + k]).tobytes()
-        assert sample.agg_shock == agg.mean + agg.std * z[n + k]
+            idio[0] + idio[1] * z[n:n + k]).tobytes()
+        assert sample.agg_shock == agg[0] + agg[1] * z[n + k]
         assert (k == 0) == (seed == no_user)
 
     def test_roles_consistent_with_threshold(self):
@@ -133,14 +141,11 @@ class TestInPlacePasses:
     @staticmethod
     def _reference_draw(n, params, stream):
         """Abilities, roles, then one shock per user, then the aggregate."""
-        ability, idio_spec, agg_spec = (
-            params.ability_spec, params.idio_shock_spec, params.agg_shock_spec
-        )
-        abilities = ability.mean + ability.std * stream.standard_normal(n)
+        ability, idio, agg = gaussian_laws(params)
+        abilities = ability[0] + ability[1] * stream.standard_normal(n)
         users = abilities > solve_threshold(params.tau, params).K
-        shocks = idio_spec.mean + idio_spec.std * stream.standard_normal(
-            int(np.sum(users)))
-        agg = float((agg_spec.mean + agg_spec.std * stream.standard_normal(1))[0])
+        shocks = idio[0] + idio[1] * stream.standard_normal(int(np.sum(users)))
+        agg = float((agg[0] + agg[1] * stream.standard_normal(1))[0])
         return abilities, users, shocks, agg
 
     @staticmethod

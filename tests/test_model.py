@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -14,7 +15,7 @@ from hetdata.model import (
     load_params,
     validate,
 )
-from hetdata.numerics import GaussianSpec
+from hetdata.numerics import shock_mean
 from hetdata.threshold import solve_threshold
 
 
@@ -75,10 +76,25 @@ class TestValidate:
 
     def test_shock_means_force_unit_lognormal_mean(self):
         params = validate(base_record(sigma_agg=0.37, sigma_idio=0.81))
-        for spec in (params.agg_shock_spec, params.idio_shock_spec):
-            assert math.exp(spec.mean + 0.5 * spec.variance) == pytest.approx(
+        for s in (params.sigma_agg, params.sigma_idio):
+            assert shock_mean(s).hex() == (-0.5 * (s * s)).hex()
+            assert math.exp(shock_mean(s) + 0.5 * s * s) == pytest.approx(
                 1.0, abs=1e-12
             )
+
+    @pytest.mark.parametrize("name", ["sigma_mu", "sigma_agg", "sigma_idio"])
+    def test_std_needs_a_normal_float_square(self, name):
+        # below 2^-511 the square is subnormal, where sqrt(s * s) != s, or 0;
+        # above sqrt(DBL_MAX) it overflows
+        low = math.sqrt(sys.float_info.min)
+        high = math.sqrt(sys.float_info.max)
+        message = rf"^{name}: must be in \[1.4917e-154, 1.3408e\+154\] \(got"
+        for bad in (1e-163, math.nextafter(low, 0.0),
+                    math.nextafter(high, math.inf), -1.0):
+            with pytest.raises(ParamError, match=message):
+                validate(base_record(**{name: bad}))
+        for good in (low, high):
+            assert getattr(validate(base_record(**{name: good})), name) == good
 
     def test_mu_hat(self):
         params = validate(base_record())
@@ -86,8 +102,8 @@ class TestValidate:
 
 
 class TestHashedOnce:
-    """ModelParams hashes its field tuple once and builds its specs once;
-    equality, the hash value and the repr stay those of the fields."""
+    """ModelParams hashes its field tuple once; equality, the hash value
+    and the repr stay those of the fields."""
 
     REPR = (
         "ModelParams(gamma=2.0, sigma_mu=1.0, sigma_agg=0.2, sigma_idio=0.5, "
@@ -107,18 +123,18 @@ class TestHashedOnce:
             pickle.loads(pickle.dumps(params)),
         ]
 
-    @pytest.mark.parametrize("specs_first", [False, True])
-    def test_equal_fields_share_hash_and_memo_entry(self, specs_first):
+    @pytest.mark.parametrize("solved_first", [False, True])
+    def test_equal_fields_share_hash_and_memo_entry(self, solved_first):
         params = validate(base_record())
-        if specs_first:  # the copies below then carry the built specs
-            params.ability_spec, params.agg_shock_spec, params.idio_shock_spec
         solve_threshold.cache_clear()
-        first = solve_threshold(0.5, params)
+        if solved_first:  # the copies below are then taken of a memo key
+            first = solve_threshold(0.5, params)
         copies = self._copies(params)
+        if not solved_first:
+            first = solve_threshold(0.5, params)
         for other in copies:
             assert other is not params
             assert other == params and hash(other) == hash(params)
-            assert other.agg_shock_spec == params.agg_shock_spec
             assert solve_threshold(0.5, other) is first
         info = solve_threshold.cache_info()
         assert (info.currsize, info.hits) == (1, len(copies))
@@ -141,23 +157,11 @@ class TestHashedOnce:
     def test_repr_is_unchanged(self):
         params = validate(base_record())
         assert repr(params) == self.REPR
-        params.ability_spec, params.agg_shock_spec, params.idio_shock_spec
-        assert repr(params) == self.REPR
 
     def test_specs_wait_for_first_use(self):
         bad = replace(validate(base_record()), sigma_mu=0.0)
         with pytest.raises(ParamError, match="sigma_mu"):
             validate(bad)
-
-    def test_specs_built_once_with_their_values(self):
-        params = validate(base_record(mu_bar=0.3, sigma_agg=0.37))
-        assert params.ability_spec is params.ability_spec
-        assert params.agg_shock_spec is params.agg_shock_spec
-        assert params.idio_shock_spec is params.idio_shock_spec
-        assert params.ability_spec == GaussianSpec(0.3, 1.0)
-        assert params.agg_shock_spec == GaussianSpec(-0.5 * 0.37 ** 2, 0.37 ** 2)
-        assert params.idio_shock_spec == GaussianSpec(-0.5 * 0.5 ** 2, 0.5 ** 2)
-        assert params == validate(base_record(mu_bar=0.3, sigma_agg=0.37))
 
 
 class TestLossSpec:

@@ -179,9 +179,9 @@ class TestAggregateOutput:
         mu_k, eps = 0.5, -0.02
         n = 1_000_000
         stream = make_stream(41, 0)
-        ability, idio = params.ability_spec, params.idio_shock_spec
-        mu = stream.normal(ability.mean, ability.std, n)
-        eps_i = stream.normal(idio.mean, idio.std, n)
+        s_mu, s_i = params.sigma_mu, params.sigma_idio
+        mu = stream.normal(params.mu_bar, math.sqrt(s_mu * s_mu), n)
+        eps_i = stream.normal(-0.5 * (s_i * s_i), math.sqrt(s_i * s_i), n)
         y = params.D * math.exp(eps) * np.exp(mu + eps_i) * (mu > mu_k)
         observed = float(np.mean(y))
         se = float(np.std(y, ddof=1) / math.sqrt(n))

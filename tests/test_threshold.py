@@ -1,5 +1,4 @@
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -17,11 +16,10 @@ from hetdata.errors import (
     SolverError,
 )
 from hetdata.model import TAU_MAX, TAU_MIN, default_params
-from hetdata.numerics import GaussianSpec, make_stream
+from hetdata.numerics import log_ndtr, make_stream
 from hetdata.statics import aggregate_output, output_ratio, threshold_sensitivity
 from hetdata.threshold import (
     _moment_term,
-    ability_specs,
     log_ratio_and_slope,
     provider_utility,
     solve_threshold,
@@ -209,25 +207,29 @@ class TestSolveThreshold:
                 assert abs(sol.mu_k - 0.5 * sigma_mu ** 2) <= 1e-10
 
 
-def mp_threshold(tau, params, moment):
+def mp_threshold(tau, params, moment, start):
     """Root of G(mu) = mu - F(tau, mu) by bisection at 40 digits, from the
     float parameters and the float moment term (the quadrature is not the
-    solver's).  G(lo) < 0 at the solver's lower end, and G > mu - c > 0
-    above max(c, v/2), where the log tail ratio is at most 0."""
+    solver's).  The bracket is centred on start and widened until G changes
+    sign across it; G is increasing, so it then holds the one root, however
+    far start is from it.  Bisects to 30 digits of the root, or of sigma_mu
+    where the root is nearer 0."""
     with mpmath.workdps(40):
         t = mpmath.mpf(tau)
         logit = mpmath.log(t / (1 - t))
-        v = mpmath.mpf(params.sigma_mu) ** 2
-        s = mpmath.sqrt(v)
+        s = mpmath.mpf(params.sigma_mu)
+        v = s * s
         c = logit + v / 2 - moment
 
         def G(mu):
             return (mu - c - mpmath.log(mpmath.ncdf((v - mu) / s))
                     + mpmath.log(mpmath.ncdf(mu / s)))
 
-        lo, hi = min(logit, 0) - 6 * s, max(c, v / 2) + 1
-        assert G(lo) < 0 < G(hi)
-        while hi - lo > mpmath.mpf(10) ** -24 * (1 + abs(lo)):
+        d = mpmath.mpf(10) ** -6 * max(abs(start), s)
+        while not G(start - d) < 0 < G(start + d):
+            d *= 16
+        lo, hi = start - d, start + d
+        while hi - lo > mpmath.mpf(10) ** -30 * max(abs(lo), abs(hi), s):
             mid = (lo + hi) / 2
             if G(mid) < 0:
                 lo = mid
@@ -255,12 +257,16 @@ MAX_EVALUATIONS = 6
 
 
 class TestNewtonSolve:
-    # ROADMAP item 12's census box, tau at the ends of its validated band,
-    # and sigma_mu up to 36, just short of the tail mean's overflow
+    # ROADMAP item 12's census box for gamma, sigma_idio and theta; tau over
+    # its validated band and at its ends; sigma_mu log-uniform from just
+    # above validate's floor, 2^-511, to 3, and up to 36, just short of the
+    # tail mean's overflow
     @given(st.one_of(st.just(1.0), st.floats(0.3, 12.0)),
-           st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 36.0)),
+           st.one_of(st.floats(math.log(1.5e-154), math.log(3.0)).map(math.exp),
+                     st.floats(3.0, 36.0)),
            st.floats(0.01, 3.0), st.floats(0.001, 0.999),
-           st.one_of(st.floats(0.01, 0.99), st.sampled_from([TAU_MIN, TAU_MAX])))
+           st.one_of(st.floats(TAU_MIN, TAU_MAX),
+                     st.sampled_from([TAU_MIN, TAU_MAX])))
     @settings(max_examples=100, deadline=None)
     def test_matches_mpmath_bisection(self, gamma, sigma_mu, sigma_idio,
                                       theta, tau):
@@ -273,18 +279,14 @@ class TestNewtonSolve:
             except HetdataError:  # an unconverged moment or tail mean
                 assume(False)
         assert len(points) == sol.iterations <= MAX_EVALUATIONS
-        moment = _moment_term(params)
-        exact = mp_threshold(tau, params, moment)
-        # the stopping step, plus a few eps of G's terms: G' >= 1, so an
-        # error in G moves the root by no more
-        v = sigma_mu * sigma_mu
-        logit = math.log(tau) - math.log1p(-tau)
-        log_tails = abs(mpmath.log(mpmath.ncdf((v - sol.mu_k) / sigma_mu))) \
-            + abs(mpmath.log(mpmath.ncdf(sol.mu_k / sigma_mu)))
-        terms = abs(sol.mu_k) + abs(logit) + 0.5 * v + abs(moment) + log_tails
-        eps = sys.float_info.epsilon
-        bound = 0.5 * (1e-13 + 8 * eps * abs(sol.mu_k)) + 4 * eps * terms
-        assert abs(sol.mu_k - exact) <= bound
+        exact = mp_threshold(tau, params, _moment_term(params), sol.mu_k)
+        exact_m = mpmath.ncdf(-exact / mpmath.mpf(sigma_mu))
+        # relative to mu_k, or to min(1, sigma_mu), the scale of the stopping
+        # step, where mu_k nears 0; m relative to itself.  The worst seen in
+        # 2,599 seeded sets of this box: 5.0e-14 on mu_k and 8.9e-14 on m
+        scale = max(abs(exact), min(1.0, sigma_mu))
+        assert abs(sol.mu_k - exact) <= 1e-12 * scale
+        assert abs(sol.m - exact_m) <= 1e-12 * exact_m
 
     def test_step_leaving_the_bracket_is_bisected(self, monkeypatch):
         # a slope taken as 1 (dF/dmu as 0) overshoots the root; each point
@@ -390,37 +392,25 @@ class TestSolveThresholdMemo:
 
 
 class TestAbilitySpecs:
+    """The two ability laws of the tail ratio, N(v, v) and N(0, v), go to
+    the kernels as the floats (v, sigma_mu) and (0, sigma_mu)."""
+
     @pytest.mark.parametrize("v", [0.04, 1.0, 2.25])
     def test_pair_equals_fresh_specs(self, v):
-        hi, lo = ability_specs(v)
-        assert (hi, lo) == (GaussianSpec(v, v), GaussianSpec(0.0, v))
-        assert (hi.std, lo.std) == (GaussianSpec(v, v).std, GaussianSpec(0.0, v).std)
-        assert ability_specs(v) is ability_specs(v)
+        # the tails as laws built from the variance took them: std sqrt(v)
+        sigma_mu = math.sqrt(v)
+        var = sigma_mu * sigma_mu
+        std = math.sqrt(var)
+        for mu in (-3.0, 0.0, 0.5 * var, 2.0, 9.0):
+            expected = (log_ndtr(-((mu - var) / std))
+                        - log_ndtr(-((mu - 0.0) / std)))
+            assert threshold.log_output_ratio(mu, sigma_mu).hex() == expected.hex()
 
-    def test_typed_key_keeps_an_int_variance(self):
-        assert type(ability_specs(1)[0].variance) is int
-        assert type(ability_specs(1.0)[0].variance) is float
-
-    def test_one_entry_per_sigma_mu(self):
-        # 2.759 ** 2 is one ulp below 2.759 * 2.759: were the variance
-        # squared both ways, one sigma_mu would leave two entries
-        params = default_params(sigma_mu=2.759)
-        ability_specs.cache_clear()
-        solve_threshold.cache_clear()
-        threshold_sensitivity.cache_clear()
-        mu_k = solve_threshold(0.5, params).mu_k
-        threshold_sensitivity(0.5, params)
-        output_ratio(mu_k, params.sigma_mu)
-        aggregate_output(mu_k, 0.0, params)
-        assert ability_specs.cache_info().currsize == 1
-
-    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_bad_variance_raises_on_every_call(self, v):
-        ability_specs.cache_clear()
+    @pytest.mark.parametrize("sigma_mu", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_variance_raises_on_every_call(self, sigma_mu):
         for _ in range(2):
             with pytest.raises(InvalidInputError):
-                ability_specs(v)
-        assert ability_specs.cache_info().currsize == 0
+                threshold.log_output_ratio(0.0, sigma_mu)
 
 
 class TestUtilities:
@@ -442,9 +432,9 @@ class TestUtilities:
         params = default_params(gamma=2.0)
         n = 1_000_000
         stream = make_stream(23, 0)
-        agg, idio = params.agg_shock_spec, params.idio_shock_spec
-        eps = stream.normal(agg.mean, agg.std, n)
-        eps_i = stream.normal(idio.mean, idio.std, n)
+        s, s_i = params.sigma_agg, params.sigma_idio
+        eps = stream.normal(-0.5 * (s * s), math.sqrt(s * s), n)
+        eps_i = stream.normal(-0.5 * (s_i * s_i), math.sqrt(s_i * s_i), n)
         c = (
             0.5 * params.D * math.exp(0.3)
             * np.exp(eps)
@@ -474,8 +464,8 @@ class TestUtilities:
         params = default_params(gamma=2.0)
         m, tail, tau = 0.3, 2.5, 0.4
         n = 1_000_000
-        agg = params.agg_shock_spec
-        eps = make_stream(29, 0).normal(agg.mean, agg.std, n)
+        s = params.sigma_agg
+        eps = make_stream(29, 0).normal(-0.5 * (s * s), math.sqrt(s * s), n)
         c = tau * params.D * np.exp(eps) * m * tail / (1.0 - m)
         u = c ** (-1.0) / (-1.0)
         observed = float(np.mean(u))
@@ -514,8 +504,9 @@ class TestClassify:
         params = default_params()
         sol = solve_threshold(params.tau, params)
         v_s = provider_utility(params.tau, sol.m, sol.tail_mean, params)
-        spec = params.ability_spec
-        abilities = make_stream(31, 0).normal(spec.mean, spec.std, 10_000)
+        s = params.sigma_mu
+        abilities = make_stream(31, 0).normal(params.mu_bar, math.sqrt(s * s),
+                                              10_000)
         for mu_i, is_user in zip(abilities, sol.is_user(abilities)):
             v_i = user_utility(float(mu_i), params.tau, params)
             assert (v_i > v_s) == is_user

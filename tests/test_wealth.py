@@ -342,7 +342,8 @@ class TestFMu:
         rate = 0.02 + 0.5 * 0.1 - 0.1 * 0.5 * 0.2
         params = default_params(tau=0.5, D=2.0, EK_target=math.exp(rate * 2.0))
         # mu_i + eps0 + eps_i0 = 0 and D(1 - tau) = 1
-        mu_i = -(params.agg_shock_spec.mean + params.idio_shock_spec.mean)
+        s, s_i = params.sigma_agg, params.sigma_idio
+        mu_i = -(-0.5 * (s * s) + -0.5 * (s_i * s_i))
         assert f_mu(mu_i, params) == pytest.approx(1.0, rel=1e-12)
 
     def test_term_by_term_assembly(self):

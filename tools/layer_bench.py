@@ -76,8 +76,9 @@ BOX = {  # perfbench param_scan's box
 }
 # abilities whose friction match has a root at every case of the box
 MU_RANGE = (3.0, 8.0)
-# under the smallest memo a pass fills (threshold.ability_specs, 64), so a
-# hit pass hits every layer below
+# under the smallest memo a pass fills (portfolio_moment's 256; 64 in
+# sources that memoise the ability laws in threshold), so a hit pass hits
+# every layer below
 CASES = 60
 
 POPULATION = 10**6  # verify's default --population
@@ -90,8 +91,11 @@ MC_CASES = {  # verify.check_jump_diffusion_mean's cases
 
 MEMOS = {  # layer: its own memos
     "numerics.portfolio_moment": [numerics.portfolio_moment],
-    "threshold.solve_threshold": [threshold.solve_threshold,
-                                  threshold.ability_specs],
+    # every memo threshold defines: solve_threshold's, and in older sources
+    # that of the ability laws too
+    "threshold.solve_threshold": [
+        memo for memo in vars(threshold).values()
+        if hasattr(memo, "cache_clear") and memo.__module__ == threshold.__name__],
     "statics.threshold_sensitivity": [statics.threshold_sensitivity],
     "wealth.solve_lambda": [wealth.solve_lambda],
 }
