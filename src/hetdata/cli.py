@@ -35,12 +35,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-# the Monte Carlo check squares its paths: below the first bound the squares
-# underflow, so the standard error reads 0 and the 3-SE verdict judges
-# nothing; above the second they overflow
-_MIN_JUDGED_CAPITAL = math.sqrt(sys.float_info.min)
-_MAX_JUDGED_CAPITAL = math.sqrt(sys.float_info.max)
-
 # The grids the paper's tables and figures need have tens of points, and
 # every point is a solve; a spec past a million points is a slip, and one
 # past numpy's size limit would crash np.arange, so it is refused first.
@@ -176,23 +170,13 @@ def load_config(argv: List[str]) -> RunConfig:
         if lambda_grid is not None and lambda_grid[0] < 1.0:
             raise ConfigError(f"--lambda-grid points must be >= 1 for "
                               f"{args.command}, got {lambda_grid[0]}")
-        # the one judged sample, at LAMBDA_DEFAULT, against both bounds; the
-        # rows rescale it by E K_t*(lambda) / E K_t*(LAMBDA_DEFAULT), whose
-        # log falls with lambda (slope 1/lambda - t* < 0, as t* > 1), so the
-        # upper bound at the grid's first point keeps every row finite
-        bounds = [(wealth.LAMBDA_DEFAULT, _MIN_JUDGED_CAPITAL)]
-        bounds += [(lambda_grid[0], 0.0)] if lambda_grid else []
-        for lam, low in bounds:
-            try:
-                closed = wealth.expected_capital(params, params.t_star, lam)
-            except NumericalRangeError:
-                closed = math.inf
-            if not low <= closed <= _MAX_JUDGED_CAPITAL:
-                raise ConfigError(
-                    f"lambda {lam} for {args.command}: E K_t* = {closed} is "
-                    f"outside [{low:.3g}, {_MAX_JUDGED_CAPITAL:.3g}], where "
-                    f"the squared Monte Carlo paths, or the rows that "
-                    f"rescale them, underflow or overflow")
+        # rows scale the one sample by E K_t*(lambda), whose log falls with
+        # lambda (slope 1/lambda - t* < 0, as t* > 1): the first is largest
+        lam = (lambda_grid or [wealth.LAMBDA_DEFAULT])[0]
+        try:
+            wealth.expected_capital(params, params.t_star, lam)
+        except NumericalRangeError as exc:
+            raise ConfigError(f"{args.command}: {exc}") from exc
     if lambda_grid is not None and "figure1" in stages:
         try:
             wealth.f_lambda(lambda_grid[0], params.t_star)
@@ -266,20 +250,19 @@ def _run_statics(config: RunConfig) -> int:
 
 def _run_wealth(config: RunConfig) -> int:
     params, t = config.params, config.params.t_star
-    # lambda moves a path only through its deterministic term, and every
-    # draw comes from streams keyed by the seed alone: so each row rescales
-    # the one sample drawn and judged at LAMBDA_DEFAULT by the ratio of the
-    # closed forms (exactly 1.0 there), and carries that sample's verdict
-    case = verify.mc_mean_case(params, config.seed, config.n_paths)
+    # the one sample, judged at LAMBDA_DEFAULT in units of E K_t*, which
+    # are lambda's only way into a path (the streams are keyed by the seed
+    # alone): each row is that sample times its own E K_t*, with its verdict
+    ratio, se, passed = verify.mc_ratio(params, config.seed, config.n_paths)
     rows = []
     for lam in config.lambda_grid or [wealth.LAMBDA_DEFAULT]:
         closed = wealth.expected_capital(params, t, lam)
-        c = closed / case["closed_form"]
-        rows.append((lam, t, closed, case["estimate"] * c, case["se"] * c,
-                     case["pass"]))
+        if not math.isfinite(max(ratio, se) * closed):  # E K_t* near max float
+            raise NumericalRangeError(f"Monte Carlo row overflows at lambda={lam}")
+        rows.append((lam, t, closed, ratio * closed, se * closed, passed))
     _write_csv(config.output_dir / "wealth.csv",
                ("lambda,t,closed_form,mc_estimate,mc_se,pass", rows))
-    return EXIT_OK if case["pass"] else EXIT_VERIFY_FAIL
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def _run_figure1(config: RunConfig) -> int:

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
-from .numerics import shock_mean
+from .numerics import mean_and_m2, shock_mean, standard_error
 from .statics import aggregate_output
 from .threshold import (
     ThresholdSolution,
@@ -103,18 +103,6 @@ def _user_abilities(sample: PopulationSample) -> np.ndarray:
     return sample.abilities[np.flatnonzero(sample.roles)]
 
 
-def _zero_filled_mean_se(terms: np.ndarray, n: int) -> Tuple[float, float]:
-    """Mean and ddof=1 standard error of n values: `terms` followed by
-    n - len(terms) zeros.  Overwrites `terms`."""
-    mean = np.add.reduce(terms) / n
-    terms -= mean
-    np.square(terms, out=terms)
-    # each zero deviates from the mean by -mean
-    squares = np.add.reduce(terms) + (n - len(terms)) * (mean * mean)
-    std = np.sqrt(squares / (n - 1))
-    return float(mean), float(std / math.sqrt(n))
-
-
 def lln_check(sample: PopulationSample, params: ModelParams) -> List[CheckReport]:
     """Sample aggregate of user output vs the m * tail_mean continuum limit
     at the sample's own threshold."""
@@ -124,7 +112,8 @@ def lln_check(sample: PopulationSample, params: ModelParams) -> List[CheckReport
     terms = _user_abilities(sample)
     terms += sample.user_shocks
     np.exp(terms, out=terms)
-    observed, se = _zero_filled_mean_se(terms, len(sample.abilities))
+    observed, m2 = mean_and_m2(terms, len(sample.abilities))
+    se = standard_error(m2, len(sample.abilities))
     threshold = sample.threshold
     expected = threshold.m * threshold.tail_mean
     reports = [
@@ -215,9 +204,8 @@ def consumption_convergence(
         # error of its mean.  Algebraically the mean gap equals
         # (1-theta) * scale * mean_j[e^mu_j (e^eps_j - 1)] whose terms are
         # i.i.d.; the SE comes from those terms.
-        pool_terms = e_mu_eps - e_mu
-        se = (1.0 - theta) * scale * float(
-            np.std(pool_terms, ddof=1) / math.sqrt(n_users))
+        pool_m2 = mean_and_m2(e_mu_eps - e_mu, n_users)[1]
+        se = (1.0 - theta) * scale * standard_error(pool_m2, n_users)
         reports.append(
             _three_se_report(f"consumption_gap_n{n}", 0.0, float(np.mean(diff)), se)
         )
@@ -228,7 +216,8 @@ def consumption_convergence(
         raise DegenerateInputError("population is all users or all providers")
     # tau D e^eps times e^(mu_i + eps_i) for a user, 0 for a provider
     output_scale = params.tau * params.D * math.exp(sample.agg_shock)
-    mean_output, se_output = _zero_filled_mean_se(e_mu_eps, n)
+    mean_output, m2_output = mean_and_m2(e_mu_eps, n)
+    se_output = standard_error(m2_output, n)
     observed_cs = output_scale * mean_output / (1.0 - m_hat)
     se_cs = output_scale * se_output / (1.0 - m_hat)
     sol = sample.threshold

@@ -1,13 +1,14 @@
-"""Gaussian kernels, Gauss-Hermite quadrature, root finding, seeded streams.
+"""Gaussian kernels, quadrature, root finding, streams, Monte Carlo means.
 
-Every other module builds on these four pieces:
+Every other module builds on these five pieces:
 
 * Gaussian kernels on the math module (erfcx, log_ndtr) and the log tail
   and hazard built on them, stable deep in either tail (no 1-cdf
   cancellation),
 * Gauss-Hermite quadrature of the portfolio moment E[(θe^ε + 1-θ)^(1-γ)],
 * a bracketed root finder (safeguarded Newton) for increasing functions,
-* reproducible, independently-seeded random streams for Monte Carlo.
+* reproducible, independently-seeded random streams for Monte Carlo,
+* the one two-pass mean and M2 of Monte Carlo terms, and their merge.
 """
 from __future__ import annotations
 
@@ -264,3 +265,29 @@ def make_stream(master_seed: int, index: int) -> np.random.Generator:
         raise InvalidInputError(f"stream index must be >= 0, got {index}")
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
     return np.random.Generator(np.random.SFC64(seq))
+
+
+def mean_and_m2(terms: np.ndarray, n: int) -> Tuple[float, float]:
+    """Mean and M2, the sum of squared deviations, of n values: `terms` and
+    n - len(terms) zeros, in two passes.  Overwrites `terms`."""
+    mean = float(np.add.reduce(terms)) / n
+    terms -= mean
+    np.square(terms, out=terms)
+    # each zero deviates from the mean by -mean
+    m2 = float(np.add.reduce(terms)) + (n - len(terms)) * (mean * mean)
+    return mean, m2
+
+
+def merge_mean_m2(a: Tuple[int, float, float],
+                  b: Tuple[int, float, float]) -> Tuple[int, float, float]:
+    """(count, mean, M2) of the union of two parts, each given as one (Chan,
+    Golub & LeVeque 1983, Am. Stat. 37:242); an empty part changes nothing."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    share_b, delta = n_b / (n_a + n_b), mean_b - mean_a
+    return (n_a + n_b, mean_a + delta * share_b,
+            m2_a + m2_b + delta * delta * (n_a * share_b))
+
+
+def standard_error(m2: float, n: int) -> float:
+    """ddof=1 standard error of the mean of n values whose M2 is m2."""
+    return math.sqrt(m2 / (n - 1)) / math.sqrt(n)

@@ -26,14 +26,14 @@ import numpy as np
 
 from .errors import InvalidInputError, NoSolutionError, NumericalRangeError
 from .model import ModelParams
-from .numerics import make_stream, shock_mean
+from .numerics import (make_stream, mean_and_m2, merge_mean_m2, shock_mean,
+                       standard_error)
 
 _LOG_2 = math.log(2.0)
 _MC_BATCH = 16384     # paths per stream; fixed so results are seed-reproducible
 # the friction coefficient of verify's jump_diffusion_mean cases and of the
-# one Monte Carlo sample the wealth stage draws and judges, which its grid
-# rows rescale; the CLI holds E K_t* to both bounds here, and to the upper
-# one at a grid's first point
+# one Monte Carlo sample the wealth stage draws and judges, in units of
+# E K_t*, which its grid rows scale by E K_t*(lambda)
 LAMBDA_DEFAULT = 1.5
 
 
@@ -83,10 +83,11 @@ def expected_capital(params: ModelParams, t: float, lam: float) -> float:
 def _terminal_capital(
     params: ModelParams, lam: float, t: float, n: int, stream: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized exact terminal K for n paths (one stream)."""
-    drift = _drift_continuous(params, lam)
+    """Vectorized exact K_t / E K_t for n paths (one stream)."""
     vol = params.alpha * params.sigma_w
-    mean = math.log(lam) + math.log(params.W0) + drift * t  # lam W0 may overflow
+    # log(lambda W0) cancels exactly; the drift less the mean rate is the
+    # diffusion's -vol^2/2 and the jumps' compensator
+    mean = (_drift_continuous(params, lam) - _mean_rate(params, lam)) * t
     if vol == 0.0 and params.w == 0.0:  # nothing random: draw nothing
         return np.exp(np.full(n, mean))
     # the bits of stream.normal(mean, vol sqrt t, n), which is mean + scale
@@ -109,7 +110,7 @@ def _terminal_capital(
 
 # Memoised like threshold.solve_threshold: the estimate is a pure function
 # of its arguments (each batch stream is keyed by the master seed), so a
-# repeated case, such as wealth.csv's lambda = 1.5 row and verify's
+# repeated case, such as wealth.csv's sample and verify's
 # diffusion_and_jumps case, is simulated once.  Exceptions are not cached.
 @functools.lru_cache(maxsize=512, typed=True)
 def mc_expected_capital(
@@ -119,40 +120,29 @@ def mc_expected_capital(
     n_paths: int,
     master_seed: int,
 ) -> Tuple[float, float]:
-    """Monte Carlo (estimate, standard error) of E K_t.
+    """Monte Carlo (estimate, ddof=1 standard error) of E[K_t / E K_t] = 1:
+    paths in units of E K_t, which neither overflow nor underflow with it.
 
-    Paths are drawn in fixed-size batches with one stream per batch
-    index, then reduced in batch order, so the result is bit-identical
-    for a given master seed regardless of how batches are scheduled.
-    Refuses the t and lambda that expected_capital refuses, and raises
-    NumericalRangeError where a path or its square overflows.
+    Paths are drawn in fixed-size batches with one stream per batch index;
+    each batch's mean and M2 are merged in batch order, so the result is
+    bit-identical for a given master seed regardless of how batches are
+    scheduled.  Refuses the t and lambda that expected_capital refuses,
+    and raises NumericalRangeError where the mean or SE is not finite.
     """
     if n_paths < 100:
         raise InvalidInputError(f"n_paths must be >= 100, got {n_paths}")
     _check_t_lambda(t, lam)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    batch_index = 0
-    # an overflow reaches total_sq, which is tested once, below
-    with np.errstate(over="ignore"):
-        while done < n_paths:
-            n = min(_MC_BATCH, n_paths - done)
-            terminal = _terminal_capital(
-                params, lam, t, n, make_stream(master_seed, batch_index)
-            )
-            total += float(np.sum(terminal))
-            np.multiply(terminal, terminal, out=terminal)
-            total_sq += float(np.sum(terminal))
-            done += n
-            batch_index += 1
-    if not math.isfinite(total_sq):
+    part = (0, 0.0, 0.0)  # paths done, their mean and M2
+    while part[0] < n_paths:
+        n = min(_MC_BATCH, n_paths - part[0])
+        stream = make_stream(master_seed, part[0] // _MC_BATCH)  # batch index
+        terminal = _terminal_capital(params, lam, t, n, stream)
+        part = merge_mean_m2(part, (n, *mean_and_m2(terminal, n)))
+    mean, se = part[1], standard_error(part[2], n_paths)
+    if not (math.isfinite(mean) and math.isfinite(se)):
         raise NumericalRangeError(
-            f"squared Monte Carlo paths overflow at lambda={lam}, t={t}"
-        )
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_paths)
+            f"Monte Carlo K_t / E K_t is not finite at lambda={lam}, t={t}")
+    return mean, se
 
 
 def f_lambda(lam: float, t: float) -> float:

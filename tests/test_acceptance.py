@@ -81,11 +81,14 @@ def test_criterion_6_lln_and_clearing():
 
 def test_criterion_7_jump_diffusion_mean():
     result = verify.check_jump_diffusion_mean(SEED, n_paths=100_000)
-    # the derived reference case: lambda=2, t=1 closed form 2 e^{-1.94}
-    est, se = wealth.mc_expected_capital(
+    # the derived reference case: lambda=2, t=1 closed form 2 e^{-1.94},
+    # and the Monte Carlo mean of K_t / E K_t within 3 SE of 1
+    closed = wealth.expected_capital(default_params(), 1.0, 2.0)
+    ratio, se = wealth.mc_expected_capital(
         default_params(), 2.0, 1.0, 100_000, SEED
     )
-    reference_ok = abs(est - 2.0 * math.exp(-1.94)) <= 3.0 * se
+    reference_ok = (closed == pytest.approx(2.0 * math.exp(-1.94), rel=1e-14)
+                    and abs(ratio - 1.0) <= 3.0 * se)
     _report(
         "criterion 7: Monte Carlo capital mean within 3 SE of the closed "
         "form at three parameter sets plus the 2e^{-1.94} reference",

@@ -294,18 +294,20 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("override", [
-        {"r_f": -200.0},  # E K_t* of 1.5e-175: the se underflows to 0
-        {"mu0": 360.0},   # E K_t* of 1.7e155: the squared paths overflow
-        {"mu0": 1000.0},  # E K_t* itself overflows
+        {"mu0": 1000.0},               # the exponential overflows
+        {"mu0": 700.0, "W0": 1e10},    # its product with lambda W0 does
+        {"t_star": 1500.0, "mu0": 5.0},  # the exponential, at t* = 1500
     ])
     def test_default_lambda_capital_out_of_range_exits_2(self, tmp_path,
                                                           capsys, override):
+        # E K_t* overflows at lambda 1.5, the one row: expected_capital's
+        # error is a configuration error, written nowhere
         path = _write_params(tmp_path, **override)
         out = tmp_path / "out"
         assert main(["wealth", "--seed", "1", "--paths", "1000", "--params",
                      str(path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
-        assert ("config error: lambda 1.5 for wealth: E K_t* ="
+        assert ("config error: wealth: E K_t overflows at lambda=1.5"
                 in capsys.readouterr().err)
 
     def test_overflowing_first_grid_row_exits_2(self, tmp_path, capsys):
@@ -315,18 +317,20 @@ class TestExitCodes:
         assert main(["wealth", "--seed", "1", "--params", str(path),
                      "--lambda-grid", "1:2:0.5", "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
-        assert ("config error: lambda 1.0 for wealth: E K_t* = inf"
+        assert ("config error: wealth: E K_t overflows at lambda=1.0, t=1500.0"
                 in capsys.readouterr().err)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_path_squares_exit_3(self, tmp_path, capsys):
-        # E K_t* of 1.2e153 lies inside the bounds, but some paths do not
-        path = _write_params(tmp_path, mu0=355.0, sigma_w=2.0)
+    def test_overflowing_row_exits_3(self, tmp_path, capsys):
+        # E K_t* is 1.798e308 at lambda 1.5, below max float, but the
+        # sample's mean of K_t* / E K_t* is above 1, so the row's estimate
+        # is not; the bounds refused this file before
+        path = _write_params(tmp_path, mu0=712.3372477852758)
         out = tmp_path / "out"
         assert main(["wealth", "--seed", "1", "--paths", "1000", "--params",
                      str(path), "--out", str(out)]) == EXIT_SOLVER
         assert not (out / "wealth.csv").exists()
-        assert ("solver error: squared Monte Carlo paths overflow"
+        assert ("solver error: Monte Carlo row overflows at lambda=1.5"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("grid, lambda_star", [
@@ -497,7 +501,7 @@ class TestWealthGrid:
     @pytest.mark.parametrize("overrides, argv, code", [
         (None, ["wealth", "--seed", "7", "--lambda-grid", "1:3:0.1"], EXIT_OK),
         # E K_t* of 6e-173 at 201, 9e-259 at 300 and 0 at 501: these rows
-        # rescale the sample judged at lambda 1.5; none judges paths that
+        # scale the sample judged at lambda 1.5; none judges paths that
         # underflowed
         (None, ["report", "--seed", "1", "--lambda-grid", "1:400:100"], EXIT_OK),
         (None, ["wealth", "--seed", "1", "--paths", "100", "--lambda-grid",
@@ -509,7 +513,18 @@ class TestWealthGrid:
         ({"t_star": 3000.0, "mu0": 2.96},
          ["wealth", "--seed", "1", "--paths", "1000", "--lambda-grid",
           "1.5:1.7:0.1"], EXIT_VERIFY_FAIL),
-    ], ids=["seed7", "report_underflow", "underflow", "zero", "fails"])
+        # E K_t* of 1.5e-175, whose squared paths underflowed to an SE of 0,
+        # of 1.7e155, whose squared paths overflowed, and of 1.2e153, of
+        # whose paths about 1% had squares that overflowed: the sample, in
+        # units of E K_t*, is judged like any other (these were refused)
+        ({"r_f": -200.0}, ["wealth", "--seed", "1", "--paths", "1000"],
+         EXIT_OK),
+        ({"mu0": 360.0}, ["wealth", "--seed", "1", "--paths", "1000"],
+         EXIT_OK),
+        ({"mu0": 355.0, "sigma_w": 2.0},
+         ["wealth", "--seed", "1", "--paths", "1000"], EXIT_OK),
+    ], ids=["seed7", "report_underflow", "underflow", "zero", "fails",
+            "tiny_capital", "huge_capital", "huge_capital_paths"])
     def test_rows_share_one_sample_and_one_verdict(self, tmp_path, capsys,
                                                    overrides, argv, code):
         params = default_params()
@@ -521,22 +536,17 @@ class TestWealthGrid:
         assert main(argv + ["--out", str(out)]) == code
         assert capsys.readouterr().err == ""
         flags = dict(zip(argv[1::2], argv[2::2]))
-        # the one sample, drawn and judged at lambda 1.5
-        case = verify.mc_mean_case(params, int(flags["--seed"]),
-                                   int(flags.get("--paths", 100_000)))
-        assert case["pass"] is (code == EXIT_OK)
+        # the one sample, drawn and judged at lambda 1.5 in units of E K_t*
+        ratio, se, passed = verify.mc_ratio(
+            params, int(flags["--seed"]), int(flags.get("--paths", 100_000)))
+        assert passed is (code == EXIT_OK)
         rows = _wealth_rows(out)
-        assert [row[0] for row in rows] == _parse_grid(flags["--lambda-grid"],
-                                                       "lambda-grid")
+        grid = flags.get("--lambda-grid")
+        assert [row[0] for row in rows] == (
+            _parse_grid(grid, "lambda-grid") if grid else [1.5])
         for row in rows:
-            assert row[-1] is case["pass"]
-            if row[2] == 0.0:  # E K_t* underflows, and so does the rest
-                assert row[3:5] == (0.0, 0.0)
-                continue
-            assert row[3] / row[2] == pytest.approx(
-                case["estimate"] / case["closed_form"], rel=1e-13)
-            assert row[4] / row[2] == pytest.approx(
-                case["se"] / case["closed_form"], rel=1e-13)
+            assert row[-1] is passed
+            assert row[3:5] == (ratio * row[2], se * row[2])
 
 
 class TestParamsFileKinds:

@@ -14,6 +14,7 @@ from hetdata.errors import (
     NoSolutionError,
     NumericalRangeError,
 )
+from hetdata.mc import within_three_se
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
 from hetdata.wealth import (
@@ -109,36 +110,32 @@ class TestTerminalCapital:
     """The vectorized exact paths behind mc_expected_capital."""
 
     def test_deterministic_case(self):
+        # K_t = E K_t: in its units every path is 1, with no rounding
         params = default_params(sigma_w=0.0, w=0.0)
-        logK = np.log(_terminal_capital(params, 1.5, 2.0, 100, make_stream(1, 0)))
-        drift = params.r_f + 0.5 * params.mu_hat - 1.5
-        assert np.allclose(logK, math.log(1.5) + drift * 2.0, rtol=0.0, atol=1e-12)
+        paths = _terminal_capital(params, 1.5, 2.0, 100, make_stream(1, 0))
+        assert np.all(paths == 1.0)
 
     def test_diffusion_moments(self):
-        # w = 0: log K_t - log(lambda W0) ~ N(drift t, (alpha sigma_w)^2 t)
+        # w = 0: log(K_t / E K_t) ~ N(-var / 2, var), var = (alpha sigma_w)^2 t
         params = default_params(w=0.0)
         n, t, lam = 100_000, 2.0, 1.5
-        drift = (
-            params.r_f + 0.5 * params.mu_hat
-            - 0.5 * 0.25 * params.sigma_w ** 2 - lam
-        )
         terminals = _terminal_capital(params, lam, t, n, make_stream(3, 0))
-        increments = np.log(terminals) - math.log(lam * params.W0)
+        increments = np.log(terminals)
         var = (0.5 * params.sigma_w) ** 2 * t
         se_mean = math.sqrt(var / n)
-        assert abs(float(np.mean(increments)) - drift * t) <= 3.0 * se_mean
+        assert abs(float(np.mean(increments)) + 0.5 * var) <= 3.0 * se_mean
         sample_var = float(np.var(increments, ddof=1))
         se_var = var * math.sqrt(2.0 / (n - 1))
         assert abs(sample_var - var) <= 3.0 * se_var
 
     def test_jump_count_mean(self):
         # sigma_w = 0 and a constant loss: each jump moves log K by
-        # log(1 - alpha L), so the jump count is recoverable from log K_t
+        # log(1 - alpha L), from the compensator w alpha L t of E K_t, so the
+        # jump count is recoverable from log(K_t / E K_t)
         params = default_params(w=0.5, sigma_w=0.0, loss=0.2)
         n, t, lam = 100_000, 4.0, 1.5
-        drift = params.r_f + 0.5 * params.mu_hat - lam
         terminals = _terminal_capital(params, lam, t, n, make_stream(9, 0))
-        jumps = (np.log(terminals) - math.log(lam * params.W0) - drift * t) / (
+        jumps = (np.log(terminals) - params.w * 0.5 * 0.2 * t) / (
             math.log1p(-0.5 * 0.2)
         )
         counts = np.round(jumps)
@@ -150,14 +147,53 @@ class TestTerminalCapital:
 class TestMcExpectedCapital:
     def test_degenerate_alpha_zero(self):
         params = default_params(alpha=0.0, w=0.0)
-        closed = expected_capital(params, params.t_star, 1.5)
-        est, se = mc_expected_capital(params, 1.5, params.t_star, 1000, 11)
-        assert se == 0.0
-        assert est == pytest.approx(closed, rel=1e-14)
+        assert mc_expected_capital(params, 1.5, params.t_star, 1000, 11) == (
+            1.0, 0.0)
+
+    def test_paths_with_nothing_random_pass_exactly(self):
+        # alpha = w = 0: each path is K_t / E K_t = e^0 = 1 exactly; drawn in
+        # absolute units, 810 of 2,000 such sets missed the 3-SE rule by the
+        # rounding of the paths' sum against the closed form
+        gen = np.random.default_rng(24)
+        for _ in range(200):
+            params = default_params(alpha=0.0, w=0.0,
+                                    r_f=gen.uniform(-0.05, 0.1),
+                                    t_star=gen.uniform(1.01, 60.0))
+            args = (params, gen.uniform(1.0, 3.0), params.t_star, 1000, 1)
+            ratio, se = mc_expected_capital.__wrapped__(*args)
+            assert within_three_se(ratio, 1.0, se)
+            assert (ratio, se) == (1.0, 0.0)
+        params = default_params(alpha=0.0, w=0.0)
+        assert mc_expected_capital.__wrapped__(
+            params, 1.5, params.t_star, 10**6, 7) == (1.0, 0.0)
 
     def test_reference_case_within_three_se(self):
-        est, se = mc_expected_capital(REFERENCE, 2.0, 1.0, 100_000, 13)
-        assert abs(est - REFERENCE_EK1) <= 3.0 * se
+        ratio, se = mc_expected_capital(REFERENCE, 2.0, 1.0, 100_000, 13)
+        assert abs(ratio - 1.0) <= 3.0 * se
+
+    def test_se_of_nearly_constant_paths(self):
+        # w = 0, sigma_w = 1e-7: the paths spread by 7.1e-8 of their mean;
+        # a one-pass total_sq / n - mean^2 cancelled there, to an SE 2.6% off
+        # at this seed (the bound is 3 sd of a sample SE's relative error)
+        params = default_params(w=0.0, sigma_w=1e-7)
+        n = 100_000
+        v = (params.alpha * params.sigma_w) ** 2 * params.t_star
+        _, se = mc_expected_capital(params, 1.5, params.t_star, n, 7)
+        exact = math.sqrt(math.expm1(v) / n)
+        assert abs(se / exact - 1.0) <= 1.5 * math.sqrt(2.0 / (n - 1))
+
+    @pytest.mark.parametrize("params", [default_params(w=0.0), REFERENCE],
+                             ids=["diffusion_only", "diffusion_and_jumps"])
+    def test_three_se_coverage(self, params):
+        # verify's two random cases at 10^4 paths over 300 seeds: z is
+        # near standard normal (more than 7 beyond 3 has chance under 0.1%)
+        z = []
+        for seed in range(300):
+            ratio, se = mc_expected_capital.__wrapped__(
+                params, 1.5, params.t_star, 10_000, seed)
+            z.append((ratio - 1.0) / se)
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 7
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
 
     def test_jump_product_identity(self):
         # E prod(1 - alpha L_i) = exp(w t (-alpha L)) for constant L
@@ -214,22 +250,20 @@ class TestMcExpectedCapital:
         assert mc_expected_capital.cache_info().currsize == 0
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_path_squares_raise_named_error(self):
-        # E K_t* is 1.2e153, below sqrt(max float), but about 1% of the
-        # paths lie above it, so their squares overflow
+    def test_capital_near_the_float_limit_is_judged(self):
+        # E K_t* is 1.2e153 and about 1% of the paths lie above
+        # sqrt(max float): their squares overflowed in absolute units
         params = default_params(mu0=355.0, sigma_w=2.0)
-        mc_expected_capital.cache_clear()
-        with pytest.raises(NumericalRangeError, match="squared Monte Carlo"):
-            mc_expected_capital(params, 1.5, params.t_star, 1000, 1)
-        assert mc_expected_capital.cache_info().currsize == 0
+        ratio, se = mc_expected_capital(params, 1.5, params.t_star, 1000, 1)
+        assert math.isfinite(ratio) and 0.0 < se < math.inf
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_initial_capital_underflows_to_zero(self):
-        # lambda W0 overflows, but the paths' log mean sums the logs, so every
-        # path underflows to 0, as E K_t does, instead of reading NaN, which
-        # was reported as squared paths that overflow
+    def test_overflowing_initial_capital_is_judged(self):
+        # lambda W0 overflows and E K_t underflows to 0, but a path in units
+        # of E K_t is neither: a sample near 1, where it read (0.0, 0.0)
         params = default_params(W0=1e300)
-        assert mc_expected_capital(params, 1e10, 2.0, 1000, 1) == (0.0, 0.0)
+        ratio, se = mc_expected_capital(params, 1e10, 2.0, 1000, 1)
+        assert se > 0.0 and abs(ratio - 1.0) <= 3.0 * se
 
 
 TWO_POINT = {"values": [0.1, 0.4], "probs": [0.7, 0.3]}
@@ -237,7 +271,8 @@ TWO_POINT = {"values": [0.1, 0.4], "probs": [0.7, 0.3]}
 
 class TestMcBits:
     """mc_expected_capital gives the bits of a plain batch loop that draws
-    every path's normals, jump counts and jump splits, needed or not."""
+    every path's normals, jump counts and jump splits, needed or not, in
+    units of E K_t, and merges the batches' two-pass mean and M2."""
 
     CASES = [default_params(alpha=0.0, w=0.0),  # verify's three cases
              default_params(w=0.0),
@@ -250,12 +285,13 @@ class TestMcBits:
     def _reference(params, lam, t, n_paths, seed):
         a, s, loss = params.alpha, params.sigma_w, params.loss
         drift = params.r_f + a * params.mu_hat - 0.5 * a * a * s * s - lam
-        total = total_sq = 0.0
-        done = batch = 0
-        while done < n_paths:
-            n = min(16384, n_paths - done)
+        rate = params.r_f + a * params.mu_hat - lam - params.w * a * loss.mean
+        count, mean, m2 = 0, 0.0, 0.0
+        batch = 0
+        while count < n_paths:
+            n = min(16384, n_paths - count)
             stream = make_stream(seed, batch)
-            logK = math.log(lam) + math.log(params.W0) + drift * t
+            logK = (drift - rate) * t
             logK = logK + a * s * math.sqrt(t) * stream.standard_normal(n)
             counts = stream.poisson(params.w * t, n)
             if len(loss.values) == 1:
@@ -265,13 +301,15 @@ class TestMcBits:
                 logK = (logK + k1 * math.log1p(-a * loss.values[0])
                         + (counts - k1) * math.log1p(-a * loss.values[1]))
             k = np.exp(logK)
-            total += float(np.sum(k))
-            total_sq += float(np.sum(k * k))
-            done += n
+            k_mean = float(np.sum(k)) / n
+            k_m2 = float(np.sum((k - k_mean) ** 2))
+            # Chan, Golub & LeVeque's merge of (count, mean, M2)
+            delta, share = k_mean - mean, n / (count + n)
+            mean, m2 = (mean + delta * share,
+                        m2 + k_m2 + delta * delta * (count * share))
+            count += n
             batch += 1
-        mean = total / n_paths
-        var = max(total_sq / n_paths - mean * mean, 0.0)
-        return mean, math.sqrt(var / n_paths)
+        return mean, math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths)
 
     @pytest.mark.parametrize("params", CASES)
     @pytest.mark.parametrize("n_paths", [100, 16_384, 40_000])
