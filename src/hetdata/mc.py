@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
-from .numerics import mean_and_m2, shock_mean, standard_error
+from .numerics import mean_and_m2, merge_mean_m2, shock_mean, standard_error
 from .statics import aggregate_output
 from .threshold import (
     ThresholdSolution,
@@ -24,6 +24,9 @@ from .threshold import (
 )
 
 _BOUNDARY_BAND = 1e-8
+# agents per block of the population checks, which so allocate nothing of
+# population size; fixed so the bits do not depend on anything else
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,25 @@ def _user_abilities(sample: PopulationSample) -> np.ndarray:
 def lln_check(sample: PopulationSample, params: ModelParams) -> List[CheckReport]:
     """Sample aggregate of user output vs the m * tail_mean continuum limit
     at the sample's own threshold."""
+    n = len(sample.abilities)
+    if n < 2:  # the standard error is a ddof=1 spread
+        raise InvalidInputError("the LLN check needs n >= 2")
     if len(sample.user_shocks) == 0:
         raise DegenerateInputError("population contains no data users")
-    # e^(mu + eps) for the users; a provider's output is 0
-    terms = _user_abilities(sample)
-    terms += sample.user_shocks
-    np.exp(terms, out=terms)
-    observed, m2 = mean_and_m2(terms, len(sample.abilities))
-    se = standard_error(m2, len(sample.abilities))
+    # e^(mu + eps) for the users, a provider's output 0; each block reduced,
+    # the blocks merged in agent order
+    part = (0, 0.0, 0.0)  # agents done, their mean and M2
+    users = 0  # users done, the partners of the next shocks
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        terms = np.compress(sample.roles[start:stop],
+                            sample.abilities[start:stop])
+        terms += sample.user_shocks[users:users + len(terms)]
+        users += len(terms)
+        np.exp(terms, out=terms)
+        part = merge_mean_m2(part, (stop - start,
+                                    *mean_and_m2(terms, stop - start)))
+    observed, se = part[1], standard_error(part[2], n)
     threshold = sample.threshold
     expected = threshold.m * threshold.tail_mean
     reports = [
@@ -136,14 +150,25 @@ def market_clearing_check(
     sample: PopulationSample, params: ModelParams
 ) -> List[CheckReport]:
     """Portfolio shares sum to 1 - theta exactly; risk-free holdings are 0."""
-    if len(sample.abilities) < 2:
+    n = len(sample.abilities)
+    if n < 2:
         raise InvalidInputError("market clearing needs n >= 2")
     theta = params.theta
-    shares = np.exp(sample.abilities)
-    weight_sum = float(np.sum(shares))
-    shares *= 1.0 - theta
-    shares /= weight_sum
-    total = float(np.sum(shares))
+    # e^mu a block at a time in one buffer: summed for the weights' total,
+    # then again as shares of it
+    buffer = np.empty(min(_BLOCK, n))
+    blocks = [(sample.abilities[start:start + _BLOCK],
+               buffer[:min(_BLOCK, n - start)])
+              for start in range(0, n, _BLOCK)]
+    weight_sum = 0.0
+    for abilities, out in blocks:
+        weight_sum += float(np.sum(np.exp(abilities, out=out)))
+    total = 0.0
+    for abilities, out in blocks:
+        shares = np.exp(abilities, out=out)
+        shares *= 1.0 - theta
+        shares /= weight_sum
+        total += float(np.sum(shares))
     return [
         CheckReport(
             statistic="clearing_share_sum",

@@ -31,6 +31,9 @@ from .numerics import (make_stream, mean_and_m2, merge_mean_m2, shock_mean,
 
 _LOG_2 = math.log(2.0)
 _MC_BATCH = 16384     # paths per stream; fixed so results are seed-reproducible
+# the largest Poisson mean numpy draws (its POISSON_LAM_MAX); a larger one
+# raises an untyped ValueError
+_POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 # the friction coefficient of verify's jump_diffusion_mean cases and of the
 # one Monte Carlo sample the wealth stage draws and judges, in units of
 # E K_t*, which its grid rows scale by E K_t*(lambda)
@@ -127,11 +130,16 @@ def mc_expected_capital(
     each batch's mean and M2 are merged in batch order, so the result is
     bit-identical for a given master seed regardless of how batches are
     scheduled.  Refuses the t and lambda that expected_capital refuses,
-    and raises NumericalRangeError where the mean or SE is not finite.
+    and raises NumericalRangeError where the jump count's mean w*t is too
+    large to draw or the mean or SE is not finite.
     """
     if n_paths < 100:
         raise InvalidInputError(f"n_paths must be >= 100, got {n_paths}")
     _check_t_lambda(t, lam)
+    if params.w * t > _POISSON_MEAN_MAX:
+        raise NumericalRangeError(
+            f"jump count mean w*t={params.w * t} exceeds the largest "
+            f"Poisson mean drawn, {_POISSON_MEAN_MAX}")
     part = (0, 0.0, 0.0)  # paths done, their mean and M2
     while part[0] < n_paths:
         n = min(_MC_BATCH, n_paths - part[0])

@@ -174,6 +174,17 @@ class TestExitCodes:
         for text in ("mu_bar=-800.0", "sigma_mu=1.0"):
             assert text in err
 
+    def test_undrawable_jump_count_exits_3(self, tmp_path, capsys):
+        # w * t* = 2e19 is past the largest Poisson mean numpy draws; its
+        # untyped ValueError ended the run with a traceback and exit 1
+        path = _write_params(tmp_path, w=1e19)
+        code = main(["wealth", "--params", str(path), "--paths", "100",
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and "w*t" in err
+        assert "Traceback" not in err
+
     def test_population_without_users_fails_verify(self, tmp_path, capsys):
         # the first of seeds 0, 1, 2, ... whose population stream (index 1)
         # draws no data user among 2 agents (2): a failed check, not exit 3

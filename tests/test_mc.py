@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 
 from hetdata.errors import DegenerateInputError, InvalidInputError
 from hetdata.mc import (
+    _BLOCK,
     consumption_convergence,
     draw_population,
     lln_check,
@@ -89,6 +91,15 @@ class TestLlnCheck:
         for record in json.loads(payload):
             assert set(record) == {"statistic", "expected", "observed", "se",
                                    "pass"}
+
+    @pytest.mark.parametrize("seed", [1, 2])  # a user; a provider
+    def test_minimum_population(self, seed):
+        # one agent has no ddof=1 spread: a user divided by zero before
+        params = default_params()
+        sample = draw_population(1, params, make_stream(seed, 1))
+        assert sample.roles[0] == (seed == 1)
+        with pytest.raises(InvalidInputError, match="n >= 2"):
+            lln_check(sample, params)
 
     def test_degenerate_ability_distribution(self):
         # sigma_mu -> 0: every user contributes e^(mu + eps) with mu ~ 0
@@ -205,6 +216,80 @@ class TestInPlacePasses:
         for old, new in zip(before, [sample.abilities, sample.user_shocks,
                                      sample.roles]):
             assert old.tobytes() == new.tobytes()
+
+
+class TestBlockedReductions:
+    """The checks reduce 2^16 agents at a time; against the full arrays."""
+
+    B = _BLOCK
+    SIZES = [2, B - 1, B, B + 1, 3 * B + 7]
+
+    @staticmethod
+    def _reference_lln(sample, params):
+        """Two passes over the n-element terms, providers' zeros included."""
+        n = len(sample.abilities)
+        terms = np.zeros(n)
+        terms[sample.roles] = np.exp(sample.abilities[sample.roles]
+                                     + sample.user_shocks)
+        mean = float(np.sum(terms)) / n
+        m2 = float(np.sum((terms - mean) ** 2))
+        se = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        scale = params.D * math.exp(sample.agg_shock)
+        return [(mean, se), (scale * mean, scale * se)]
+
+    @staticmethod
+    def _with_roles(sample, roles):
+        """The sample with other roles, one fresh shock per user."""
+        shocks = make_stream(3, 3).normal(-0.125, 0.5, int(np.sum(roles)))
+        return dataclasses.replace(sample, roles=roles, user_shocks=shocks)
+
+    def _assert_lln_matches(self, sample, params):
+        reports = lln_check(sample, params)
+        for report, (observed, se) in zip(
+                reports, self._reference_lln(sample, params)):
+            assert report.observed == pytest.approx(observed, rel=1e-14)
+            assert report.se == pytest.approx(se, rel=1e-14)
+            assert report.passed == within_three_se(observed, report.expected,
+                                                    se)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("params", TestInPlacePasses.PARAMS)
+    def test_lln_matches_full_arrays(self, params, n):
+        checked = 0
+        for seed in (1, 2, 7):
+            sample = draw_population(n, params, make_stream(seed, 1))
+            if np.any(sample.roles):
+                self._assert_lln_matches(sample, params)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_clearing_matches_full_arrays(self, n):
+        params = TestInPlacePasses.PARAMS[1]
+        sample = draw_population(n, params, make_stream(4, 1))
+        weights = np.exp(sample.abilities)
+        want = float(np.sum((1.0 - params.theta) * weights / np.sum(weights)))
+        total = market_clearing_check(sample, params)[0].observed
+        assert abs(total - want) <= 1e-15
+
+    def test_block_without_users_and_blocks_of_users(self):
+        params = default_params()
+        n = 3 * self.B + 7
+        sample = draw_population(n, params, make_stream(6, 1))
+        roles = sample.roles.copy()
+        roles[self.B:2 * self.B] = False   # the second block holds no user
+        roles[2 * self.B:3 * self.B] = True  # every agent of the third is one
+        self._assert_lln_matches(self._with_roles(sample, roles), params)
+        every = self._with_roles(sample, np.ones(n, dtype=bool))
+        self._assert_lln_matches(every, params)
+
+    def test_repeated_calls_bitwise_equal(self):
+        params = default_params()
+        sample = draw_population(3 * self.B + 7, params, make_stream(8, 1))
+        for check in (lln_check, market_clearing_check):
+            first, second = check(sample, params), check(sample, params)
+            assert _hex_rows(map(dataclasses.astuple, first)) == _hex_rows(
+                map(dataclasses.astuple, second))
 
 
 class TestLlnStatistics:

@@ -249,6 +249,15 @@ class TestMcExpectedCapital:
                 mc_expected_capital(*args)
         assert mc_expected_capital.cache_info().currsize == 0
 
+    def test_undrawable_jump_count_raises_named_error(self):
+        # w * t = 2e19 is past numpy's largest Poisson mean, about 9.22e18
+        mc_expected_capital.cache_clear()
+        with pytest.raises(NumericalRangeError, match=r"w\*t=2e\+19"):
+            mc_expected_capital(default_params(w=1e19), 1.5, 2.0, 1000, 1)
+        # the largest mean numpy draws is still drawn
+        w = wealth._POISSON_MEAN_MAX / 2.0
+        mc_expected_capital(default_params(w=w), 1.5, 2.0, 100, 1)
+
     @pytest.mark.filterwarnings("error")
     def test_capital_near_the_float_limit_is_judged(self):
         # E K_t* is 1.2e153 and about 1% of the paths lie above

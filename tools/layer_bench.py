@@ -43,7 +43,11 @@ cases with its memo cleared (one ``<case>_ms`` each).  ``cli.wealth_grid``
 --lambda-grid 1:3:0.1``, in-process, with the ``mc_expected_capital`` memo
 cleared, writing its ``wealth.csv`` to a temporary directory, and
 ``cli.report`` (``call_ms``) is ``hetdata report --seed SEED`` the same way,
-with every artifact of the command written there.
+with every artifact of the command written there.  Each layer timed by
+``call_ms`` also gets ``minflt``, the minor page faults of one call (the
+process's ``ru_minflt`` before and after it), the fewest of ``--repeats``:
+memory the allocator gave back to the OS after the previous call and
+faults in again shows up there.
 """
 from __future__ import annotations
 
@@ -54,6 +58,7 @@ import hashlib
 import io
 import json
 import platform
+import resource
 import sys
 import tempfile
 import time
@@ -140,6 +145,11 @@ def _pass_us(calls: list) -> float:
     return elapsed / len(calls) / 1e3
 
 
+def _minflt() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _clear(memos) -> None:
     for memo in memos:
         memo.cache_clear()
@@ -218,6 +228,8 @@ def bench(seed: int, repeats: int, out: str) -> dict:
     array_calls = _array_calls(seed, out)
     for layer, key in array_calls:
         times.setdefault(layer, {})[key] = []
+        if key == "call_ms":
+            times[layer]["minflt"] = []
     for call in array_calls.values():  # warm the threshold memo and numpy
         call()
     for _ in range(repeats):
@@ -237,7 +249,10 @@ def bench(seed: int, repeats: int, out: str) -> dict:
         default = model.default_params()  # the passes above cleared its solve
         threshold.solve_threshold(default.tau, default)
         for (layer, key), call in array_calls.items():
+            faults = _minflt()
             times[layer][key].append(_pass_us([call]) / 1e3)
+            if key == "call_ms":
+                times[layer]["minflt"].append(_minflt() - faults)
     result = {layer: {key: round(min(samples), 3)
                       for key, samples in t.items()}
               for layer, t in times.items()}
