@@ -39,9 +39,11 @@ EXIT_SOLVER = 3
 # every point is a solve; a spec past a million points is a slip, and one
 # past numpy's size limit would crash np.arange, so it is refused first.
 MAX_GRID_POINTS = 10**6
-# The LLN checks hold float64 arrays of population length, 800 MB each at
-# 10^8; an allocation that fails mid-run leaves --out behind, so a larger
-# population is refused first.
+# draw_population holds the whole sample: 8 B of ability and 1 B of role
+# per agent and 8 B per data user's shock, about 1.15 GB at 10^8 agents and
+# the defaults' user share m = 0.308 (the checks work in fixed blocks); an
+# allocation that fails mid-run leaves --out behind, so a larger population
+# is refused first.
 MAX_POPULATION = 10**8
 
 

@@ -100,7 +100,7 @@ class ModelParams:
     d0: float             # slope of the data-scale map d = d0 * tau
     r_f: float            # risk-free log return
     alpha: float          # risky portfolio share
-    mu0: float            # continuous excess return
+    mu0: float            # excess return net of jumps; the drift adds w E L
     w: float              # jump intensity
     loss: LossSpec        # jump loss distribution
     sigma_w: float        # wealth diffusion volatility
@@ -116,11 +116,6 @@ class ModelParams:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def mu_hat(self) -> float:
-        """Total expected excess return: continuous part + jump compensation."""
-        return self.mu0 + self.w * self.loss.mean
 
 
 # log(tau/(1-tau)) overflows floats outside this band
@@ -193,20 +188,14 @@ def validate(raw: Union[dict, ModelParams]) -> ModelParams:
     for name, ok, msg in _RANGE_CHECKS:
         if not ok(vals):
             violations.append(f"{name}: {msg} (got {vals[name]})")
-    if not violations:
-        if vals["alpha"] * vals["loss"].maximum >= 1.0:
-            violations.append(
-                "alpha * max(loss): must be < 1 so log(1 - alpha*L) is finite "
-                f"(got {vals['alpha'] * vals['loss'].maximum})"
-            )
-        params = ModelParams(**vals)
-        if not (math.isfinite(params.mu_hat) and params.mu_hat > 0.0):
-            violations.append(
-                f"mu_hat = mu0 + w*E[L]: must be positive (got {params.mu_hat})"
-            )
+    if not violations and vals["alpha"] * vals["loss"].maximum >= 1.0:
+        violations.append(
+            "alpha * max(loss): must be < 1 so log(1 - alpha*L) is finite "
+            f"(got {vals['alpha'] * vals['loss'].maximum})"
+        )
     if violations:
         raise ParamError(violations)
-    return params
+    return ModelParams(**vals)
 
 
 def load_params(path) -> ModelParams:

@@ -2,19 +2,21 @@
 
 Log capital follows
 
-    d log K = (r_f + alpha*mu_hat - alpha^2 sigma_w^2 / 2 - lambda) dt
+    d log K = (r_f + alpha (mu0 + w E L) - alpha^2 sigma_w^2 / 2 - lambda) dt
               + alpha sigma_w dZ + log(1 - alpha L) dN,
 
 with Poisson jump intensity w and loss fraction L, starting from
-K_0 = lambda * W_0.  The dynamics are exactly integrable between jumps,
-so simulation carries no discretization bias and the closed-form mean
+K_0 = lambda * W_0.  The drift's alpha w E L compensates the jumps, whose
+mean effect on K is w[E(1 - alpha L) - 1] = -alpha w E L, so the mean
 
-    E K_t = lambda W_0 exp{(r_f + alpha*mu_hat - lambda
-                            + w[E(1 - alpha L) - 1]) t}
+    E K_t = lambda W_0 exp{(r_f + alpha mu0 - lambda) t}
 
-can be verified by Monte Carlo to statistical accuracy.  The friction
-coefficient lambda >= 1 solves e^(lambda t*)/lambda = f(mu_i, t*) on the
-increasing branch, solved in log space with no upper bound on lambda.
+depends on neither w nor the loss law.  The dynamics are exactly
+integrable between jumps, so simulation carries no discretization bias
+and the closed form can be verified by Monte Carlo to statistical
+accuracy.  The friction coefficient lambda >= 1 solves
+e^(lambda t*)/lambda = f(mu_i, t*) on the increasing branch, solved in
+log space with no upper bound on lambda.
 """
 from __future__ import annotations
 
@@ -40,20 +42,10 @@ _POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 LAMBDA_DEFAULT = 1.5
 
 
-def _drift_continuous(params: ModelParams, lam: float) -> float:
-    """Drift of log K between jumps."""
-    a, s = params.alpha, params.sigma_w
-    return params.r_f + a * params.mu_hat - 0.5 * a * a * s * s - lam
-
-
 def _mean_rate(params: ModelParams, lam: float) -> float:
-    """Exponential growth rate of E K_t (diffusion variance cancels)."""
-    return (
-        params.r_f
-        + params.alpha * params.mu_hat
-        - lam
-        - params.w * params.alpha * params.loss.mean  # w[E(1-aL) - 1]
-    )
+    """Exponential growth rate of E K_t: the diffusion's variance and the
+    jumps' compensator leave it."""
+    return params.r_f + params.alpha * params.mu0 - lam
 
 
 def _check_t_lambda(t: float, lam: float) -> None:
@@ -88,9 +80,9 @@ def _terminal_capital(
 ) -> np.ndarray:
     """Vectorized exact K_t / E K_t for n paths (one stream)."""
     vol = params.alpha * params.sigma_w
-    # log(lambda W0) cancels exactly; the drift less the mean rate is the
-    # diffusion's -vol^2/2 and the jumps' compensator
-    mean = (_drift_continuous(params, lam) - _mean_rate(params, lam)) * t
+    # log(lambda W0) and the mean rate cancel exactly; what is left of the
+    # drift is the jumps' compensator and the diffusion's -vol^2/2
+    mean = (params.alpha * params.w * params.loss.mean - 0.5 * vol * vol) * t
     if vol == 0.0 and params.w == 0.0:  # nothing random: draw nothing
         return np.exp(np.full(n, mean))
     # the bits of stream.normal(mean, vol sqrt t, n), which is mean + scale
@@ -178,9 +170,10 @@ def log_f_mu(mu_i: float, params: ModelParams) -> float:
     capital level, summed from its log terms, so finite where f overflows:
 
     f(mu_i, t*) = e^(mu_i + eps0 + eps_i0) D (1 - tau) / EK_target
-                  * exp{(r_f + alpha*mu_hat + w[E(1 - alpha L) - 1]) t*},
+                  * exp{(r_f + alpha mu0) t*},
     with initial wealth W0 = y_0 (1 - tau) built from the shock pair
-    (eps0, eps_i0) fixed at its means.
+    (eps0, eps_i0) fixed at its means; like E K_t, it depends on neither
+    w nor the loss law.
     """
     eps0, eps_i0 = shock_mean(params.sigma_agg), shock_mean(params.sigma_idio)
     value = (mu_i + eps0 + eps_i0 + math.log(params.D)

@@ -185,6 +185,29 @@ class TestExitCodes:
         assert err.startswith("solver error:") and "w*t" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, code, message", [
+        ("threshold", EXIT_OK, None),
+        ("statics", EXIT_OK, None),
+        ("wealth", EXIT_CONFIG, "config error: wealth: E K_t overflows"),
+        ("report", EXIT_CONFIG, "config error: report: E K_t overflows"),
+        ("figure1", EXIT_SOLVER, "solver error: f(mu_i, t*) overflows"),
+    ])
+    def test_overflowing_jump_compensation_is_valid(self, tmp_path, capsys,
+                                                    command, code, message):
+        # mu0 + w E L overflows, but no layer forms that sum: the jumps'
+        # compensator leaves E K_t and f, which are refused only where
+        # e^(alpha mu0 t) overflows them.  Every command exited 2 before
+        path = _write_params(tmp_path, mu0=1e308, w=1e308, loss=0.9)
+        assert main([command, "--seed", "1", "--paths", "100", "--params",
+                     str(path), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        if message is None:
+            assert err == ""
+        else:
+            assert err.startswith(message)
+
     def test_population_without_users_fails_verify(self, tmp_path, capsys):
         # the first of seeds 0, 1, 2, ... whose population stream (index 1)
         # draws no data user among 2 agents (2): a failed check, not exit 3

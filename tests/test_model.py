@@ -96,10 +96,6 @@ class TestValidate:
         for good in (low, high):
             assert getattr(validate(base_record(**{name: good})), name) == good
 
-    def test_mu_hat(self):
-        params = validate(base_record())
-        assert params.mu_hat == pytest.approx(0.08 + 0.1 * 0.2)
-
 
 class TestHashedOnce:
     """ModelParams hashes its field tuple once; equality, the hash value
