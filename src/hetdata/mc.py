@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .threshold import (
 )
 
 _BOUNDARY_BAND = 1e-8
-# agents per block of the population checks, which so allocate nothing of
-# population size; fixed so the bits do not depend on anything else
+# agents per block of draw_population, which so keeps nothing of population
+# size; fixed so the bits do not depend on anything else
 _BLOCK = 1 << 16
 
 
@@ -68,9 +68,15 @@ def _three_se_report(statistic: str, expected: float, observed: float,
 
 @dataclass(frozen=True)
 class PopulationSample:
-    abilities: np.ndarray
-    roles: np.ndarray          # boolean, True = HighUser
-    user_shocks: np.ndarray    # idiosyncratic shocks of the users, in agent order
+    """The sums of n drawn agents that the population checks read; no
+    array that grows with n."""
+
+    n: int
+    # (count, mean, M2) over all n agents of e^(mu + eps), 0 for a provider
+    output: Tuple[int, float, float]
+    # (count, mean, M2) over the users of e^(mu + eps) - e^mu
+    pool: Tuple[int, float, float]
+    weight_sums: Tuple[float, ...]  # the sum of e^mu of each block
     agg_shock: float
     threshold: ThresholdSolution
 
@@ -79,55 +85,57 @@ def draw_population(
     n: int, params: ModelParams, stream: np.random.Generator
 ) -> PopulationSample:
     """n i.i.d. agents with roles assigned at the solved threshold; only
-    users, the agents with output, draw an idiosyncratic shock."""
+    users, the agents with output, draw an idiosyncratic shock.
+
+    Block k of _BLOCK agents is drawn from the k-th generator of
+    stream.spawn: its abilities, then its users' shocks.  Each block is
+    reduced at once and dropped; the aggregate shock comes from stream.
+    """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     solution = solve_threshold(params.tau, params)
-    # numpy computes mean + std * z from the same standard-normal draw
-    abilities = stream.normal(params.mu_bar, params.sigma_mu, n)
-    roles = solution.is_user(abilities)
-    # drawn after every ability, so independent of the roles
-    user_shocks = stream.normal(shock_mean(params.sigma_idio), params.sigma_idio,
-                                int(np.count_nonzero(roles)))
+    output = pool = (0, 0.0, 0.0)
+    weight_sums = []
+    # one buffer for every block's abilities: a fresh array per block went
+    # back to the OS at the block's end and was faulted in again, 3,454
+    # minor faults per 10^6 agents against 232
+    buffer = np.empty(min(_BLOCK, n))
+    for start, gen in zip(range(0, n, _BLOCK), stream.spawn(-(-n // _BLOCK))):
+        size = min(_BLOCK, n - start)
+        # mean + std * z, as Generator.normal computes it
+        abilities = gen.standard_normal(out=buffer[:size])
+        abilities *= params.sigma_mu
+        abilities += params.mu_bar
+        users = solution.is_user(abilities)
+        terms = np.compress(users, abilities)
+        # drawn after the block's abilities, so independent of the roles
+        terms += gen.normal(shock_mean(params.sigma_idio), params.sigma_idio,
+                            len(terms))
+        np.exp(terms, out=terms)
+        weights = np.exp(abilities, out=abilities)
+        weight_sums.append(float(np.sum(weights)))
+        gains = terms - np.compress(users, weights)
+        output = merge_mean_m2(output, (size, *mean_and_m2(terms, size)))
+        if len(gains):  # an empty part would divide by zero
+            pool = merge_mean_m2(pool, (len(gains),
+                                        *mean_and_m2(gains, len(gains))))
+        # dropped before the next block is drawn
+        del users, terms, gains
     agg = stream.normal(shock_mean(params.sigma_agg), params.sigma_agg)
-    return PopulationSample(
-        abilities=abilities,
-        roles=roles,
-        user_shocks=user_shocks,
-        agg_shock=agg,
-        threshold=solution,
-    )
-
-
-def _user_abilities(sample: PopulationSample) -> np.ndarray:
-    """The users' abilities, in agent order: the partners of `user_shocks`."""
-    # by index: a boolean-mask gather of a random 10^6-agent mask took
-    # 6-7 ms, the index search plus the gather 1.4 ms (numpy 2.4.6)
-    return sample.abilities[np.flatnonzero(sample.roles)]
+    return PopulationSample(n=n, output=output, pool=pool,
+                            weight_sums=tuple(weight_sums), agg_shock=agg,
+                            threshold=solution)
 
 
 def lln_check(sample: PopulationSample, params: ModelParams) -> List[CheckReport]:
     """Sample aggregate of user output vs the m * tail_mean continuum limit
     at the sample's own threshold."""
-    n = len(sample.abilities)
-    if n < 2:  # the standard error is a ddof=1 spread
+    if sample.n < 2:  # the standard error is a ddof=1 spread
         raise InvalidInputError("the LLN check needs n >= 2")
-    if len(sample.user_shocks) == 0:
+    if sample.pool[0] == 0:
         raise DegenerateInputError("population contains no data users")
-    # e^(mu + eps) for the users, a provider's output 0; each block reduced,
-    # the blocks merged in agent order
-    part = (0, 0.0, 0.0)  # agents done, their mean and M2
-    users = 0  # users done, the partners of the next shocks
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        terms = np.compress(sample.roles[start:stop],
-                            sample.abilities[start:stop])
-        terms += sample.user_shocks[users:users + len(terms)]
-        users += len(terms)
-        np.exp(terms, out=terms)
-        part = merge_mean_m2(part, (stop - start,
-                                    *mean_and_m2(terms, stop - start)))
-    observed, se = part[1], standard_error(part[2], n)
+    _, observed, m2 = sample.output
+    se = standard_error(m2, sample.n)
     threshold = sample.threshold
     expected = threshold.m * threshold.tail_mean
     reports = [
@@ -150,25 +158,14 @@ def market_clearing_check(
     sample: PopulationSample, params: ModelParams
 ) -> List[CheckReport]:
     """Portfolio shares sum to 1 - theta exactly; risk-free holdings are 0."""
-    n = len(sample.abilities)
-    if n < 2:
+    if sample.n < 2:
         raise InvalidInputError("market clearing needs n >= 2")
     theta = params.theta
-    # e^mu a block at a time in one buffer: summed for the weights' total,
-    # then again as shares of it
-    buffer = np.empty(min(_BLOCK, n))
-    blocks = [(sample.abilities[start:start + _BLOCK],
-               buffer[:min(_BLOCK, n - start)])
-              for start in range(0, n, _BLOCK)]
-    weight_sum = 0.0
-    for abilities, out in blocks:
-        weight_sum += float(np.sum(np.exp(abilities, out=out)))
-    total = 0.0
-    for abilities, out in blocks:
-        shares = np.exp(abilities, out=out)
-        shares *= 1.0 - theta
-        shares /= weight_sum
-        total += float(np.sum(shares))
+    # agent i holds the share (1 - theta) e^mu_i / sum_p e^mu_p; a block's
+    # shares sum to (1 - theta) times its weight sum over the total
+    weight_sum = sum(sample.weight_sums)
+    total = sum((1.0 - theta) * block / weight_sum
+                for block in sample.weight_sums)
     return [
         CheckReport(
             statistic="clearing_share_sum",
@@ -204,7 +201,7 @@ def consumption_convergence(
     reports = []
     for n in sizes:
         sample = draw_population(n, params, stream)
-        n_users = len(sample.user_shocks)
+        n_users, pool_mean, pool_m2 = sample.pool
         # the gap's standard error is a ddof=1 spread over the users, so it
         # needs two of them
         if n_users < 2:
@@ -212,28 +209,22 @@ def consumption_convergence(
                 f"consumption at n={n} needs two or more data users, "
                 f"drew {n_users}"
             )
-        mu, eps_i = _user_abilities(sample), sample.user_shocks
         # D e^eps (1 - tau), shared by every user
         scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
-        e_mu, e_mu_eps = np.exp(mu), np.exp(mu + eps_i)
         # finite-n user consumption from the portfolio definition,
         # C_i = theta y_i (1-tau) + (1-theta)(1-tau) D e^mu_i e^eps
         #       * (sum_j e^(mu_j + eps_j)) / (sum_p e^(mu_p)), j, p over users,
-        # against its closed form
-        pool_ratio = float(np.sum(e_mu_eps) / np.sum(e_mu))
-        built = theta * scale * e_mu_eps + (1.0 - theta) * scale * e_mu * pool_ratio
-        closed = scale * e_mu * (theta * np.exp(eps_i) + 1.0 - theta)
-        diff = built - closed
-        # Every user's gap shares the single pool factor, so the
-        # cross-sectional spread of diff says nothing about the sampling
-        # error of its mean.  Algebraically the mean gap equals
-        # (1-theta) * scale * mean_j[e^mu_j (e^eps_j - 1)] whose terms are
-        # i.i.d.; the SE comes from those terms.
-        pool_m2 = mean_and_m2(e_mu_eps - e_mu, n_users)[1]
-        se = (1.0 - theta) * scale * standard_error(pool_m2, n_users)
-        reports.append(
-            _three_se_report(f"consumption_gap_n{n}", 0.0, float(np.mean(diff)), se)
-        )
+        # less its closed form scale e^mu_i (theta e^eps_i + 1 - theta), is
+        # (1-theta) scale e^mu_i (pool ratio - 1).  Every user's gap shares
+        # the single pool factor, so the cross-sectional spread of the gaps
+        # says nothing about the sampling error of their mean.
+        # Algebraically the mean gap equals
+        # (1-theta) * scale * mean_j[e^(mu_j + eps_j) - e^mu_j] whose terms
+        # are i.i.d.; the mean and its SE come from those terms, the pool.
+        gap = (1.0 - theta) * scale
+        reports.append(_three_se_report(
+            f"consumption_gap_n{n}", 0.0, gap * pool_mean,
+            gap * standard_error(pool_m2, n_users)))
     # provider consumption at the largest size: pooled costs spread over
     # the provider mass
     m_hat = n_users / n
@@ -241,7 +232,7 @@ def consumption_convergence(
         raise DegenerateInputError("population is all users or all providers")
     # tau D e^eps times e^(mu_i + eps_i) for a user, 0 for a provider
     output_scale = params.tau * params.D * math.exp(sample.agg_shock)
-    mean_output, m2_output = mean_and_m2(e_mu_eps, n)
+    _, mean_output, m2_output = sample.output
     se_output = standard_error(m2_output, n)
     observed_cs = output_scale * mean_output / (1.0 - m_hat)
     se_cs = output_scale * se_output / (1.0 - m_hat)
@@ -254,22 +245,23 @@ def consumption_convergence(
 
 
 def role_sorting_check(
-    sample: PopulationSample, params: ModelParams
+    abilities: np.ndarray, params: ModelParams
 ) -> CheckReport:
     """Utility comparison must reproduce the threshold classification.
 
-    Utilities are taken at params.tau, the cost rate at which the sample's
-    roles were assigned.  Agents within the boundary band |mu_i - K| < 1e-8
-    are excluded (the sign there is numerically undecidable by
-    construction).
+    The roles are assigned at params.tau by the solved threshold, as
+    draw_population assigns them, and the utilities are taken at the same
+    tau.  Agents within the boundary band |mu_i - K| < 1e-8 are excluded
+    (the sign there is numerically undecidable by construction).
     """
     tau = params.tau
-    sol = sample.threshold
+    sol = solve_threshold(tau, params)
     v_s = provider_utility(tau, sol.m, sol.tail_mean, params)
-    outside = np.abs(sample.abilities - sol.K) >= _BOUNDARY_BAND
+    outside = np.abs(abilities - sol.K) >= _BOUNDARY_BAND
     agree = 0
     counted = 0
-    for mu_i, is_user in zip(sample.abilities[outside], sample.roles[outside]):
+    for mu_i, is_user in zip(abilities[outside],
+                             sol.is_user(abilities[outside])):
         v_i = user_utility(float(mu_i), tau, params)
         counted += 1
         if (v_i > v_s) == bool(is_user):

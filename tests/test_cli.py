@@ -191,7 +191,8 @@ class TestExitCodes:
         ("statics", EXIT_OK, None),
         ("wealth", EXIT_CONFIG, "config error: wealth: E K_t overflows"),
         ("report", EXIT_CONFIG, "config error: report: E K_t overflows"),
-        ("figure1", EXIT_SOLVER, "solver error: f(mu_i, t*) overflows"),
+        ("figure1", EXIT_CONFIG,
+         "config error: --mu-grid for figure1: f(mu_i, t*) overflows"),
     ])
     def test_overflowing_jump_compensation_is_valid(self, tmp_path, capsys,
                                                     command, code, message):
@@ -208,12 +209,27 @@ class TestExitCodes:
         else:
             assert err.startswith(message)
 
+    @pytest.mark.parametrize("grid", [[], ["--mu-grid", "0:1:0.5"]],
+                             ids=["default_grid", "mu_grid"])
+    def test_overflowing_mu_grid_exits_2_without_outputs(self, tmp_path,
+                                                         capsys, grid):
+        # f(mu_i, t*) overflows at the top of the grid figure1 uses, given
+        # or its default about the threshold: the default was first
+        # evaluated after --out was made, and exited 3
+        path = _write_params(tmp_path, mu0=1e308, w=1e308, loss=0.9)
+        out = tmp_path / "out"
+        assert main(["figure1", "--params", str(path), *grid,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: --mu-grid for figure1: f(mu_i, t*) overflows")
+
     def test_population_without_users_fails_verify(self, tmp_path, capsys):
         # the first of seeds 0, 1, 2, ... whose population stream (index 1)
-        # draws no data user among 2 agents (2): a failed check, not exit 3
+        # draws no data user among 2 agents: a failed check, not exit 3
         params = default_params()
-        seed = next(s for s in itertools.count() if not mc.draw_population(
-            2, params, make_stream(s, 1)).roles.any())
+        seed = next(s for s in itertools.count() if mc.draw_population(
+            2, params, make_stream(s, 1)).pool[0] == 0)
         code = main(["verify", "--seed", str(seed), "--population", "2",
                      "--paths", "100", "--out", str(tmp_path)])
         assert code == EXIT_VERIFY_FAIL

@@ -34,11 +34,13 @@ time, ``call_us``.  A layer that raises on any case stops the script.
 
 The array layers get one time per call, in milliseconds, also the best of
 ``--repeats``: ``mc.draw_population`` draws 10^6 agents at default
-parameters (``call_ms``; its threshold solve is a memo hit),
-``mc.lln_check`` and ``mc.market_clearing_check`` check one such sample,
-drawn once (``call_ms`` each), and ``wealth.mc_expected_capital``
-simulates 10^5 paths of each of verify's three ``jump_diffusion_mean``
-cases with its memo cleared (one ``<case>_ms`` each).  ``cli.wealth_grid``
+parameters (``call_ms``; its threshold solve is a memo hit), in blocks
+that it reduces as it draws them, ``mc.lln_check`` and
+``mc.market_clearing_check`` read the sums of one such sample, drawn
+once (``call_ms`` each; they touch no array), and
+``wealth.mc_expected_capital`` simulates 10^5 paths of each of verify's
+three ``jump_diffusion_mean`` cases with its memo cleared (one
+``<case>_ms`` each).  ``cli.wealth_grid``
 (``call_ms``) is the whole command ``hetdata wealth --seed SEED
 --lambda-grid 1:3:0.1``, in-process, with the ``mc_expected_capital`` memo
 cleared, writing its ``wealth.csv`` to a temporary directory, and
@@ -47,7 +49,10 @@ with every artifact of the command written there.  Each layer timed by
 ``call_ms`` also gets ``minflt``, the minor page faults of one call (the
 process's ``ru_minflt`` before and after it), the fewest of ``--repeats``:
 memory the allocator gave back to the OS after the previous call and
-faults in again shows up there.
+faults in again shows up there.  Each timed call also gets its
+``tracemalloc`` peak, in MB, of one call after the warm-up (``peak_mb``
+beside ``call_ms``, ``<case>_peak_mb`` beside ``<case>_ms``): what the
+call itself allocates at most, the sample it reads not included.
 """
 from __future__ import annotations
 
@@ -62,6 +67,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -150,6 +156,16 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _peak_mb(call) -> float:
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def _clear(memos) -> None:
     for memo in memos:
         memo.cache_clear()
@@ -232,6 +248,9 @@ def bench(seed: int, repeats: int, out: str) -> dict:
             times[layer]["minflt"] = []
     for call in array_calls.values():  # warm the threshold memo and numpy
         call()
+    peaks = {(layer, "peak_mb" if key == "call_ms"
+              else key.removesuffix("ms") + "peak_mb"): _peak_mb(call)
+             for (layer, key), call in array_calls.items()}
     for _ in range(repeats):
         for layer, own in MEMOS.items():
             calls = _calls(layer, _fresh(raw_cases))
@@ -256,6 +275,8 @@ def bench(seed: int, repeats: int, out: str) -> dict:
     result = {layer: {key: round(min(samples), 3)
                       for key, samples in t.items()}
               for layer, t in times.items()}
+    for (layer, key), peak in peaks.items():
+        result[layer][key] = round(peak, 3)
     result["threshold.solve_threshold"]["g_evals_per_miss"] = round(
         _g_evaluations(raw_cases), 3)
     return result
