@@ -241,9 +241,9 @@ def _run_statics(config: RunConfig) -> int:
     taus = config.tau_grid or statics.TAU_GRID
     rows = []
     for tau in taus:
-        mu_k = threshold.solve_threshold(tau, params).mu_k
-        rows.append((tau, mu_k, statics.threshold_sensitivity(tau, params),
-                     statics.output_ratio(mu_k, params.sigma_mu)))
+        sol = threshold.solve_threshold(tau, params)
+        rows.append((tau, sol.mu_k, sol.dmu_dtau,
+                     statics.output_ratio(sol.mu_k, params.sigma_mu)))
     _write_csv(config.output_dir / "sensitivity.csv",
                ("tau,mu_k,dmu_dtau,output_ratio", rows))
     tau_L, tau_H = ((taus[0], taus[-1]) if config.tau_grid

@@ -213,7 +213,7 @@ _NEWTON_MAXITER = 60
 def solve_bracketed(
     fg: Callable[[float], Tuple[float, float]],
     lo: float, hi: float, x: float, fx: float, slope: float, tol: float,
-) -> Tuple[float, float, int]:
+) -> Tuple[float, float, float, int]:
     """Root of an increasing f in (lo, hi), by safeguarded Newton from x.
 
     fg(x) gives f(x) and its slope f'(x) > 0; the caller knows f(lo) < 0
@@ -221,8 +221,9 @@ def solve_bracketed(
     Neither end is evaluated, so hi may be inf.  Each iterate with f < 0
     raises lo and each other one lowers hi; a Newton step that leaves
     (lo, hi) is replaced by bisection.  Stops once a step is below
-    (tol + 8 eps |x|) / 2 and returns that iterate, f there and the number
-    of steps, with no further evaluation.  A NaN from fg raises
+    (tol + 8 eps |x|) / 2 and returns that iterate, f and f' there (the
+    caller's own after 0 steps) and the number of steps, with no further
+    evaluation.  A NaN from fg raises
     EvaluationError naming x; no stop in 60 steps raises SolverError.
     """
     if tol <= 0.0:
@@ -235,7 +236,7 @@ def solve_bracketed(
         if step != step:
             raise EvaluationError(f"root finder: f or f' is NaN at x={x}")
         if abs(step) <= 0.5 * (tol + _NEWTON_RTOL * abs(x)):
-            return x, fx, steps
+            return x, fx, slope, steps
         if steps == _NEWTON_MAXITER:
             raise SolverError(
                 f"root finder did not converge on [{lo}, {hi}] at tolerance "

@@ -1,14 +1,10 @@
 """Comparative statics of the threshold and the High/Low ordering report.
 
-The implicit-function derivative of the fixed point mu_k = F(tau, mu_k) is
-
-    d mu_k / d tau = F_tau / (1 - F_mu),
-
-with F_tau = 1/(tau(1-tau)) and F_mu the analytic derivative of the
-log-CDF-ratio term (the portfolio-moment term does not depend on mu).
-The ordering report compares data scale d, technology z = d^eta,
-aggregate output and the financial-friction coefficient lambda between a
-high-cost and a low-cost type.
+The implicit-function derivative d mu_k / d tau of the fixed point
+mu_k = F(tau, mu_k) is the solved threshold's dmu_dtau
+(threshold.solve_threshold).  The ordering report compares data scale d,
+technology z = d^eta, aggregate output and the financial-friction
+coefficient lambda between a high-cost and a low-cost type.
 """
 from __future__ import annotations
 
@@ -19,10 +15,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .model import ModelParams
 from .numerics import log_normal_sf, shock_mean
-from .threshold import log_output_ratio, log_ratio_and_slope, solve_threshold
+from .threshold import log_output_ratio, solve_threshold
 from . import wealth
 
 # the tau grid of `hetdata statics` and verify's comparative-statics check,
@@ -76,24 +72,9 @@ class Theorem1Report:
         }
 
 
-def partials(tau: float, mu_k: float, params: ModelParams) -> Tuple[float, float]:
-    """(dF/dtau, dF/dmu) at a solved threshold.
-
-    dF/dmu = -[hazard(mu_k; sigma^2, sigma^2) + pdf(mu_k)/cdf(mu_k)] < 0,
-    the slope solve_threshold's Newton steps use.
-    """
-    dF_dtau = 1.0 / (tau * (1.0 - tau))
-    v = params.sigma_mu * params.sigma_mu
-    return dF_dtau, log_ratio_and_slope(mu_k, v)[1]
-
-
-# Memoised like threshold.solve_threshold; one slope per threshold, so the
-# same 512 entries.  Exceptions are not cached.
-@functools.lru_cache(maxsize=512, typed=True)
 def threshold_sensitivity(tau: float, params: ModelParams) -> float:
-    """d mu_k / d tau > 0 via the implicit-function formula."""
-    dF_dtau, dF_dmu = partials(tau, solve_threshold(tau, params).mu_k, params)
-    return dF_dtau / (1.0 - dF_dmu)
+    """d mu_k / d tau > 0: the solved threshold's dmu_dtau."""
+    return solve_threshold(tau, params).dmu_dtau
 
 
 def output_ratio(mu_k: float, sigma_mu: float) -> float:
@@ -140,7 +121,9 @@ def theorem1_report(
     compared with a common aggregate shock, fixed at its mean, and a
     common participation scale, so the ordering is carried entirely by
     the increasing tail ratio, as in the underlying monotonicity
-    argument; lambda comes from the friction match at each ability.
+    argument; lambda comes from the friction match at each ability.  A
+    pair that is equal in floats leaves its ordering unresolved and raises
+    NumericalRangeError, naming the pair and the two abilities.
     """
     if tau_L == tau_H:
         raise DegenerateInputError(f"tau_L and tau_H coincide: {tau_L}")
@@ -172,6 +155,11 @@ def theorem1_report(
 
     lam_L = wealth.solve_lambda(mu_L, params)
     lam_H = wealth.solve_lambda(mu_H, params)
+    for name, low, high in (("d", d_L, d_H), ("z", z_L, z_H), ("y", y_L, y_H),
+                            ("lambda", lam_L, lam_H)):
+        if low == high:
+            raise NumericalRangeError(f"{name}_L == {name}_H == {low!r} in floats "
+                                      f"at mu_L={mu_L!r}, mu_H={mu_H!r}")
 
     return Theorem1Report(
         tau_L=tau_L,

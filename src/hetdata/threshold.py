@@ -32,6 +32,7 @@ class ThresholdSolution:
     K: float           # uncentered threshold mu_k + mu_bar
     m: float           # user measure 1 - Phi(mu_k; 0, sigma_mu^2)
     tail_mean: float   # E[e^mu | mu > K]
+    dmu_dtau: float    # d mu_k / d tau = F_tau / G'(mu_k) > 0, the solve's G'
     residual: float    # G(mu_k), of the returned iterate
     iterations: int    # Newton (or bisection) steps taken
 
@@ -114,7 +115,9 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     8 eps |mu|.  The start is mu = v/2, where both log tails are
     log Phi(sigma_mu/2), so the log ratio is exactly 0 and G = v/2 - c: its
     first step is closed-form.  The residual is G at the returned iterate;
-    iterations counts the Newton (or bisection) steps.
+    iterations counts the Newton (or bisection) steps.  dmu_dtau is the
+    implicit-function F_tau / G', F_tau = 1/(tau(1-tau)), with the G' the
+    solve holds at the returned iterate: no further evaluation.
     """
     _check_tau(tau)
     moment = _moment_term(params)
@@ -133,8 +136,8 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     lo = min(logit, 0.0) - 6.0 * params.sigma_mu
     z = 0.5 * v / s  # z_lo at v/2, and -z_hi: h_hi = r_lo there
     slope = 1.0 + 2.0 * math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z)) / s
-    mu, g, steps = solve_bracketed(G, lo, math.inf, 0.5 * v, 0.5 * v - c, slope,
-                                   _ROOT_TOL * min(1.0, s))
+    mu, g, slope, steps = solve_bracketed(G, lo, math.inf, 0.5 * v, 0.5 * v - c,
+                                          slope, _ROOT_TOL * min(1.0, s))
 
     K = mu + params.mu_bar
     m = math.exp(log_normal_sf(mu, 0.0, s))
@@ -143,6 +146,7 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
         K=K,
         m=m,
         tail_mean=tail_expectation(K, params.mu_bar, params.sigma_mu),
+        dmu_dtau=1.0 / (tau * (1.0 - tau)) / slope,
         residual=g,
         iterations=steps,
     )

@@ -188,7 +188,8 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, code, message", [
         ("threshold", EXIT_OK, None),
-        ("statics", EXIT_OK, None),
+        # lambda_L and lambda_H of the Theorem-1 report are one float
+        ("statics", EXIT_SOLVER, "solver error:"),
         ("wealth", EXIT_CONFIG, "config error: wealth: E K_t overflows"),
         ("report", EXIT_CONFIG, "config error: report: E K_t overflows"),
         ("figure1", EXIT_CONFIG,

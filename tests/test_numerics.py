@@ -433,8 +433,8 @@ def solve(f, df, lo, hi, tol):
     """solve_bracketed on (lo, hi) from the midpoint, where the caller
     evaluates f and f' once; returns the root."""
     x = 0.5 * (lo + hi)
-    root, _, _ = solve_bracketed(lambda t: (f(t), df(t)), lo, hi,
-                                 x, f(x), df(x), tol)
+    root, _, _, _ = solve_bracketed(lambda t: (f(t), df(t)), lo, hi,
+                                    x, f(x), df(x), tol)
     return root
 
 
@@ -444,8 +444,12 @@ class TestSolveBracketed:
             pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt2(self):
-        root = solve(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0, 1e-12)
+        # from the midpoint 1, where f = -1 and f' = 2
+        root, value, slope, steps = solve_bracketed(
+            lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1.0, -1.0, 2.0, 1e-12)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert value == root * root - 2.0 and steps > 0
+        assert slope == 2.0 * root  # f' at the returned iterate
 
     # tanh is flat away from its root, so Newton steps from the start
     # overshoot the bracket and bisection must take over

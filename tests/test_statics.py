@@ -10,6 +10,7 @@ from hetdata.errors import (
     DegenerateInputError,
     InvalidInputError,
     NoSolutionError,
+    NumericalRangeError,
 )
 from hetdata.model import default_params
 from hetdata.numerics import make_stream
@@ -17,53 +18,17 @@ from hetdata.statics import (
     aggregate_output,
     log_output_ratio,
     output_ratio,
-    partials,
     tech_from_tau,
     theorem1_report,
     threshold_sensitivity,
 )
-from hetdata.threshold import _moment_term, log_ratio_and_slope, solve_threshold
+from hetdata.threshold import log_ratio_and_slope, solve_threshold
 
 mpmath.mp.dps = 50
 
 
-def F_threshold(tau, mu, params):
-    """Right-hand side F(tau, mu) of the fixed-point equation, assembled
-    from the solver's own parts."""
-    logit = math.log(tau) - math.log1p(-tau)
-    v = params.sigma_mu * params.sigma_mu
-    return logit + 0.5 * v - _moment_term(params) + log_ratio_and_slope(mu, v)[0]
-
-
 def mp_sf(x, mean=0.0, var=1.0):
     return float(1 - mpmath.ncdf(x, mean, mpmath.sqrt(var)))
-
-
-class TestPartials:
-    def test_tau_partial_at_half(self):
-        params = default_params()
-        dF_dtau, _ = partials(0.5, 0.3, params)
-        assert dF_dtau == pytest.approx(4.0, abs=1e-14)
-
-    def test_mu_partial_negative_on_grid(self):
-        params = default_params()
-        for mu in np.linspace(-5.0, 5.0, 21):
-            _, dF_dmu = partials(0.5, float(mu), params)
-            assert dF_dmu < 0.0
-
-    def test_against_finite_differences(self):
-        params = default_params()
-        h = 1e-5
-        for tau, mu in [(0.3, 0.1), (0.5, 0.5), (0.7, 1.0)]:
-            dF_dtau, dF_dmu = partials(tau, mu, params)
-            fd_tau = (
-                F_threshold(tau + h, mu, params) - F_threshold(tau - h, mu, params)
-            ) / (2 * h)
-            fd_mu = (
-                F_threshold(tau, mu + h, params) - F_threshold(tau, mu - h, params)
-            ) / (2 * h)
-            assert abs(dF_dtau - fd_tau) / abs(fd_tau) <= 1e-6
-            assert abs(dF_dmu - fd_mu) / abs(fd_mu) <= 1e-6
 
 
 class TestSensitivity:
@@ -84,45 +49,23 @@ class TestSensitivity:
             assert abs(analytic - fd) / abs(fd) <= 1e-5
 
     def test_symmetric_point_closed_form(self):
+        # the root is v/2 = 0.5
         params = default_params(theta=1e-12, sigma_mu=1.0)
-        _, dF_dmu = partials(0.5, 0.5, params)
+        _, dF_dmu = log_ratio_and_slope(0.5, 1.0)
         assert threshold_sensitivity(0.5, params) == pytest.approx(
             4.0 / (1.0 - dF_dmu), rel=1e-9
         )
 
 
 class TestSensitivityMemo:
-    CASES = [(tau, default_params(gamma=gamma, sigma_mu=sigma_mu))
-             for tau in (0.05, 0.5, 0.93)
-             for gamma in (1.0, 2.0, 5.0)
-             for sigma_mu in (0.25, 1.0)]
-
-    def test_memo_bitwise_equals_uncached(self):
-        threshold_sensitivity.cache_clear()
-        for tau, params in self.CASES:
-            for _ in range(2):  # a miss, then a hit
-                slope = threshold_sensitivity(tau, params)
-                assert type(slope) is float
-                assert slope.hex() == threshold_sensitivity.__wrapped__(
-                    tau, params).hex()
-        info = threshold_sensitivity.cache_info()
-        assert (info.misses, info.hits) == (len(self.CASES), len(self.CASES))
-
-    def test_equal_params_share_an_entry(self):
-        threshold_sensitivity.cache_clear()
-        first = threshold_sensitivity(0.4, default_params())
-        assert threshold_sensitivity(0.4, default_params()) is first
-        assert threshold_sensitivity.cache_info().currsize == 1
-
+    # the sensitivity's memo is solve_threshold's, whose sharing and whose
+    # refusal to keep a failed call TestSolveThresholdMemo checks
     def test_failed_call_leaves_no_entry(self):
-        threshold_sensitivity.cache_clear()
         unconverged = default_params(theta=0.9, sigma_idio=2.0, gamma=8.0)
         for tau, params, error in [(1e-7, default_params(), InvalidInputError),
                                    (0.5, unconverged, ConvergenceError)]:
-            for _ in range(2):
-                with pytest.raises(error):
-                    threshold_sensitivity(tau, params)
-        assert threshold_sensitivity.cache_info().currsize == 0
+            with pytest.raises(error):
+                threshold_sensitivity(tau, params)
 
 
 class TestOutputRatio:
@@ -228,6 +171,21 @@ class TestTheorem1Report:
     def test_swapped_taus_rejected(self):
         with pytest.raises(InvalidInputError):
             theorem1_report(0.6, 0.3, default_params())
+
+    def test_float_tie_raises_naming_the_pair(self):
+        # lambda* is about mu0 / 2: at mu0 = 1e16 the two abilities still
+        # give two floats, at 1e17 one, and the ordering is unresolved
+        theorem1_report.cache_clear()
+        resolved = theorem1_report(0.3, 0.6, default_params(mu0=1e16))
+        assert resolved.lambda_ordered
+        theorem1_report.cache_clear()
+        with pytest.raises(NumericalRangeError) as err:
+            theorem1_report(0.3, 0.6, default_params(mu0=1e17))
+        text = str(err.value)
+        assert text.startswith(
+            "lambda_L == lambda_H == 5.000000000000002e+16 in floats")
+        assert "mu_L=" in text and "mu_H=" in text
+        assert theorem1_report.cache_info().currsize == 0
 
     def test_verdicts_recomputed_from_values(self):
         report = theorem1_report(0.3, 0.6, default_params())

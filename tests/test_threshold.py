@@ -256,17 +256,20 @@ def count_evaluations(monkeypatch):
 MAX_EVALUATIONS = 6
 
 
+# (gamma, sigma_mu, sigma_idio, theta, tau): ROADMAP item 12's census box
+# for gamma, sigma_idio and theta; tau over its validated band and at its
+# ends; sigma_mu log-uniform from just above validate's floor, 2^-511, to
+# 3, and up to 36, just short of the tail mean's overflow
+SOLVE_BOX = (st.one_of(st.just(1.0), st.floats(0.3, 12.0)),
+             st.one_of(st.floats(math.log(1.5e-154), math.log(3.0)).map(math.exp),
+                       st.floats(3.0, 36.0)),
+             st.floats(0.01, 3.0), st.floats(0.001, 0.999),
+             st.one_of(st.floats(TAU_MIN, TAU_MAX),
+                       st.sampled_from([TAU_MIN, TAU_MAX])))
+
+
 class TestNewtonSolve:
-    # ROADMAP item 12's census box for gamma, sigma_idio and theta; tau over
-    # its validated band and at its ends; sigma_mu log-uniform from just
-    # above validate's floor, 2^-511, to 3, and up to 36, just short of the
-    # tail mean's overflow
-    @given(st.one_of(st.just(1.0), st.floats(0.3, 12.0)),
-           st.one_of(st.floats(math.log(1.5e-154), math.log(3.0)).map(math.exp),
-                     st.floats(3.0, 36.0)),
-           st.floats(0.01, 3.0), st.floats(0.001, 0.999),
-           st.one_of(st.floats(TAU_MIN, TAU_MAX),
-                     st.sampled_from([TAU_MIN, TAU_MAX])))
+    @given(*SOLVE_BOX)
     @settings(max_examples=100, deadline=None)
     def test_matches_mpmath_bisection(self, gamma, sigma_mu, sigma_idio,
                                       theta, tau):
@@ -346,6 +349,41 @@ class TestNewtonSolve:
                 assert abs(value - log_ratio(mu)) <= 1e-13 * max(1.0, abs(value))
                 exact = mpmath.diff(log_ratio, mpmath.mpf(mu))
                 assert abs(slope - exact) <= 1e-12 * abs(exact)
+
+
+def reevaluated_sensitivity(tau, params, mu_k):
+    """F_tau / (1 - F_mu) at mu_k, with F_mu evaluated there once more."""
+    v = params.sigma_mu * params.sigma_mu
+    return 1.0 / (tau * (1.0 - tau)) / (1.0 - log_ratio_and_slope(mu_k, v)[1])
+
+
+class TestThresholdSlope:
+    """dmu_dtau is the slope the solve holds at its root: bit for bit the
+    value of a second evaluation of F_mu there."""
+
+    @given(*SOLVE_BOX)
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equals_second_evaluation(self, gamma, sigma_mu,
+                                              sigma_idio, theta, tau):
+        params = default_params(gamma=gamma, sigma_mu=sigma_mu,
+                                sigma_idio=sigma_idio, theta=theta, tau=tau)
+        try:
+            sol = solve_threshold(tau, params)
+        except HetdataError:  # an unconverged moment or tail mean
+            assume(False)
+        assert sol.dmu_dtau.hex() == reevaluated_sensitivity(
+            tau, params, sol.mu_k).hex()
+        assert sol.dmu_dtau > 0.0
+
+    @pytest.mark.parametrize("sigma_mu", [0.25, 0.5, 1.0, 2.0])
+    def test_zero_step_symmetric_point(self, sigma_mu):
+        # the root is the closed-form start v/2, so the slope is the start's
+        # closed form, never an evaluation of G
+        params = default_params(theta=1e-12, sigma_mu=sigma_mu)
+        sol = solve_threshold.__wrapped__(0.5, params)
+        assert sol.iterations == 0
+        assert sol.dmu_dtau.hex() == reevaluated_sensitivity(
+            0.5, params, sol.mu_k).hex()
 
 
 def _bits(sol):

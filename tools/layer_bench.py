@@ -3,7 +3,8 @@
 Times ``numerics.portfolio_moment``, ``threshold.solve_threshold``,
 ``statics.threshold_sensitivity``, ``wealth.solve_lambda`` and
 ``model.validate`` over a fixed, seeded set of parameter sets drawn from
-the box of perfbench's ``param_scan`` workload (a quarter at gamma = 1),
+the box of perfbench's ``param_scan`` workload (``ParamScan.BOX``,
+imported from ``perfbench/workloads.py``; a quarter at gamma = 1),
 and the array layers ``mc.draw_population``, ``mc.lln_check``,
 ``mc.market_clearing_check`` and ``wealth.mc_expected_capital`` at
 verify's sizes, and adds the result, under ``--label``, to the JSON file
@@ -15,14 +16,20 @@ be alternated:
     PYTHONPATH=/path/to/other/checkout/src python tools/layer_bench.py \
         --label parent --out BENCH.json
 
-For each memoised layer it reports three per-call times, each the best of
-``--repeats`` passes over every case, with the garbage collector off:
+For each of these four layers it reports three per-call times, each the
+best of ``--repeats`` passes over every case, with the garbage collector
+off:
 
 * ``miss_us``: the layer's own memos cleared, the layers it calls warm, so
   the layer's own cost on a fresh parameter set;
 * ``cold_us``: the memos of all four layers cleared, so what the call
   costs a fresh parameter set, the layers below included;
 * ``hit_us``: the same inputs again, a memo hit.
+
+The memos are those the source defines: ``portfolio_moment``'s,
+``solve_threshold``'s and ``solve_lambda``'s, and in older sources
+``threshold_sensitivity``'s too.  Where ``threshold_sensitivity`` has
+none, its ``miss_us`` and ``hit_us`` both read a ``solve_threshold`` hit.
 
 ``solve_threshold`` also gets ``g_evals_per_miss``, the mean number of
 evaluations of its G per miss over the cases, counted (untimed) through
@@ -76,15 +83,9 @@ import numpy as np
 import hetdata
 from hetdata import cli, mc, model, numerics, statics, threshold, wealth
 
-BOX = {  # perfbench param_scan's box
-    "gamma": (0.5, 8.0),
-    "sigma_mu": (0.2, 2.0),
-    "sigma_idio": (0.05, 0.8),
-    "theta": (0.02, 0.95),
-    "tau": (0.05, 0.95),
-    "sigma_agg": (0.05, 0.5),
-    "D": (0.5, 2.0),
-}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import ParamScan  # noqa: E402
+
 # abilities whose friction match has a root at every case of the box
 MU_RANGE = (3.0, 8.0)
 # under the smallest memo a pass fills (portfolio_moment's 256; 64 in
@@ -100,14 +101,17 @@ MC_CASES = {  # verify.check_jump_diffusion_mean's cases
     "diffusion_and_jumps": {},
 }
 
-MEMOS = {  # layer: its own memos
+MEMOS = {  # layer: its own memos, as the source it runs on defines them
     "numerics.portfolio_moment": [numerics.portfolio_moment],
     # every memo threshold defines: solve_threshold's, and in older sources
     # that of the ability laws too
     "threshold.solve_threshold": [
         memo for memo in vars(threshold).values()
         if hasattr(memo, "cache_clear") and memo.__module__ == threshold.__name__],
-    "statics.threshold_sensitivity": [statics.threshold_sensitivity],
+    # memoised in older sources only; now it reads solve_threshold's record
+    "statics.threshold_sensitivity":
+        [statics.threshold_sensitivity]
+        if hasattr(statics.threshold_sensitivity, "cache_clear") else [],
     "wealth.solve_lambda": [wealth.solve_lambda],
 }
 ALL_MEMOS = [memo for memos in MEMOS.values() for memo in memos]
@@ -115,7 +119,8 @@ ALL_MEMOS = [memo for memos in MEMOS.values() for memo in memos]
 
 def _raw_cases(seed: int) -> list:
     rng = np.random.default_rng(seed)
-    draws = {k: rng.uniform(lo, hi, CASES) for k, (lo, hi) in BOX.items()}
+    draws = {k: rng.uniform(lo, hi, CASES)
+             for k, (lo, hi) in ParamScan.BOX.items()}
     draws["gamma"][rng.random(CASES) < 0.25] = 1.0
     mus = rng.uniform(*MU_RANGE, CASES)
     default = model.default_params()
