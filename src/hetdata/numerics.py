@@ -258,7 +258,8 @@ def make_stream(master_seed: int, index: int) -> np.random.Generator:
 
     SFC64 generator, numpy's fastest: equal keys reproduce equal sequences,
     and SeedSequence spawn keys make distinct indices independent streams.
-    Single-owner: never share one generator between workers.
+    Index 0 belongs to the Monte Carlo, whose batches are its spawned
+    children.  Single-owner: never share one generator between workers.
     """
     if master_seed < 0:
         raise InvalidInputError(f"master seed must be >= 0, got {master_seed}")

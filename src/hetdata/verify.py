@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mc, statics, threshold, wealth
 from .errors import DegenerateInputError, NoSolutionError
-from .model import ModelParams, default_params, validate
+from .model import ModelParams, default_params
 from .numerics import hazard_rate, make_stream, portfolio_moment
 
 
@@ -68,7 +68,7 @@ def check_threshold_indifference(seed: int) -> CheckResult:
     worst = 0.0
     for base in _random_param_sets(seed, 10):
         for gamma in (base.gamma, 1.0):
-            params = validate(replace(base, gamma=gamma))
+            params = replace(base, gamma=gamma)
             sol = threshold.solve_threshold(params.tau, params)
             v_i = threshold.user_utility(sol.K, params.tau, params)
             v_s = threshold.provider_utility(

@@ -76,7 +76,7 @@ def expected_capital(params: ModelParams, t: float, lam: float) -> float:
 
 
 def _terminal_capital(
-    params: ModelParams, lam: float, t: float, n: int, stream: np.random.Generator
+    params: ModelParams, t: float, n: int, stream: np.random.Generator
 ) -> np.ndarray:
     """Vectorized exact K_t / E K_t for n paths (one stream)."""
     vol = params.alpha * params.sigma_w
@@ -118,12 +118,13 @@ def mc_expected_capital(
     """Monte Carlo (estimate, ddof=1 standard error) of E[K_t / E K_t] = 1:
     paths in units of E K_t, which neither overflow nor underflow with it.
 
-    Paths are drawn in fixed-size batches with one stream per batch index;
-    each batch's mean and M2 are merged in batch order, so the result is
-    bit-identical for a given master seed regardless of how batches are
-    scheduled.  Refuses the t and lambda that expected_capital refuses,
-    and raises NumericalRangeError where the jump count's mean w*t is too
-    large to draw or the mean or SE is not finite.
+    Batch k of _MC_BATCH paths draws from the k-th child that
+    make_stream(master_seed, 0) spawns, spawned one at a time so that one
+    generator is held, not one per batch; the batches' means and M2s are
+    merged in batch order, so the result is bit-identical for a seed.
+    Refuses the t and lambda that expected_capital refuses, and raises
+    NumericalRangeError where the jump count's mean w*t is too large to
+    draw or the mean or SE is not finite.
     """
     if n_paths < 100:
         raise InvalidInputError(f"n_paths must be >= 100, got {n_paths}")
@@ -133,10 +134,11 @@ def mc_expected_capital(
             f"jump count mean w*t={params.w * t} exceeds the largest "
             f"Poisson mean drawn, {_POISSON_MEAN_MAX}")
     part = (0, 0.0, 0.0)  # paths done, their mean and M2
-    while part[0] < n_paths:
-        n = min(_MC_BATCH, n_paths - part[0])
-        stream = make_stream(master_seed, part[0] // _MC_BATCH)  # batch index
-        terminal = _terminal_capital(params, lam, t, n, stream)
+    root = make_stream(master_seed, 0)
+    for start in range(0, n_paths, _MC_BATCH):
+        n = min(_MC_BATCH, n_paths - start)
+        stream, = root.spawn(1)
+        terminal = _terminal_capital(params, t, n, stream)
         part = merge_mean_m2(part, (n, *mean_and_m2(terminal, n)))
     mean, se = part[1], standard_error(part[2], n_paths)
     if not (math.isfinite(mean) and math.isfinite(se)):
@@ -194,10 +196,6 @@ def f_mu(mu_i: float, params: ModelParams) -> float:
             f"f(mu_i, t*) overflows at mu_i={mu_i}") from None
 
 
-# Memoised like threshold.solve_threshold; theorem1_report makes two friction
-# solves per threshold pair, so twice its 512 entries.  Exceptions are not
-# cached.
-@functools.lru_cache(maxsize=1024, typed=True)
 def solve_lambda(mu_i: float, params: ModelParams) -> float:
     """lambda*: the root of e^(lambda t*)/lambda = f(mu_i, t*) on the
     increasing branch.

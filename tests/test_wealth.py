@@ -141,7 +141,7 @@ class TestJumpsLeaveTheMean:
         no_jumps = default_params(w=0.0, alpha=params.alpha)
         assert (_outcome(expected_capital, params, t, lam)
                 == _outcome(expected_capital, no_jumps, t, lam))
-        for layer in (log_f_mu, solve_lambda.__wrapped__):
+        for layer in (log_f_mu, solve_lambda):
             assert (_outcome(layer, mu_i, params)
                     == _outcome(layer, mu_i, no_jumps))
         # against the oracles of r_f, alpha, mu0 and lambda.  Rounding
@@ -162,14 +162,14 @@ class TestTerminalCapital:
     def test_deterministic_case(self):
         # K_t = E K_t: in its units every path is 1, with no rounding
         params = default_params(sigma_w=0.0, w=0.0)
-        paths = _terminal_capital(params, 1.5, 2.0, 100, make_stream(1, 0))
+        paths = _terminal_capital(params, 2.0, 100, make_stream(1, 0))
         assert np.all(paths == 1.0)
 
     def test_diffusion_moments(self):
         # w = 0: log(K_t / E K_t) ~ N(-var / 2, var), var = (alpha sigma_w)^2 t
         params = default_params(w=0.0)
-        n, t, lam = 100_000, 2.0, 1.5
-        terminals = _terminal_capital(params, lam, t, n, make_stream(3, 0))
+        n, t = 100_000, 2.0
+        terminals = _terminal_capital(params, t, n, make_stream(3, 0))
         increments = np.log(terminals)
         var = (0.5 * params.sigma_w) ** 2 * t
         se_mean = math.sqrt(var / n)
@@ -183,8 +183,8 @@ class TestTerminalCapital:
         # log(1 - alpha L), from the compensator w alpha L t of E K_t, so the
         # jump count is recoverable from log(K_t / E K_t)
         params = default_params(w=0.5, sigma_w=0.0, loss=0.2)
-        n, t, lam = 100_000, 4.0, 1.5
-        terminals = _terminal_capital(params, lam, t, n, make_stream(9, 0))
+        n, t = 100_000, 4.0
+        terminals = _terminal_capital(params, t, n, make_stream(9, 0))
         jumps = (np.log(terminals) - params.w * 0.5 * 0.2 * t) / (
             math.log1p(-0.5 * 0.2)
         )
@@ -347,10 +347,8 @@ class TestMcBits:
         # compensator and the diffusion's -(alpha sigma_w)^2 / 2
         shift = (a * params.w * loss.mean - 0.5 * (a * s) * (a * s)) * t
         count, mean, m2 = 0, 0.0, 0.0
-        batch = 0
-        while count < n_paths:
+        for stream in make_stream(seed, 0).spawn(-(-n_paths // 16384)):
             n = min(16384, n_paths - count)
-            stream = make_stream(seed, batch)
             logK = shift + a * s * math.sqrt(t) * stream.standard_normal(n)
             counts = stream.poisson(params.w * t, n)
             if len(loss.values) == 1:
@@ -367,7 +365,6 @@ class TestMcBits:
             mean, m2 = (mean + delta * share,
                         m2 + k_m2 + delta * delta * (count * share))
             count += n
-            batch += 1
         return mean, math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths)
 
     @pytest.mark.parametrize("params", CASES)
@@ -378,6 +375,24 @@ class TestMcBits:
         est, se = mc_expected_capital.__wrapped__(*args)
         ref_est, ref_se = self._reference(*args)
         assert (est.hex(), se.hex()) == (ref_est.hex(), ref_se.hex())
+
+    def test_batch_streams_share_no_key_with_verify(self, monkeypatch):
+        # verify draws its population from make_stream(seed, 1) and its
+        # parameter sets from make_stream(seed, 900); batches keyed by their
+        # index drew batch 1 from the first and, past 900 batches, batch 900
+        # from the second
+        keys = []
+
+        def recorder(*args):
+            *_, n, stream = args
+            keys.append(stream.bit_generator.seed_seq.spawn_key)
+            return np.ones(n)
+        monkeypatch.setattr(wealth, "_terminal_capital", recorder)
+        n_paths = 901 * 16384 + 1
+        assert mc_expected_capital.__wrapped__(
+            REFERENCE, 1.5, 2.0, n_paths, 42) == (1.0, 0.0)
+        assert keys == [(0, k) for k in range(902)]
+        assert not {(1,), (900,)} & set(keys)
 
 
 class TestFLambda:
@@ -485,6 +500,7 @@ class TestSolveLambda:
         # pick mu so the target level is exactly e^(t*)
         mu = params.t_star - math.log(f_mu(0.0, params))
         lam = solve_lambda(mu, params)
+        assert type(lam) is float
         assert lam == pytest.approx(1.0, abs=1e-10)
         assert lam * params.t_star > 1.0
 
@@ -529,6 +545,7 @@ class TestSolveLambda:
         # so the residual can be checked against f_mu itself
         params = default_params()
         lam = solve_lambda(599.0, params)
+        assert type(lam) is float
         assert lam == pytest.approx(303.955, abs=1e-3)
         assert lam * params.t_star <= 700.0
         residual = (lam * params.t_star - math.log(lam)
@@ -598,7 +615,7 @@ class TestSolveLambdaOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wealth, "math", counting_math)
             try:
-                lam = solve_lambda.__wrapped__(mu_i, params)
+                lam = solve_lambda(mu_i, params)
             except NoSolutionError as err:
                 # f < e^(t*) (1 - 1e-12): the oracle's f is below e^(t*) too
                 assert err.target < err.branch_minimum
@@ -614,40 +631,6 @@ class TestSolveLambdaOracle:
         kappa = 1.0 / (1.0 - 1.0 / float(u_star))
         star = u_star / t
         assert abs(lam - star) <= 1e-13 * kappa * star
-
-
-class TestSolveLambdaMemo:
-    CASES = [(mu, default_params(alpha=alpha, t_star=t_star))
-             for mu in (-1.0, 0.5, 3.0, 599.0)
-             for alpha in (0.0, 0.5)
-             for t_star in (1.5, 2.0)]
-
-    def test_memo_bitwise_equals_uncached(self):
-        solve_lambda.cache_clear()
-        for mu, params in self.CASES:
-            for _ in range(2):  # a miss, then a hit
-                lam = solve_lambda(mu, params)
-                assert type(lam) is float
-                assert lam.hex() == solve_lambda.__wrapped__(mu, params).hex()
-        info = solve_lambda.cache_info()
-        assert (info.misses, info.hits) == (len(self.CASES), len(self.CASES))
-
-    def test_equal_params_share_an_entry(self):
-        solve_lambda.cache_clear()
-        first = solve_lambda(0.7, default_params())
-        assert solve_lambda(0.7, default_params()) is first
-        assert solve_lambda.cache_info().currsize == 1
-
-    def test_failed_call_leaves_no_entry(self):
-        solve_lambda.cache_clear()
-        params = default_params()
-        mu_trivial = params.t_star - math.log(f_mu(0.0, params))
-        for mu, error in [(mu_trivial - 50.0, NoSolutionError),
-                          (math.nan, InvalidInputError)]:
-            for _ in range(2):
-                with pytest.raises(error):
-                    solve_lambda(mu, params)
-        assert solve_lambda.cache_info().currsize == 0
 
 
 class TestFigure1:

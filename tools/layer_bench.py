@@ -20,16 +20,18 @@ For each of these four layers it reports three per-call times, each the
 best of ``--repeats`` passes over every case, with the garbage collector
 off:
 
-* ``miss_us``: the layer's own memos cleared, the layers it calls warm, so
+* ``miss_us``: the layer's own memo cleared, the layers it calls warm, so
   the layer's own cost on a fresh parameter set;
 * ``cold_us``: the memos of all four layers cleared, so what the call
   costs a fresh parameter set, the layers below included;
 * ``hit_us``: the same inputs again, a memo hit.
 
-The memos are those the source defines: ``portfolio_moment``'s,
-``solve_threshold``'s and ``solve_lambda``'s, and in older sources
-``threshold_sensitivity``'s too.  Where ``threshold_sensitivity`` has
-none, its ``miss_us`` and ``hit_us`` both read a ``solve_threshold`` hit.
+A layer's memo is the layer itself, where the source it runs on gives it
+one (``cache_clear``): ``portfolio_moment``'s and ``solve_threshold``'s,
+and in older sources ``threshold_sensitivity``'s and ``solve_lambda``'s
+too.  Where a layer has none, its ``miss_us`` and ``hit_us`` both time the
+call with the layers below warm: for ``threshold_sensitivity`` a
+``solve_threshold`` hit, and for ``solve_lambda`` the whole solve.
 
 ``solve_threshold`` also gets ``g_evals_per_miss``, the mean number of
 evaluations of its G per miss over the cases, counted (untimed) through
@@ -101,20 +103,12 @@ MC_CASES = {  # verify.check_jump_diffusion_mean's cases
     "diffusion_and_jumps": {},
 }
 
-MEMOS = {  # layer: its own memos, as the source it runs on defines them
-    "numerics.portfolio_moment": [numerics.portfolio_moment],
-    # every memo threshold defines: solve_threshold's, and in older sources
-    # that of the ability laws too
-    "threshold.solve_threshold": [
-        memo for memo in vars(threshold).values()
-        if hasattr(memo, "cache_clear") and memo.__module__ == threshold.__name__],
-    # memoised in older sources only; now it reads solve_threshold's record
-    "statics.threshold_sensitivity":
-        [statics.threshold_sensitivity]
-        if hasattr(statics.threshold_sensitivity, "cache_clear") else [],
-    "wealth.solve_lambda": [wealth.solve_lambda],
+LAYERS = {
+    "numerics.portfolio_moment": numerics.portfolio_moment,
+    "threshold.solve_threshold": threshold.solve_threshold,
+    "statics.threshold_sensitivity": statics.threshold_sensitivity,
+    "wealth.solve_lambda": wealth.solve_lambda,
 }
-ALL_MEMOS = [memo for memos in MEMOS.values() for memo in memos]
 
 
 def _raw_cases(seed: int) -> list:
@@ -171,9 +165,10 @@ def _peak_mb(call) -> float:
         tracemalloc.stop()
 
 
-def _clear(memos) -> None:
-    for memo in memos:
-        memo.cache_clear()
+def _clear(layers) -> None:
+    for layer in layers:  # a layer's memo is the layer itself
+        if hasattr(layer, "cache_clear"):
+            layer.cache_clear()
 
 
 def _fresh(raw_cases: list) -> list:
@@ -225,7 +220,7 @@ def _g_evaluations(raw_cases: list) -> float:
         count += 1
         return real(*args)
     calls = _calls("threshold.solve_threshold", _fresh(raw_cases))
-    _clear(ALL_MEMOS)
+    _clear(LAYERS.values())
     threshold.log_ratio_and_slope = counted
     try:
         for call in calls:
@@ -244,7 +239,7 @@ def bench(seed: int, repeats: int, out: str) -> dict:
     for order in (40, 80, 160, 320):
         numerics._hermite_nodes(order)
     times = {layer: {"miss_us": [], "cold_us": [], "hit_us": []}
-             for layer in MEMOS}
+             for layer in LAYERS}
     times["model.validate"] = {"call_us": []}
     array_calls = _array_calls(seed, out)
     for layer, key in array_calls:
@@ -257,16 +252,16 @@ def bench(seed: int, repeats: int, out: str) -> dict:
               else key.removesuffix("ms") + "peak_mb"): _peak_mb(call)
              for (layer, key), call in array_calls.items()}
     for _ in range(repeats):
-        for layer, own in MEMOS.items():
+        for layer, fn in LAYERS.items():
             calls = _calls(layer, _fresh(raw_cases))
-            _clear(ALL_MEMOS)
+            _clear(LAYERS.values())
             times[layer]["cold_us"].append(_pass_us(calls))
             times[layer]["hit_us"].append(_pass_us(calls))
             cases = _fresh(raw_cases)
-            for lower in MEMOS:  # warm every layer, then clear this one
+            for lower in LAYERS:  # warm every layer, then clear this one
                 for call in _calls(lower, cases):
                     call()
-            _clear(own)
+            _clear([fn])
             times[layer]["miss_us"].append(_pass_us(_calls(layer, cases)))
         times["model.validate"]["call_us"].append(
             _pass_us([lambda r=r: model.validate(r) for r in raws]))
