@@ -87,9 +87,9 @@ def draw_population(
     """n i.i.d. agents with roles assigned at the solved threshold; only
     users, the agents with output, draw an idiosyncratic shock.
 
-    Block k of _BLOCK agents is drawn from the k-th generator of
-    stream.spawn: its abilities, then its users' shocks.  Each block is
-    reduced at once and dropped; the aggregate shock comes from stream.
+    Block k of _BLOCK agents draws its abilities, then its users' shocks,
+    from stream's k-th child, spawned per block so one generator is held.
+    Each block is reduced and dropped at once; the aggregate shock is stream's.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -100,7 +100,8 @@ def draw_population(
     # back to the OS at the block's end and was faulted in again, 3,454
     # minor faults per 10^6 agents against 232
     buffer = np.empty(min(_BLOCK, n))
-    for start, gen in zip(range(0, n, _BLOCK), stream.spawn(-(-n // _BLOCK))):
+    for start in range(0, n, _BLOCK):
+        gen, = stream.spawn(1)
         size = min(_BLOCK, n - start)
         # mean + std * z, as Generator.normal computes it
         abilities = gen.standard_normal(out=buffer[:size])

@@ -150,34 +150,35 @@ _FIELD_NAMES = tuple(f.name for f in dc_fields(ModelParams))
 # an exact-size tuple: tuple() of a generator over-allocates, and the freed
 # tuples then pile up on CPython's free list for their size (~0.4 MB)
 _field_values = attrgetter(*_FIELD_NAMES)
-_REQUIRED = tuple(n for n in _FIELD_NAMES if n != "mu_bar")
+_FIELD_SET = frozenset(_FIELD_NAMES)
+_REQUIRED_SET = _FIELD_SET - {"mu_bar"}
+_NUMERIC = tuple(n for n in _FIELD_NAMES if n != "loss")
 
 
 def validate(raw: Union[dict, ModelParams]) -> ModelParams:
     """Validate a raw record; raises ParamError with every violation found."""
     if isinstance(raw, ModelParams):
-        raw = {f.name: getattr(raw, f.name) for f in dc_fields(ModelParams)}
+        raw = dict(zip(_FIELD_NAMES, _field_values(raw)))
     violations = []
-    unknown = sorted(set(raw) - set(_FIELD_NAMES))
+    unknown = raw.keys() - _FIELD_SET
     if unknown:
-        violations.append(f"unknown keys: {', '.join(unknown)}")
-    missing = sorted(set(_REQUIRED) - set(raw))
+        violations.append(f"unknown keys: {', '.join(sorted(unknown))}")
+    missing = _REQUIRED_SET - raw.keys()
     if missing:
-        violations.append(f"missing keys: {', '.join(missing)}")
+        violations.append(f"missing keys: {', '.join(sorted(missing))}")
     if violations:
         raise ParamError(violations)
 
-    vals = dict(raw)
-    vals.setdefault("mu_bar", 0.0)
+    vals = {"mu_bar": 0.0, **raw}
     try:
         vals["loss"] = _parse_loss(vals["loss"])
     except InvalidInputError as exc:
         raise ParamError([f"loss: {exc}"]) from exc
 
-    for name in _FIELD_NAMES:
-        if name == "loss":
-            continue
+    for name in _NUMERIC:
         v = vals[name]
+        if type(v) is float and v - v == 0.0:  # a finite float, kept as is
+            continue
         if not _is_finite_number(v):
             violations.append(f"{name}: must be a finite number, got {v!r}")
         else:
@@ -206,28 +207,30 @@ def load_params(path) -> ModelParams:
     return validate(raw)
 
 
+# every default set shares one frozen loss record: _parse_loss keeps it
+_DEFAULTS = dict(
+    gamma=2.0,
+    mu_bar=0.0,
+    sigma_mu=1.0,
+    sigma_agg=0.2,
+    sigma_idio=0.5,
+    theta=0.1,
+    tau=0.5,
+    D=1.0,
+    eta=0.5,
+    d0=1.0,
+    r_f=0.02,
+    alpha=0.5,
+    mu0=0.08,
+    w=0.1,
+    loss=LossSpec.constant(0.2),
+    sigma_w=0.3,
+    W0=1.0,
+    t_star=2.0,
+    EK_target=0.02,
+)
+
+
 def default_params(**overrides) -> ModelParams:
     """Reference parameter set used by the CLI when no file is given."""
-    base = dict(
-        gamma=2.0,
-        mu_bar=0.0,
-        sigma_mu=1.0,
-        sigma_agg=0.2,
-        sigma_idio=0.5,
-        theta=0.1,
-        tau=0.5,
-        D=1.0,
-        eta=0.5,
-        d0=1.0,
-        r_f=0.02,
-        alpha=0.5,
-        mu0=0.08,
-        w=0.1,
-        loss=0.2,
-        sigma_w=0.3,
-        W0=1.0,
-        t_star=2.0,
-        EK_target=0.02,
-    )
-    base.update(overrides)
-    return validate(base)
+    return validate({**_DEFAULTS, **overrides})

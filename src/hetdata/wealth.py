@@ -104,10 +104,11 @@ def _terminal_capital(
 
 
 # Memoised like threshold.solve_threshold: the estimate is a pure function
-# of its arguments (each batch stream is keyed by the master seed), so a
-# repeated case, such as wealth.csv's sample and verify's
-# diffusion_and_jumps case, is simulated once.  Exceptions are not cached.
-@functools.lru_cache(maxsize=512, typed=True)
+# of its arguments (each batch stream is keyed by the master seed).  A run
+# makes at most four calls, the wealth sample and verify's three cases (the
+# sample is verify's diffusion_and_jumps case, simulated once), and no
+# caller reuses an earlier seed's entry: four entries.  Exceptions not cached.
+@functools.lru_cache(maxsize=4, typed=True)
 def mc_expected_capital(
     params: ModelParams,
     lam: float,

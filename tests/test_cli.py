@@ -548,6 +548,16 @@ class TestWealthGrid:
             wealth.expected_capital(params, params.t_star, row[0])
             for row in rows]
 
+    def test_report_fits_the_monte_carlo_memo(self, tmp_path, capsys):
+        # verify's three jump_diffusion_mean cases miss, and the wealth
+        # sample is its diffusion_and_jumps case, a hit: the memo's four
+        # entries hold one run
+        wealth.mc_expected_capital.cache_clear()
+        assert main(["report", "--seed", "42",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        info = wealth.mc_expected_capital.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("overrides, argv, code", [
         (None, ["wealth", "--seed", "7", "--lambda-grid", "1:3:0.1"], EXIT_OK),

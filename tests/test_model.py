@@ -5,6 +5,7 @@ import pickle
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from hetdata.errors import ParamError
@@ -199,3 +200,73 @@ class TestJsonLoading:
 def test_default_params_valid():
     params = default_params()
     assert validate(params) == params
+
+
+def test_default_loss_is_shared_and_an_override_parsed():
+    assert default_params().loss is default_params(tau=0.3).loss
+    assert default_params(loss=0.3).loss == LossSpec.constant(0.3)
+    two_point = {"values": [0.1, 0.3], "probs": [0.5, 0.5]}
+    assert default_params(loss=two_point).loss == LossSpec((0.1, 0.3),
+                                                           (0.5, 0.5))
+
+
+def _without(*names, **overrides):
+    record = base_record(**overrides)
+    for name in names:
+        del record[name]
+    return record
+
+
+def _tampered_loss(value):
+    """A loss record whose value its own check would refuse: the only way
+    to reach the alpha * max(loss) rule, since alpha <= 1 and every loss
+    value < 1 keep the rounded product below 1."""
+    loss = LossSpec.constant(0.5)
+    object.__setattr__(loss, "values", (value,))
+    return loss
+
+
+def _finite(name, v):
+    return [f"{name}: must be a finite number, got {v!r}"]
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (_without("gamma", "tau", taw=0.5, sigma=0.2),
+     ["unknown keys: sigma, taw", "missing keys: gamma, tau"]),
+    *[(base_record(theta=v), _finite("theta", v))
+      for v in (math.nan, math.inf, -math.inf, True, "1.0", None, 10**400)],
+    # in field order, mu_bar (the optional field) last; no range check
+    # runs until every field is a finite number
+    (base_record(mu_bar=None, gamma=math.nan, tau=1.2),
+     _finite("gamma", math.nan) + _finite("mu_bar", None)),
+    (base_record(theta=np.float64(0.3), gamma=2), {"theta": 0.3, "gamma": 2.0}),
+    (base_record(r_f=-0.0, mu_bar=-0.0), {"r_f": -0.0, "mu_bar": -0.0}),
+    (base_record(tau=1.2, gamma=-1.0),
+     ["gamma: must be > 0 (got -1.0)",
+      "tau: must be in [1e-06, 0.999999] (got 1.2)"]),
+    (base_record(alpha=1.0, loss=_tampered_loss(1.5)),
+     ["alpha * max(loss): must be < 1 so log(1 - alpha*L) is finite "
+      "(got 1.5)"]),
+    # reported only when every range check passed
+    (base_record(alpha=1.0, loss=_tampered_loss(1.5), W0=0.0),
+     ["W0: must be > 0 (got 0.0)"]),
+    (default_params(sigma_mu=np.float64(0.7)), {"sigma_mu": 0.7, "tau": 0.5}),
+], ids=["keys", "nan", "inf", "-inf", "bool", "str", "none", "huge_int",
+        "order", "coerced", "negative_zero", "ranges", "alpha_loss",
+        "alpha_loss_after_ranges", "model_params"])
+def test_validate_outcome(raw, expected):
+    """The exact violations, in order, or the fields' values and types."""
+    if isinstance(expected, list):
+        with pytest.raises(ParamError) as err:
+            validate(raw)
+        assert err.value.violations == expected
+        return
+    params = validate(raw)
+    for name, value in expected.items():
+        got = getattr(params, name)
+        assert (type(got), repr(got)) == (float, repr(value))
+    assert all(type(getattr(params, f.name)) is float
+               for f in fields(ModelParams) if f.name != "loss")
+    if isinstance(raw, ModelParams):
+        assert params == raw and hash(params) == hash(raw)
+        assert repr(params) == repr(raw)

@@ -1,16 +1,16 @@
 """Per-call times of hetdata's layers: memo misses and hits, and arrays.
 
 Times ``numerics.portfolio_moment``, ``threshold.solve_threshold``,
-``statics.threshold_sensitivity``, ``wealth.solve_lambda`` and
-``model.validate`` over a fixed, seeded set of parameter sets drawn from
-the box of perfbench's ``param_scan`` workload (``ParamScan.BOX``,
-imported from ``perfbench/workloads.py``; a quarter at gamma = 1),
-and the array layers ``mc.draw_population``, ``mc.lln_check``,
-``mc.market_clearing_check`` and ``wealth.mc_expected_capital`` at
-verify's sizes, and adds the result, under ``--label``, to the JSON file
-``--out``.  A label already there for the same source and seed keeps,
-for each time, the best of both runs, so that runs of two checkouts can
-be alternated:
+``statics.threshold_sensitivity``, ``wealth.solve_lambda``,
+``model.validate`` and ``model.default_params`` over a fixed, seeded set
+of parameter sets drawn from the box of perfbench's ``param_scan``
+workload (``ParamScan.BOX``, imported from ``perfbench/workloads.py``; a
+quarter at gamma = 1), and the array layers ``mc.draw_population``,
+``mc.lln_check``, ``mc.market_clearing_check`` and
+``wealth.mc_expected_capital`` at verify's sizes, and adds the result,
+under ``--label``, to the JSON file ``--out``.  A label already there for
+the same source and seed keeps, for each time, the best of both runs, so
+that runs of two checkouts can be alternated:
 
     PYTHONPATH=src python tools/layer_bench.py --label change --out BENCH.json
     PYTHONPATH=/path/to/other/checkout/src python tools/layer_bench.py \
@@ -38,8 +38,11 @@ evaluations of its G per miss over the cases, counted (untimed) through
 ``threshold.log_ratio_and_slope``, which each evaluation calls once.
 
 ``_hermite_nodes`` stays warm throughout: it is built once per quadrature
-order, not per parameter set.  ``validate`` has no memo and gets one
-time, ``call_us``.  A layer that raises on any case stops the script.
+order, not per parameter set.  ``validate`` and ``default_params`` have
+no memo and get one time each, ``call_us``: ``validate`` of each case's
+whole record, and ``default_params`` with each case's seven
+``ParamScan.BOX`` overrides, as a ``param_scan`` op calls it.  A layer
+that raises on any case stops the script.
 
 The array layers get one time per call, in milliseconds, also the best of
 ``--repeats``: ``mc.draw_population`` draws 10^6 agents at default
@@ -236,11 +239,13 @@ def bench(seed: int, repeats: int, out: str) -> dict:
     layer all of them.  The wealth command writes into the directory out."""
     raw_cases = _raw_cases(seed)
     raws = [raw for raw, _ in raw_cases]
+    overrides = [{k: raw[k] for k in ParamScan.BOX} for raw in raws]
     for order in (40, 80, 160, 320):
         numerics._hermite_nodes(order)
     times = {layer: {"miss_us": [], "cold_us": [], "hit_us": []}
              for layer in LAYERS}
     times["model.validate"] = {"call_us": []}
+    times["model.default_params"] = {"call_us": []}
     array_calls = _array_calls(seed, out)
     for layer, key in array_calls:
         times.setdefault(layer, {})[key] = []
@@ -265,6 +270,9 @@ def bench(seed: int, repeats: int, out: str) -> dict:
             times[layer]["miss_us"].append(_pass_us(_calls(layer, cases)))
         times["model.validate"]["call_us"].append(
             _pass_us([lambda r=r: model.validate(r) for r in raws]))
+        times["model.default_params"]["call_us"].append(
+            _pass_us([lambda o=o: model.default_params(**o)
+                      for o in overrides]))
         default = model.default_params()  # the passes above cleared its solve
         threshold.solve_threshold(default.tau, default)
         for (layer, key), call in array_calls.items():
