@@ -18,9 +18,9 @@ from .numerics import mean_and_m2, merge_mean_m2, shock_mean, standard_error
 from .statics import aggregate_output
 from .threshold import (
     ThresholdSolution,
-    provider_utility,
+    log_ce_provider,
+    log_ce_user,
     solve_threshold,
-    user_utility,
 )
 
 _BOUNDARY_BAND = 1e-8
@@ -252,22 +252,19 @@ def role_sorting_check(
 
     The roles are assigned at params.tau by the solved threshold, as
     draw_population assigns them, and the utilities are taken at the same
-    tau.  Agents within the boundary band |mu_i - K| < 1e-8 are excluded
-    (the sign there is numerically undecidable by construction).
+    tau.  A user's log certainty equivalent is mu_i plus a constant, so
+    the two roles' utilities cross at one ability, where the log CEs are
+    equal; an agent prefers to be a user iff its ability exceeds it.
+    Agents within the boundary band |mu_i - K| < 1e-8 are excluded (the
+    sign there is numerically undecidable by construction).
     """
     tau = params.tau
     sol = solve_threshold(tau, params)
-    v_s = provider_utility(tau, sol.m, sol.tail_mean, params)
-    outside = np.abs(abilities - sol.K) >= _BOUNDARY_BAND
-    agree = 0
-    counted = 0
-    for mu_i, is_user in zip(abilities[outside],
-                             sol.is_user(abilities[outside])):
-        v_i = user_utility(float(mu_i), tau, params)
-        counted += 1
-        if (v_i > v_s) == bool(is_user):
-            agree += 1
-    fraction = agree / counted if counted else 1.0
+    crossing = sol.K + (log_ce_provider(tau, sol.m, sol.tail_mean, params)
+                        - log_ce_user(sol.K, tau, params))
+    outside = abilities[np.abs(abilities - sol.K) >= _BOUNDARY_BAND]
+    agree = int(np.count_nonzero((outside > crossing) == sol.is_user(outside)))
+    fraction = agree / outside.size if outside.size else 1.0
     return CheckReport(
         statistic="role_sorting_agreement",
         expected=1.0,

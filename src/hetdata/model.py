@@ -31,6 +31,7 @@ class LossSpec:
     def __post_init__(self):
         if len(self.values) not in (1, 2) or len(self.probs) != len(self.values):
             raise InvalidInputError("loss spec needs 1 or 2 (value, prob) pairs")
+        # alpha <= 1, so alpha*L rounds to at most L < 1: log1p(-alpha*L) is finite
         for v in self.values:
             if not (0.0 <= v < 1.0):
                 raise InvalidInputError(f"loss values must lie in [0, 1), got {v}")
@@ -48,10 +49,6 @@ class LossSpec:
     @property
     def mean(self) -> float:
         return sum(v * p for v, p in zip(self.values, self.probs))
-
-    @property
-    def maximum(self) -> float:
-        return max(self.values)
 
 
 def _is_finite_number(v) -> bool:
@@ -189,11 +186,6 @@ def validate(raw: Union[dict, ModelParams]) -> ModelParams:
     for name, ok, msg in _RANGE_CHECKS:
         if not ok(vals):
             violations.append(f"{name}: {msg} (got {vals[name]})")
-    if not violations and vals["alpha"] * vals["loss"].maximum >= 1.0:
-        violations.append(
-            "alpha * max(loss): must be < 1 so log(1 - alpha*L) is finite "
-            f"(got {vals['alpha'] * vals['loss'].maximum})"
-        )
     if violations:
         raise ParamError(violations)
     return ModelParams(**vals)

@@ -9,7 +9,8 @@ The threshold mu_k (centered ability) is the fixed point of
 where the moment term is (1/(1-gamma)) log E[(theta e^e + 1-theta)^(1-gamma)]
 for gamma != 1 and E[log(theta e^e + 1-theta)] at gamma = 1.  Agents with
 centered ability above mu_k act as data users, the rest as providers; the
-two expected utilities coincide exactly at the threshold.
+two roles' log certainty equivalents, each written once for every gamma,
+coincide exactly at the threshold.
 """
 from __future__ import annotations
 
@@ -109,12 +110,13 @@ def log_ratio_and_slope(mu: float, v: float) -> tuple[float, float]:
 def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     """Unique root of G(mu) = mu - F(tau, mu), by safeguarded Newton.
 
-    F = c + log ratio, with c = logit(tau) + v/2 - moment term, so G' =
-    1 - dF/dmu >= 1: G is strictly increasing from -inf to +inf, and
-    numerics.solve_bracketed finds its root to 1e-13 min(1, sigma_mu) plus
-    8 eps |mu|.  The start is mu = v/2, where both log tails are
-    log Phi(sigma_mu/2), so the log ratio is exactly 0 and G = v/2 - c: its
-    first step is closed-form.  The residual is G at the returned iterate;
+    F = c + log ratio, with c = logit(tau) + v/2 - moment term, so G(mu_k)
+    is log_ce_user(K) - log_ce_provider(tau, m, tail_mean), c gathering
+    their parameter terms.  G' = 1 - dF/dmu >= 1: G is strictly increasing
+    from -inf to +inf, and numerics.solve_bracketed finds its root to 1e-13
+    min(1, sigma_mu) plus 8 eps |mu|.  The start is mu = v/2, where both
+    log tails are log Phi(sigma_mu/2), so the log ratio is exactly 0 and
+    G = v/2 - c: its first step is closed-form.  The residual is G at the returned iterate;
     iterations counts the Newton (or bisection) steps.  dmu_dtau is the
     implicit-function F_tau / G', F_tau = 1/(tau(1-tau)), with the G' the
     solve holds at the returned iterate: no further evaluation.
@@ -152,59 +154,42 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     )
 
 
-def _agg_moment(params: ModelParams) -> float:
-    """E[e^((1-gamma) * eps_agg)] with eps_agg ~ N(-sigma^2/2, sigma^2)."""
-    a = 1.0 - params.gamma
-    s2 = params.sigma_agg * params.sigma_agg
-    return math.exp(-0.5 * a * s2 + 0.5 * a * a * s2)
-
-
-def user_utility(mu_i: float, tau: float, params: ModelParams) -> float:
-    """Expected utility of investing as a data user with ability mu_i."""
+def log_ce_user(mu_i: float, tau: float, params: ModelParams) -> float:
+    """Log certainty equivalent of investing as a data user with ability
+    mu_i, for every gamma: mu_i plus terms of the parameters alone."""
     _check_tau(tau)
-    if params.gamma == 1.0:
-        return (
-            math.log1p(-tau)
-            + math.log(params.D)
-            + mu_i
-            + shock_mean(params.sigma_agg)
-            + portfolio_moment(params.theta, params.sigma_idio, 1.0)
-        )
-    a = 1.0 - params.gamma
-    return (
-        (1.0 - tau) ** a
-        * params.D ** a
-        * math.exp(a * mu_i)
-        / a
-        * _agg_moment(params)
-        * portfolio_moment(params.theta, params.sigma_idio, params.gamma)
-    )
+    return (math.log1p(-tau) + math.log(params.D) + mu_i
+            + params.gamma * shock_mean(params.sigma_agg) + _moment_term(params))
 
 
-def provider_utility(
-    tau: float, m: float, tail_mean: float, params: ModelParams
-) -> float:
-    """Expected utility of a data provider given equilibrium (m, tail_mean)."""
+def log_ce_provider(tau: float, m: float, tail_mean: float,
+                    params: ModelParams) -> float:
+    """Log certainty equivalent of a data provider given equilibrium (m,
+    tail_mean), for every gamma.  log_ce_user(K) minus it is G(mu_k)."""
     _check_tau(tau)
     if not (0.0 < m < 1.0):
         raise DegenerateInputError(f"user measure must be in (0, 1), got {m}")
     if tail_mean <= 0.0:
         raise InvalidInputError(f"tail_mean must be > 0, got {tail_mean}")
+    return (math.log(tau) + math.log(params.D)
+            + params.gamma * shock_mean(params.sigma_agg) + math.log(m)
+            + math.log(tail_mean) - math.log1p(-m))
+
+
+def _level(ce: float, params: ModelParams) -> float:
+    """The utility u(e^ce): ce at gamma = 1, else e^(a ce)/a, a = 1 - gamma."""
     if params.gamma == 1.0:
-        return (
-            math.log(tau)
-            + math.log(params.D)
-            + shock_mean(params.sigma_agg)
-            + math.log(m)
-            + math.log(tail_mean)
-            - math.log1p(-m)
-        )
+        return ce
     a = 1.0 - params.gamma
-    return (
-        tau ** a
-        * params.D ** a
-        * _agg_moment(params)
-        * tail_mean ** a
-        * (m / (1.0 - m)) ** a
-        / a
-    )
+    return math.exp(a * ce) / a
+
+
+def user_utility(mu_i: float, tau: float, params: ModelParams) -> float:
+    """Expected utility of investing as a data user with ability mu_i."""
+    return _level(log_ce_user(mu_i, tau, params), params)
+
+
+def provider_utility(tau: float, m: float, tail_mean: float,
+                     params: ModelParams) -> float:
+    """Expected utility of a data provider given equilibrium (m, tail_mean)."""
+    return _level(log_ce_provider(tau, m, tail_mean, params), params)

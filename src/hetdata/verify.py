@@ -63,21 +63,39 @@ def _random_param_sets(seed: int, count: int) -> List[ModelParams]:
     return sets
 
 
+# The level gate has no power where the levels are tiny (at gamma = 8,
+# D = 50 a threshold 0.01 off passes it with a gap of 1.5e-13), so the log
+# certainty equivalents are gated too.  Their gap at K is G(mu_k), and the
+# solve stops once |G/G'| <= (1e-13 min(1, sigma_mu) + 8 eps |mu_k|)/2:
+# over seeds 0-999 of this box G' <= 6.2 and |mu_k| <= 2.1, so |G| <=
+# 3.2e-13, and the six-term sums round by some 10 eps of |CE| <= 2.  1e-10
+# leaves a factor of 300; a threshold 1e-8 off fails it at seeds 0-49.
+_LEVEL_TOL, _LOG_CE_TOL = 1e-8, 1e-10
+
+
+def indifference_gaps(sol: threshold.ThresholdSolution,
+                      params: ModelParams) -> Tuple[float, float]:
+    """The gaps between the user's utility at sol.K and the provider's, in
+    levels and in log certainty equivalents, each over max(1, |either|)."""
+    tau, m, tail = params.tau, sol.m, sol.tail_mean
+    pairs = ((threshold.user_utility(sol.K, tau, params),
+              threshold.provider_utility(tau, m, tail, params)),
+             (threshold.log_ce_user(sol.K, tau, params),
+              threshold.log_ce_provider(tau, m, tail, params)))
+    return tuple(abs(u - p) / max(1.0, abs(u), abs(p)) for u, p in pairs)
+
+
 def check_threshold_indifference(seed: int) -> CheckResult:
-    """User and provider utilities coincide at the threshold ability."""
-    worst = 0.0
-    for base in _random_param_sets(seed, 10):
-        for gamma in (base.gamma, 1.0):
-            params = replace(base, gamma=gamma)
-            sol = threshold.solve_threshold(params.tau, params)
-            v_i = threshold.user_utility(sol.K, params.tau, params)
-            v_s = threshold.provider_utility(
-                params.tau, sol.m, sol.tail_mean, params
-            )
-            scale = max(1.0, abs(v_i), abs(v_s))
-            worst = max(worst, abs(v_i - v_s) / scale)
+    """User and provider utilities coincide at the threshold ability, in
+    levels and in log certainty equivalents."""
+    gaps = [indifference_gaps(threshold.solve_threshold(p.tau, p), p)
+            for base in _random_param_sets(seed, 10)
+            for p in (replace(base, gamma=g) for g in (base.gamma, 1.0))]
+    worst, worst_log_ce = map(max, zip(*gaps))
     return CheckResult(
-        "threshold_indifference", worst <= 1e-8, {"worst_rel_error": worst}
+        "threshold_indifference",
+        worst <= _LEVEL_TOL and worst_log_ce <= _LOG_CE_TOL,
+        {"worst_rel_error": worst, "worst_log_ce_gap": worst_log_ce},
     )
 
 

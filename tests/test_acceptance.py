@@ -32,9 +32,11 @@ def test_criterion_1_symmetry_fixed_point():
 def test_criterion_2_threshold_indifference():
     result = verify.check_threshold_indifference(SEED)
     _report(
-        "criterion 2: utilities agree at the threshold within 1e-8 "
+        "criterion 2: utilities agree at the threshold within 1e-8, and "
+        "their log certainty equivalents within 1e-10 "
         "(10 random parameter sets, both gamma branches)",
-        result.passed and result.detail["worst_rel_error"] <= 1e-8,
+        result.passed and result.detail["worst_rel_error"] <= 1e-8
+        and result.detail["worst_log_ce_gap"] <= 1e-10,
     )
 
 

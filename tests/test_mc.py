@@ -504,6 +504,20 @@ class TestRoleSorting:
         report = role_sorting_check(abilities, params)
         assert report.passed and report.observed == 1.0
 
+    def test_displaced_threshold_disagrees(self, monkeypatch):
+        # roles from a K 0.01 too high: the agents between the two abilities
+        # prefer to use data but are classed as providers
+        params = default_params()
+        abilities = reference_draw(10_000, params, make_stream(7, 0))[0]
+        sol = solve_threshold(params.tau, params)
+        shifted = dataclasses.replace(sol, K=sol.K + 0.01)
+        monkeypatch.setattr(mc, "solve_threshold", lambda tau, p: shifted)
+        between = np.count_nonzero((abilities > sol.K + 1e-8)
+                                   & (abilities <= shifted.K - 1e-8))
+        report = role_sorting_check(abilities, params)
+        assert between > 0 and not report.passed
+        assert report.observed == (10_000 - between) / 10_000
+
     def test_boundary_agent_excluded(self):
         params = default_params()
         abilities = reference_draw(100, params, make_stream(7, 1))[0]

@@ -7,8 +7,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hetdata.errors import ParamError
+from hetdata.errors import InvalidInputError, ParamError
 from hetdata.model import (
     LossSpec,
     ModelParams,
@@ -164,16 +166,32 @@ class TestHashedOnce:
 class TestLossSpec:
     def test_constant(self):
         loss = LossSpec.constant(0.2)
-        assert loss.mean == 0.2 and loss.maximum == 0.2
+        assert loss.mean == 0.2
 
     def test_two_point(self):
         loss = LossSpec.two_point(0.1, 0.5, 0.75)
         assert loss.mean == pytest.approx(0.1 * 0.75 + 0.5 * 0.25)
-        assert loss.maximum == 0.5
 
     def test_value_out_of_range(self):
         with pytest.raises(Exception):
             LossSpec.constant(1.0)
+
+    @pytest.mark.parametrize("value", [1.0, 1.0 + 2.0 ** -52, 1.5, math.inf])
+    def test_refuses_a_value_of_one_or_more(self, value):
+        for make in (lambda: LossSpec.constant(value),
+                     lambda: LossSpec.two_point(0.1, value, 0.5)):
+            with pytest.raises(InvalidInputError, match=r"\[0, 1\)"):
+                make()
+
+    # what keeps the wealth process's log1p(-alpha*L) finite: alpha in [0, 1]
+    # and every loss value in [0, 1)
+    @given(alpha=st.floats(0.0, 1.0),
+           value=st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_alpha_and_loss_keep_the_log_finite(self, alpha, value):
+        params = default_params(alpha=alpha, loss=value)
+        (loss,) = params.loss.values
+        assert math.isfinite(math.log1p(-params.alpha * loss))
 
 
 class TestJsonLoading:
@@ -217,15 +235,6 @@ def _without(*names, **overrides):
     return record
 
 
-def _tampered_loss(value):
-    """A loss record whose value its own check would refuse: the only way
-    to reach the alpha * max(loss) rule, since alpha <= 1 and every loss
-    value < 1 keep the rounded product below 1."""
-    loss = LossSpec.constant(0.5)
-    object.__setattr__(loss, "values", (value,))
-    return loss
-
-
 def _finite(name, v):
     return [f"{name}: must be a finite number, got {v!r}"]
 
@@ -244,16 +253,14 @@ def _finite(name, v):
     (base_record(tau=1.2, gamma=-1.0),
      ["gamma: must be > 0 (got -1.0)",
       "tau: must be in [1e-06, 0.999999] (got 1.2)"]),
-    (base_record(alpha=1.0, loss=_tampered_loss(1.5)),
-     ["alpha * max(loss): must be < 1 so log(1 - alpha*L) is finite "
-      "(got 1.5)"]),
-    # reported only when every range check passed
-    (base_record(alpha=1.0, loss=_tampered_loss(1.5), W0=0.0),
-     ["W0: must be > 0 (got 0.0)"]),
+    # the first record whose alpha * L reaches 1: the loss's own check
+    # refuses it, before any range check runs
+    (base_record(alpha=1.0, loss=1.0, W0=0.0),
+     ["loss: loss values must lie in [0, 1), got 1.0"]),
     (default_params(sigma_mu=np.float64(0.7)), {"sigma_mu": 0.7, "tau": 0.5}),
 ], ids=["keys", "nan", "inf", "-inf", "bool", "str", "none", "huge_int",
         "order", "coerced", "negative_zero", "ranges", "alpha_loss",
-        "alpha_loss_after_ranges", "model_params"])
+        "model_params"])
 def test_validate_outcome(raw, expected):
     """The exact violations, in order, or the fields' values and types."""
     if isinstance(expected, list):

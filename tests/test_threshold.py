@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hetdata import threshold
+from hetdata import threshold, verify
 from hetdata.errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -16,10 +17,12 @@ from hetdata.errors import (
     SolverError,
 )
 from hetdata.model import TAU_MAX, TAU_MIN, default_params
-from hetdata.numerics import log_ndtr, make_stream
+from hetdata.numerics import log_ndtr, make_stream, portfolio_moment, shock_mean
 from hetdata.statics import aggregate_output, output_ratio, threshold_sensitivity
 from hetdata.threshold import (
     _moment_term,
+    log_ce_provider,
+    log_ce_user,
     log_ratio_and_slope,
     provider_utility,
     solve_threshold,
@@ -515,6 +518,95 @@ class TestUtilities:
         for m in (0.0, 1.0):
             with pytest.raises(DegenerateInputError):
                 provider_utility(0.5, m, 2.0, params)
+
+
+def product_user_utility(mu_i, tau, params):
+    """The user's expected utility as written before the log certainty
+    equivalents: a log sum at gamma = 1, else a product of powers."""
+    if params.gamma == 1.0:
+        return (math.log1p(-tau) + math.log(params.D) + mu_i
+                + shock_mean(params.sigma_agg)
+                + portfolio_moment(params.theta, params.sigma_idio, 1.0))
+    a = 1.0 - params.gamma
+    return ((1.0 - tau) ** a * params.D ** a * math.exp(a * mu_i) / a
+            * _agg_moment(params)
+            * portfolio_moment(params.theta, params.sigma_idio, params.gamma))
+
+
+def product_provider_utility(tau, m, tail_mean, params):
+    """The provider's expected utility as written before the log certainty
+    equivalents."""
+    if params.gamma == 1.0:
+        return (math.log(tau) + math.log(params.D)
+                + shock_mean(params.sigma_agg) + math.log(m)
+                + math.log(tail_mean) - math.log1p(-m))
+    a = 1.0 - params.gamma
+    return (tau ** a * params.D ** a * _agg_moment(params) * tail_mean ** a
+            * (m / (1.0 - m)) ** a / a)
+
+
+def _agg_moment(params):
+    """E[e^((1-gamma) eps_agg)], eps_agg ~ N(-sigma^2/2, sigma^2)."""
+    a = 1.0 - params.gamma
+    s2 = params.sigma_agg * params.sigma_agg
+    return math.exp(-0.5 * a * s2 + 0.5 * a * a * s2)
+
+
+# verify's threshold_indifference cases at seeds 0-49: 1,000 solved sets
+VERIFY_CASES = [
+    (params, solve_threshold(params.tau, params))
+    for seed in range(50)
+    for base in verify._random_param_sets(seed, 10)
+    for params in (base, dataclasses.replace(base, gamma=1.0))
+]
+
+
+class TestLogCertaintyEquivalents:
+    def test_gap_at_threshold_is_the_solve_residual(self):
+        for params, sol in VERIFY_CASES:
+            gap = (log_ce_user(sol.K, params.tau, params)
+                   - log_ce_provider(params.tau, sol.m, sol.tail_mean, params))
+            assert abs(gap - sol.residual) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [0.2, 0.5, 0.7])
+    def test_log_utility_is_the_certainty_equivalent_bit_for_bit(self, tau):
+        params = default_params(gamma=1.0)
+        sol = solve_threshold(tau, params)
+        for mu_i in (-1.0, 0.3, sol.K):
+            assert user_utility(mu_i, tau, params).hex() == log_ce_user(
+                mu_i, tau, params).hex()
+        assert provider_utility(tau, sol.m, sol.tail_mean, params).hex() == (
+            log_ce_provider(tau, sol.m, sol.tail_mean, params).hex())
+
+    def test_levels_match_the_product_forms(self):
+        compared = 0
+        for params, sol in VERIFY_CASES:
+            tau = params.tau
+            pairs = [(user_utility(sol.K, tau, params),
+                      product_user_utility(sol.K, tau, params)),
+                     (provider_utility(tau, sol.m, sol.tail_mean, params),
+                      product_provider_utility(tau, sol.m, sol.tail_mean,
+                                               params))]
+            for new, old in pairs:
+                if params.gamma == 1.0:  # the same sum, in the same order
+                    assert new.hex() == old.hex()
+                elif math.isfinite(old) and old != 0.0:
+                    assert abs(new - old) <= 1e-13 * abs(old)
+                    compared += 1
+        assert compared == 1000  # every gamma != 1 case, both roles
+
+    def test_displaced_threshold_fails_the_log_gate_only(self):
+        # the levels are about -2.2e-12 here, so the level gate cannot see
+        # a threshold 0.01 off; the log certainty equivalents can
+        params = default_params(gamma=8.0, D=50.0)
+        sol = solve_threshold(params.tau, params)
+        level, log_ce = verify.indifference_gaps(sol, params)
+        assert level <= verify._LEVEL_TOL and log_ce <= verify._LOG_CE_TOL
+        shifted = dataclasses.replace(sol, K=sol.K + 0.01)
+        level, log_ce = verify.indifference_gaps(shifted, params)
+        assert level <= verify._LEVEL_TOL  # a gap of 1.5e-13
+        assert log_ce > verify._LOG_CE_TOL
+        assert log_ce == pytest.approx(2.8e-3, rel=0.01)
 
 
 class TestClassify:

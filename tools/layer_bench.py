@@ -2,12 +2,13 @@
 
 Times ``numerics.portfolio_moment``, ``threshold.solve_threshold``,
 ``statics.threshold_sensitivity``, ``wealth.solve_lambda``,
-``model.validate`` and ``model.default_params`` over a fixed, seeded set
-of parameter sets drawn from the box of perfbench's ``param_scan``
-workload (``ParamScan.BOX``, imported from ``perfbench/workloads.py``; a
-quarter at gamma = 1), and the array layers ``mc.draw_population``,
-``mc.lln_check``, ``mc.market_clearing_check`` and
-``wealth.mc_expected_capital`` at verify's sizes, and adds the result,
+``model.validate``, ``model.default_params``, ``threshold.user_utility``
+and ``threshold.provider_utility`` over a fixed, seeded set of parameter
+sets drawn from the box of perfbench's ``param_scan`` workload
+(``ParamScan.BOX``, imported from ``perfbench/workloads.py``; a quarter at
+gamma = 1), and the array layers ``mc.draw_population``,
+``mc.lln_check``, ``mc.market_clearing_check``, ``mc.role_sorting_check``
+and ``wealth.mc_expected_capital`` at verify's sizes, and adds the result,
 under ``--label``, to the JSON file ``--out``.  A label already there for
 the same source and seed keeps, for each time, the best of both runs, so
 that runs of two checkouts can be alternated:
@@ -16,7 +17,7 @@ that runs of two checkouts can be alternated:
     PYTHONPATH=/path/to/other/checkout/src python tools/layer_bench.py \
         --label parent --out BENCH.json
 
-For each of these four layers it reports three per-call times, each the
+For each of the first four layers it reports three per-call times, each the
 best of ``--repeats`` passes over every case, with the garbage collector
 off:
 
@@ -41,15 +42,20 @@ evaluations of its G per miss over the cases, counted (untimed) through
 order, not per parameter set.  ``validate`` and ``default_params`` have
 no memo and get one time each, ``call_us``: ``validate`` of each case's
 whole record, and ``default_params`` with each case's seven
-``ParamScan.BOX`` overrides, as a ``param_scan`` op calls it.  A layer
-that raises on any case stops the script.
+``ParamScan.BOX`` overrides, as a ``param_scan`` op calls it.  So do the
+two level utilities, each at its case's solved threshold with the
+threshold and moment memos warm: ``user_utility`` at ``K`` and
+``provider_utility`` at ``(m, tail_mean)``, as verify's indifference check
+and perfbench's ops call them.  A layer that raises on any case stops the
+script.
 
 The array layers get one time per call, in milliseconds, also the best of
 ``--repeats``: ``mc.draw_population`` draws 10^6 agents at default
 parameters (``call_ms``; its threshold solve is a memo hit), in blocks
 that it reduces as it draws them, ``mc.lln_check`` and
 ``mc.market_clearing_check`` read the sums of one such sample, drawn
-once (``call_ms`` each; they touch no array), and
+once (``call_ms`` each; they touch no array), ``mc.role_sorting_check``
+classifies 10^4 abilities drawn at default parameters (``call_ms``), and
 ``wealth.mc_expected_capital`` simulates 10^5 paths of each of verify's
 three ``jump_diffusion_mean`` cases with its memo cleared (one
 ``<case>_ms`` each).  ``cli.wealth_grid``
@@ -99,6 +105,7 @@ MU_RANGE = (3.0, 8.0)
 CASES = 60
 
 POPULATION = 10**6  # verify's default --population
+ROLE_AGENTS = 10**4
 PATHS = 10**5       # verify's default --paths
 MC_CASES = {  # verify.check_jump_diffusion_mean's cases
     "degenerate_alpha0": {"alpha": 0.0, "w": 0.0},
@@ -184,12 +191,16 @@ def _array_calls(seed: int, out: str) -> dict:
     wealth command, which writes into the directory out."""
     params = model.default_params()
     sample = mc.draw_population(POPULATION, params, numerics.make_stream(seed, 1))
+    abilities = numerics.make_stream(seed, 2).normal(
+        params.mu_bar, params.sigma_mu, ROLE_AGENTS)
     calls = {("mc.draw_population", "call_ms"):
              lambda: mc.draw_population(POPULATION, params,
                                         numerics.make_stream(seed, 1)),
              ("mc.lln_check", "call_ms"): lambda: mc.lln_check(sample, params),
              ("mc.market_clearing_check", "call_ms"):
-             lambda: mc.market_clearing_check(sample, params)}
+             lambda: mc.market_clearing_check(sample, params),
+             ("mc.role_sorting_check", "call_ms"):
+             lambda: mc.role_sorting_check(abilities, params)}
     for name, overrides in MC_CASES.items():
         case = model.default_params(**overrides)
 
@@ -244,8 +255,9 @@ def bench(seed: int, repeats: int, out: str) -> dict:
         numerics._hermite_nodes(order)
     times = {layer: {"miss_us": [], "cold_us": [], "hit_us": []}
              for layer in LAYERS}
-    times["model.validate"] = {"call_us": []}
-    times["model.default_params"] = {"call_us": []}
+    for layer in ("model.validate", "model.default_params",
+                  "threshold.user_utility", "threshold.provider_utility"):
+        times[layer] = {"call_us": []}
     array_calls = _array_calls(seed, out)
     for layer, key in array_calls:
         times.setdefault(layer, {})[key] = []
@@ -273,6 +285,15 @@ def bench(seed: int, repeats: int, out: str) -> dict:
         times["model.default_params"]["call_us"].append(
             _pass_us([lambda o=o: model.default_params(**o)
                       for o in overrides]))
+        sols = [(p, threshold.solve_threshold(p.tau, p))
+                for p, _ in _fresh(raw_cases)]
+        times["threshold.user_utility"]["call_us"].append(_pass_us(
+            [lambda p=p, s=s: threshold.user_utility(s.K, p.tau, p)
+             for p, s in sols]))
+        times["threshold.provider_utility"]["call_us"].append(_pass_us(
+            [lambda p=p, s=s: threshold.provider_utility(p.tau, s.m,
+                                                         s.tail_mean, p)
+             for p, s in sols]))
         default = model.default_params()  # the passes above cleared its solve
         threshold.solve_threshold(default.tau, default)
         for (layer, key), call in array_calls.items():
