@@ -6,9 +6,11 @@ clearing, role sorting away from the boundary) are checked exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,11 +76,35 @@ class PopulationSample:
     n: int
     # (count, mean, M2) over all n agents of e^(mu + eps), 0 for a provider
     output: Tuple[int, float, float]
-    # (count, mean, M2) over the users of e^(mu + eps) - e^mu
-    pool: Tuple[int, float, float]
+    n_users: int
     weight_sums: Tuple[float, ...]  # the sum of e^mu of each block
     agg_shock: float
     threshold: ThresholdSolution
+
+
+def _blocks(n: int, params: ModelParams, solution: ThresholdSolution,
+            stream: np.random.Generator) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Yields each block of _BLOCK of the n agents: its abilities mu, in a
+    buffer that every block reuses (a fresh array per block was faulted in
+    again, 3,454 minor faults per 10^6 agents against 232), its roles and
+    its users' e^(mu + eps) in agent order.  Block k draws from stream's
+    k-th child, spawned per block so one generator is held, its abilities,
+    then its users' shocks, so independent of the roles.  The caller drops
+    the roles and terms before the next block is drawn."""
+    buffer = np.empty(min(_BLOCK, n))
+    for start in range(0, n, _BLOCK):
+        gen, = stream.spawn(1)
+        # mean + std * z, as Generator.normal computes it
+        abilities = gen.standard_normal(out=buffer[:min(_BLOCK, n - start)])
+        abilities *= params.sigma_mu
+        abilities += params.mu_bar
+        users = solution.is_user(abilities)
+        terms = np.compress(users, abilities)
+        terms += gen.normal(shock_mean(params.sigma_idio), params.sigma_idio,
+                            len(terms))
+        np.exp(terms, out=terms)
+        yield abilities, users, terms
+        del users, terms
 
 
 def draw_population(
@@ -87,43 +113,23 @@ def draw_population(
     """n i.i.d. agents with roles assigned at the solved threshold; only
     users, the agents with output, draw an idiosyncratic shock.
 
-    Block k of _BLOCK agents draws its abilities, then its users' shocks,
-    from stream's k-th child, spawned per block so one generator is held.
-    Each block is reduced and dropped at once; the aggregate shock is stream's.
+    Each block of _blocks is reduced and dropped at once; the aggregate
+    shock is stream's.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     solution = solve_threshold(params.tau, params)
-    output = pool = (0, 0.0, 0.0)
+    output = (0, 0.0, 0.0)
+    n_users = 0
     weight_sums = []
-    # one buffer for every block's abilities: a fresh array per block went
-    # back to the OS at the block's end and was faulted in again, 3,454
-    # minor faults per 10^6 agents against 232
-    buffer = np.empty(min(_BLOCK, n))
-    for start in range(0, n, _BLOCK):
-        gen, = stream.spawn(1)
-        size = min(_BLOCK, n - start)
-        # mean + std * z, as Generator.normal computes it
-        abilities = gen.standard_normal(out=buffer[:size])
-        abilities *= params.sigma_mu
-        abilities += params.mu_bar
-        users = solution.is_user(abilities)
-        terms = np.compress(users, abilities)
-        # drawn after the block's abilities, so independent of the roles
-        terms += gen.normal(shock_mean(params.sigma_idio), params.sigma_idio,
-                            len(terms))
-        np.exp(terms, out=terms)
-        weights = np.exp(abilities, out=abilities)
-        weight_sums.append(float(np.sum(weights)))
-        gains = terms - np.compress(users, weights)
-        output = merge_mean_m2(output, (size, *mean_and_m2(terms, size)))
-        if len(gains):  # an empty part would divide by zero
-            pool = merge_mean_m2(pool, (len(gains),
-                                        *mean_and_m2(gains, len(gains))))
-        # dropped before the next block is drawn
-        del users, terms, gains
+    for abilities, users, terms in _blocks(n, params, solution, stream):
+        n_users += len(terms)
+        weight_sums.append(float(np.sum(np.exp(abilities, out=abilities))))
+        output = merge_mean_m2(output, (len(abilities),
+                                        *mean_and_m2(terms, len(abilities))))
+        del users, terms
     agg = stream.normal(shock_mean(params.sigma_agg), params.sigma_agg)
-    return PopulationSample(n=n, output=output, pool=pool,
+    return PopulationSample(n=n, output=output, n_users=n_users,
                             weight_sums=tuple(weight_sums), agg_shock=agg,
                             threshold=solution)
 
@@ -133,7 +139,7 @@ def lln_check(sample: PopulationSample, params: ModelParams) -> List[CheckReport
     at the sample's own threshold."""
     if sample.n < 2:  # the standard error is a ddof=1 spread
         raise InvalidInputError("the LLN check needs n >= 2")
-    if sample.pool[0] == 0:
+    if sample.n_users == 0:
         raise DegenerateInputError("population contains no data users")
     _, observed, m2 = sample.output
     se = standard_error(m2, sample.n)
@@ -163,10 +169,12 @@ def market_clearing_check(
         raise InvalidInputError("market clearing needs n >= 2")
     theta = params.theta
     # agent i holds the share (1 - theta) e^mu_i / sum_p e^mu_p; a block's
-    # shares sum to (1 - theta) times its weight sum over the total
-    weight_sum = sum(sample.weight_sums)
-    total = sum((1.0 - theta) * block / weight_sum
-                for block in sample.weight_sums)
+    # shares sum to (1 - theta) times its weight sum over the total.  Both
+    # sums fold left to right: builtin sum compensates from Python 3.12 on,
+    # which moved the last bit of the 10^6-agent total at seed 7
+    weight_sum = functools.reduce(operator.add, sample.weight_sums)
+    total = functools.reduce(operator.add, ((1.0 - theta) * block / weight_sum
+                                            for block in sample.weight_sums))
     return [
         CheckReport(
             statistic="clearing_share_sum",
@@ -196,13 +204,28 @@ def consumption_convergence(
     size) plus the provider-consumption identity at the largest size.
     """
     sizes = list(sizes)
-    if sizes != sorted(sizes) or len(sizes) == 0:
-        raise InvalidInputError("sizes must be a non-empty increasing sequence")
+    if sizes != sorted(sizes) or len(sizes) == 0 or sizes[0] < 1:
+        raise InvalidInputError(
+            "sizes must be a non-empty increasing sequence of sizes >= 1")
     theta = params.theta
+    sol = solve_threshold(params.tau, params)
     reports = []
     for n in sizes:
-        sample = draw_population(n, params, stream)
-        n_users, pool_mean, pool_m2 = sample.pool
+        # draw_population's draw, output and aggregate shock, plus the pool:
+        # the (count, mean, M2) over the users of e^(mu + eps) - e^mu
+        output = pool = (0, 0.0, 0.0)
+        for abilities, users, terms in _blocks(n, params, sol, stream):
+            gains = terms - np.compress(users, np.exp(abilities, out=abilities))
+            output = merge_mean_m2(output, (len(abilities),
+                                            *mean_and_m2(terms, len(abilities))))
+            if len(gains):  # an empty part would divide by zero
+                pool = merge_mean_m2(pool, (len(gains),
+                                            *mean_and_m2(gains, len(gains))))
+            # dropped before the next block, and the last block's buffer
+            # before the next size's
+            del abilities, users, terms, gains
+        agg = stream.normal(shock_mean(params.sigma_agg), params.sigma_agg)
+        n_users, pool_mean, pool_m2 = pool
         # the gap's standard error is a ddof=1 spread over the users, so it
         # needs two of them
         if n_users < 2:
@@ -211,7 +234,7 @@ def consumption_convergence(
                 f"drew {n_users}"
             )
         # D e^eps (1 - tau), shared by every user
-        scale = params.D * math.exp(sample.agg_shock) * (1.0 - params.tau)
+        scale = params.D * math.exp(agg) * (1.0 - params.tau)
         # finite-n user consumption from the portfolio definition,
         # C_i = theta y_i (1-tau) + (1-theta)(1-tau) D e^mu_i e^eps
         #       * (sum_j e^(mu_j + eps_j)) / (sum_p e^(mu_p)), j, p over users,
@@ -232,12 +255,11 @@ def consumption_convergence(
     if not (0.0 < m_hat < 1.0):
         raise DegenerateInputError("population is all users or all providers")
     # tau D e^eps times e^(mu_i + eps_i) for a user, 0 for a provider
-    output_scale = params.tau * params.D * math.exp(sample.agg_shock)
-    _, mean_output, m2_output = sample.output
+    output_scale = params.tau * params.D * math.exp(agg)
+    _, mean_output, m2_output = output
     se_output = standard_error(m2_output, n)
     observed_cs = output_scale * mean_output / (1.0 - m_hat)
     se_cs = output_scale * se_output / (1.0 - m_hat)
-    sol = sample.threshold
     expected_cs = output_scale * sol.m * sol.tail_mean / (1.0 - sol.m)
     reports.append(
         _three_se_report("provider_consumption", expected_cs, observed_cs, se_cs)

@@ -177,11 +177,20 @@ def log_ce_provider(tau: float, m: float, tail_mean: float,
 
 
 def _level(ce: float, params: ModelParams) -> float:
-    """The utility u(e^ce): ce at gamma = 1, else e^(a ce)/a, a = 1 - gamma."""
+    """The utility u(e^ce): ce at gamma = 1, else e^(a ce)/a, a = 1 - gamma.
+    Raises NumericalRangeError where the level overflows."""
     if params.gamma == 1.0:
         return ce
     a = 1.0 - params.gamma
-    return math.exp(a * ce) / a
+    try:
+        level = math.exp(a * ce) / a
+    except OverflowError:
+        level = math.inf
+    if math.isinf(level):
+        raise NumericalRangeError(
+            f"the utility level overflows at gamma={params.gamma}, "
+            f"log CE={ce}")
+    return level
 
 
 def user_utility(mu_i: float, tau: float, params: ModelParams) -> float:

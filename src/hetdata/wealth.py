@@ -83,8 +83,6 @@ def _terminal_capital(
     # log(lambda W0) and the mean rate cancel exactly; what is left of the
     # drift is the jumps' compensator and the diffusion's -vol^2/2
     mean = (params.alpha * params.w * params.loss.mean - 0.5 * vol * vol) * t
-    if vol == 0.0 and params.w == 0.0:  # nothing random: draw nothing
-        return np.exp(np.full(n, mean))
     # the bits of stream.normal(mean, vol sqrt t, n), which is mean + scale
     # * z per element, from two in-place passes, faster on a cached batch
     logK = stream.standard_normal(n)
@@ -123,9 +121,10 @@ def mc_expected_capital(
     make_stream(master_seed, 0) spawns, spawned one at a time so that one
     generator is held, not one per batch; the batches' means and M2s are
     merged in batch order, so the result is bit-identical for a seed.
-    Refuses the t and lambda that expected_capital refuses, and raises
-    NumericalRangeError where the jump count's mean w*t is too large to
-    draw or the mean or SE is not finite.
+    With nothing random (alpha sigma_w = w = 0) it draws nothing and
+    returns exactly (1.0, 0.0).  Refuses the t and lambda that
+    expected_capital refuses, and raises NumericalRangeError where the jump
+    count's mean w*t is too large to draw or the mean or SE is not finite.
     """
     if n_paths < 100:
         raise InvalidInputError(f"n_paths must be >= 100, got {n_paths}")
@@ -134,6 +133,9 @@ def mc_expected_capital(
         raise NumericalRangeError(
             f"jump count mean w*t={params.w * t} exceeds the largest "
             f"Poisson mean drawn, {_POISSON_MEAN_MAX}")
+    if params.alpha * params.sigma_w == 0.0 and params.w == 0.0:
+        # nothing random: every path is e^(0 t) = 1 exactly, so draw nothing
+        return 1.0, 0.0
     part = (0, 0.0, 0.0)  # paths done, their mean and M2
     root = make_stream(master_seed, 0)
     for start in range(0, n_paths, _MC_BATCH):

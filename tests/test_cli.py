@@ -230,7 +230,7 @@ class TestExitCodes:
         # draws no data user among 2 agents: a failed check, not exit 3
         params = default_params()
         seed = next(s for s in itertools.count() if mc.draw_population(
-            2, params, make_stream(s, 1)).pool[0] == 0)
+            2, params, make_stream(s, 1)).n_users == 0)
         code = main(["verify", "--seed", str(seed), "--population", "2",
                      "--paths", "100", "--out", str(tmp_path)])
         assert code == EXIT_VERIFY_FAIL

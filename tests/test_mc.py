@@ -19,7 +19,7 @@ from hetdata.mc import (
     within_three_se,
 )
 from hetdata.model import default_params
-from hetdata.numerics import make_stream, mean_and_m2
+from hetdata.numerics import make_stream, mean_and_m2, standard_error
 from hetdata.statics import aggregate_output
 from hetdata.threshold import ThresholdSolution, solve_threshold
 
@@ -54,8 +54,21 @@ def reference_draw(n, params, stream, roles=None):
     return (*map(np.concatenate, zip(*blocks)), agg)
 
 
+def one_block(n, k, params, stream):
+    """n <= _BLOCK agents of which k are users, from the values of the one
+    block's generator, abilities then shocks, and the stream's aggregate
+    shock.  Returns (abilities, users, the users' e^(mu + eps), aggregate
+    shock)."""
+    z = stream.spawn(1)[0].standard_normal(n + k)
+    ability, idio, agg = gaussian_laws(params)
+    abilities = ability[0] + ability[1] * z[:n]
+    users = abilities > solve_threshold(params.tau, params).K
+    output = np.exp(abilities[users] + (idio[0] + idio[1] * z[n:]))
+    return abilities, users, output, agg[0] + agg[1] * stream.standard_normal()
+
+
 def user_count(n, params, stream):
-    return draw_population(n, params, stream).pool[0]
+    return draw_population(n, params, stream).n_users
 
 
 class TestDrawPopulation:
@@ -73,7 +86,7 @@ class TestDrawPopulation:
     def test_single_agent(self):
         sample = draw_population(1, default_params(), make_stream(2, 1))
         assert sample.n == sample.output[0] == 1
-        assert len(sample.weight_sums) == 1 and sample.pool[0] in (0, 1)
+        assert len(sample.weight_sums) == 1 and sample.n_users in (0, 1)
 
     # seed None: the first of seeds 0, 1, 2, ... whose stream 9 draws no user
     # among 2 agents, so the aggregate shock follows the abilities
@@ -88,28 +101,19 @@ class TestDrawPopulation:
         # one block: its generator draws the abilities, then one shock per
         # user; the aggregate shock is the stream's own first draw
         stream = make_stream(seed, 9)
-        k = sample.pool[0]
-        z = stream.spawn(1)[0].standard_normal(n + k)
-        ability, idio, agg = gaussian_laws(params)
-        abilities = ability[0] + ability[1] * z[:n]
-        users = abilities > sample.threshold.K
+        k = sample.n_users
+        abilities, users, output, agg = one_block(n, k, params, stream)
         assert int(np.count_nonzero(users)) == k
-        output = np.exp(abilities[users] + (idio[0] + idio[1] * z[n:]))
-        gains = output - np.exp(abilities[users])
-        assert sample.output == (n, *mean_and_m2(output.copy(), n))
-        if k:
-            assert sample.pool == (k, *mean_and_m2(gains, k))
-        else:
-            assert sample.pool == (0, 0.0, 0.0)
+        assert sample.output == (n, *mean_and_m2(output, n))
         assert sample.weight_sums == (float(np.sum(np.exp(abilities))),)
-        assert sample.agg_shock == agg[0] + agg[1] * stream.standard_normal()
+        assert sample.agg_shock == agg
         assert (k == 0) == (seed == no_user)
 
     def test_roles_consistent_with_threshold(self):
         params = default_params()
         sample = draw_population(10_000, params, make_stream(2, 2))
         abilities = reference_draw(10_000, params, make_stream(2, 2))[0]
-        assert sample.pool[0] == np.count_nonzero(
+        assert sample.n_users == np.count_nonzero(
             abilities > sample.threshold.K)
 
     def test_deterministic_per_stream(self):
@@ -195,6 +199,25 @@ class TestMarketClearing:
         with pytest.raises(InvalidInputError):
             market_clearing_check(sample, params)
 
+    def test_share_sum_does_not_follow_builtin_sum(self, monkeypatch):
+        # builtin sum compensates (Neumaier) from Python 3.12 on; a share
+        # sum by it read ...cdp-1 here under 3.12 and ...ccp-1 under 3.11
+        def neumaier_sum(values, start=0):
+            total, comp = start, 0.0
+            for x in values:
+                t = total + x
+                comp += ((total - t) + x if abs(total) >= abs(x)
+                         else (x - t) + total)
+                total = t
+            return total + comp if comp and math.isfinite(comp) else total
+
+        params = default_params()
+        sample = draw_population(10**6, params, make_stream(7, 1))
+        folded = market_clearing_check(sample, params)[0].observed
+        monkeypatch.setattr(mc, "sum", neumaier_sum, raising=False)
+        compensated = market_clearing_check(sample, params)[0].observed
+        assert folded.hex() == compensated.hex() == "0x1.cccccccccccccp-1"
+
 
 def _hex_rows(rows):
     return [tuple(v.hex() if isinstance(v, float) else v for v in row)
@@ -240,7 +263,7 @@ class TestInPlacePasses:
         sample = draw_population(n, params, make_stream(seed, 1))
         abilities, users, shocks, agg = reference_draw(
             n, params, make_stream(seed, 1))
-        assert sample.pool[0] == len(shocks) == np.count_nonzero(users)
+        assert sample.n_users == len(shocks) == np.count_nonzero(users)
         assert sample.agg_shock.hex() == agg.hex()
         if np.any(users):
             got = [(r.statistic, r.expected, r.observed, r.se)
@@ -296,7 +319,7 @@ class TestBlockedReductions:
         checked = 0
         for seed in (1, 2, 7):
             sample = draw_population(n, params, make_stream(seed, 1))
-            if sample.pool[0]:
+            if sample.n_users:
                 self._assert_lln_matches(
                     sample, reference_draw(n, params, make_stream(seed, 1)),
                     params)
@@ -334,7 +357,7 @@ class TestBlockedReductions:
                                 lambda tau, p: Patterned(**vars(solution)))
             sample = draw_population(n, params, make_stream(6, 1))
             reference = reference_draw(n, params, make_stream(6, 1), roles)
-            assert sample.pool[0] == np.count_nonzero(reference[1])
+            assert sample.n_users == np.count_nonzero(reference[1])
             self._assert_lln_matches(sample, reference, params)
 
     def test_repeated_calls_bitwise_equal(self):
@@ -360,7 +383,7 @@ class TestLlnStatistics:
         checked = 0
         for seed in range(20):
             sample = draw_population(n, params, make_stream(seed, 4))
-            if not sample.pool[0]:
+            if not sample.n_users:
                 continue
             abilities, users, shocks, _ = reference_draw(n, params,
                                                          make_stream(seed, 4))
@@ -424,6 +447,45 @@ class TestConsumptionConvergence:
     def test_sizes_must_increase(self):
         with pytest.raises(InvalidInputError):
             consumption_convergence(default_params(), [100, 50], make_stream(6, 3))
+
+
+class TestConsumptionPool:
+    """consumption_convergence reduces its own pool, e^(mu + eps) - e^mu
+    over the users, in the draw of draw_population."""
+
+    @pytest.mark.parametrize("seed, n", [(1, 1000), (42, 4097)])
+    def test_pool_follows_the_abilities(self, seed, n):
+        params = default_params(sigma_mu=0.5, mu_bar=0.3, sigma_idio=0.8)
+        gap, _ = consumption_convergence(params, [n], make_stream(seed, 9))
+        k = user_count(n, params, make_stream(seed, 9))
+        abilities, users, output, agg = one_block(n, k, params,
+                                                  make_stream(seed, 9))
+        mean, m2 = mean_and_m2(output - np.exp(abilities[users]), k)
+        scale = (1.0 - params.theta) * (
+            params.D * math.exp(agg) * (1.0 - params.tau))
+        assert (gap.observed, gap.se) == (scale * mean,
+                                          scale * standard_error(m2, k))
+
+    def test_peak_memory_is_one_block(self):
+        # a size's last block is dropped before the next size is drawn: a
+        # smaller size first costs less than a block's 1 B of role per agent
+        # (keeping its ability buffer added 360 KB to the peak)
+        params = default_params()
+
+        def peak(sizes):
+            tracemalloc.start()
+            try:
+                consumption_convergence(params, sizes, make_stream(1, 1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak([4 * _BLOCK])  # warm the threshold
+        assert peak([_BLOCK, 4 * _BLOCK]) - peak([4 * _BLOCK]) < _BLOCK
+
+    def test_sizes_below_one_refused(self):
+        with pytest.raises(InvalidInputError, match="sizes >= 1"):
+            consumption_convergence(default_params(), [0, 100],
+                                    make_stream(6, 3))
 
 
 class TestConsumptionBitwise:

@@ -462,6 +462,17 @@ class TestUtilities:
         )
         assert user_utility(0.3, 0.5, params) == pytest.approx(expected, abs=1e-10)
 
+    # e^((1 - gamma) CE) overflows at (0.01, 1e308, 10); at (0.5, 1, 1419.5)
+    # it is e^709.4, finite, and the division by 1 - gamma overflows
+    @pytest.mark.parametrize("gamma, D, mu_i", [(0.01, 1e308, 10.0),
+                                                (0.5, 1.0, 1419.5)])
+    def test_level_overflow_raises_named_error(self, gamma, D, mu_i):
+        params = default_params(gamma=gamma, D=D)
+        ce = log_ce_user(mu_i, 0.5, params)
+        with pytest.raises(NumericalRangeError,
+                           match=rf"gamma={gamma}, log CE={ce}$"):
+            user_utility(mu_i, 0.5, params)
+
     def test_user_utility_monotone_in_ability(self):
         for gamma in (1.0, 2.0, 5.0):
             params = default_params(gamma=gamma)

@@ -217,6 +217,14 @@ class TestMcExpectedCapital:
         assert mc_expected_capital.__wrapped__(
             params, 1.5, params.t_star, 10**6, 7) == (1.0, 0.0)
 
+    def test_nothing_random_makes_no_draw(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a stream was made")
+        monkeypatch.setattr(wealth, "make_stream", no_stream)
+        params = default_params(alpha=0.0, w=0.0)
+        assert mc_expected_capital.__wrapped__(
+            params, 1.5, params.t_star, 10**6, 7) == (1.0, 0.0)
+
     def test_reference_case_within_three_se(self):
         ratio, se = mc_expected_capital(REFERENCE, 2.0, 1.0, 100_000, 13)
         assert abs(ratio - 1.0) <= 3.0 * se
