@@ -80,7 +80,12 @@ def _parse_grid(text: str, name: str) -> List[float]:
     if count > MAX_GRID_POINTS:
         raise ConfigError(f"--{name}: grid {text!r} has {count:.3g} points, "
                           f"more than {MAX_GRID_POINTS}")
-    return np.arange(a, b + 0.5 * step, step)[:count].tolist()
+    points = np.arange(a, b + 0.5 * step, step)[:count]
+    # a step below the float spacing near a point rounds two points together
+    if np.any(points[1:] <= points[:-1]):
+        raise ConfigError(f"--{name}: grid {text!r} repeats a point; its step "
+                          f"is below the float spacing")
+    return points.tolist()
 
 
 def _with_tau(params: ModelParams, flag: str, tau: float) -> ModelParams:

@@ -1,8 +1,8 @@
 """Finite-population brute-force checks of the continuum identities.
 
 Every statistical check uses the 3-standard-error acceptance rule with a
-fixed master seed; identities that hold exactly at finite n (market
-clearing, role sorting away from the boundary) are checked exactly.
+fixed master seed; market clearing, which holds exactly at finite n, is
+checked exactly.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -18,14 +18,8 @@ from .errors import DegenerateInputError, InvalidInputError
 from .model import ModelParams
 from .numerics import mean_and_m2, merge_mean_m2, shock_mean, standard_error
 from .statics import aggregate_output
-from .threshold import (
-    ThresholdSolution,
-    log_ce_provider,
-    log_ce_user,
-    solve_threshold,
-)
+from .threshold import ThresholdSolution, solve_threshold
 
-_BOUNDARY_BAND = 1e-8
 # agents per block of draw_population, which so keeps nothing of population
 # size; fixed so the bits do not depend on anything else
 _BLOCK = 1 << 16
@@ -82,38 +76,18 @@ class PopulationSample:
     threshold: ThresholdSolution
 
 
-def _blocks(n: int, params: ModelParams, solution: ThresholdSolution,
-            stream: np.random.Generator) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Yields each block of _BLOCK of the n agents: its abilities mu, in a
-    buffer that every block reuses (a fresh array per block was faulted in
-    again, 3,454 minor faults per 10^6 agents against 232), its roles and
-    its users' e^(mu + eps) in agent order.  Block k draws from stream's
-    k-th child, spawned per block so one generator is held, its abilities,
-    then its users' shocks, so independent of the roles.  The caller drops
-    the roles and terms before the next block is drawn."""
-    buffer = np.empty(min(_BLOCK, n))
-    for start in range(0, n, _BLOCK):
-        gen, = stream.spawn(1)
-        # mean + std * z, as Generator.normal computes it
-        abilities = gen.standard_normal(out=buffer[:min(_BLOCK, n - start)])
-        abilities *= params.sigma_mu
-        abilities += params.mu_bar
-        users = solution.is_user(abilities)
-        terms = np.compress(users, abilities)
-        terms += gen.normal(shock_mean(params.sigma_idio), params.sigma_idio,
-                            len(terms))
-        np.exp(terms, out=terms)
-        yield abilities, users, terms
-        del users, terms
-
-
 def draw_population(
     n: int, params: ModelParams, stream: np.random.Generator
 ) -> PopulationSample:
     """n i.i.d. agents with roles assigned at the solved threshold; only
     users, the agents with output, draw an idiosyncratic shock.
 
-    Each block of _blocks is reduced and dropped at once; the aggregate
+    The agents are drawn _BLOCK at a time, each block reduced and dropped
+    before the next is drawn.  Block k draws from stream's k-th child,
+    spawned per block so one generator is held, its abilities, then its
+    users' shocks, so independent of the roles.  The abilities go to a
+    buffer that every block reuses (a fresh array per block was faulted in
+    again, 3,454 minor faults per 10^6 agents against 232).  The aggregate
     shock is stream's.
     """
     if n < 1:
@@ -122,7 +96,19 @@ def draw_population(
     output = (0, 0.0, 0.0)
     n_users = 0
     weight_sums = []
-    for abilities, users, terms in _blocks(n, params, solution, stream):
+    buffer = np.empty(min(_BLOCK, n))
+    for start in range(0, n, _BLOCK):
+        gen, = stream.spawn(1)
+        # mean + std * z, as Generator.normal computes it
+        abilities = gen.standard_normal(out=buffer[:min(_BLOCK, n - start)])
+        abilities *= params.sigma_mu
+        abilities += params.mu_bar
+        users = solution.is_user(abilities)
+        # the users' e^(mu + eps) in agent order
+        terms = np.compress(users, abilities)
+        terms += gen.normal(shock_mean(params.sigma_idio), params.sigma_idio,
+                            len(terms))
+        np.exp(terms, out=terms)
         n_users += len(terms)
         weight_sums.append(float(np.sum(np.exp(abilities, out=abilities))))
         output = merge_mean_m2(output, (len(abilities),
@@ -193,104 +179,3 @@ def market_clearing_check(
             passed=True,
         ),
     ]
-
-
-def consumption_convergence(
-    params: ModelParams, sizes: Sequence[int], stream: np.random.Generator
-) -> List[CheckReport]:
-    """Portfolio-built consumption converges to its closed form as n grows.
-
-    Reports the mean deviation per size (must pass 3 SE at the largest
-    size) plus the provider-consumption identity at the largest size.
-    """
-    sizes = list(sizes)
-    if sizes != sorted(sizes) or len(sizes) == 0 or sizes[0] < 1:
-        raise InvalidInputError(
-            "sizes must be a non-empty increasing sequence of sizes >= 1")
-    theta = params.theta
-    sol = solve_threshold(params.tau, params)
-    reports = []
-    for n in sizes:
-        # draw_population's draw, output and aggregate shock, plus the pool:
-        # the (count, mean, M2) over the users of e^(mu + eps) - e^mu
-        output = pool = (0, 0.0, 0.0)
-        for abilities, users, terms in _blocks(n, params, sol, stream):
-            gains = terms - np.compress(users, np.exp(abilities, out=abilities))
-            output = merge_mean_m2(output, (len(abilities),
-                                            *mean_and_m2(terms, len(abilities))))
-            if len(gains):  # an empty part would divide by zero
-                pool = merge_mean_m2(pool, (len(gains),
-                                            *mean_and_m2(gains, len(gains))))
-            # dropped before the next block, and the last block's buffer
-            # before the next size's
-            del abilities, users, terms, gains
-        agg = stream.normal(shock_mean(params.sigma_agg), params.sigma_agg)
-        n_users, pool_mean, pool_m2 = pool
-        # the gap's standard error is a ddof=1 spread over the users, so it
-        # needs two of them
-        if n_users < 2:
-            raise DegenerateInputError(
-                f"consumption at n={n} needs two or more data users, "
-                f"drew {n_users}"
-            )
-        # D e^eps (1 - tau), shared by every user
-        scale = params.D * math.exp(agg) * (1.0 - params.tau)
-        # finite-n user consumption from the portfolio definition,
-        # C_i = theta y_i (1-tau) + (1-theta)(1-tau) D e^mu_i e^eps
-        #       * (sum_j e^(mu_j + eps_j)) / (sum_p e^(mu_p)), j, p over users,
-        # less its closed form scale e^mu_i (theta e^eps_i + 1 - theta), is
-        # (1-theta) scale e^mu_i (pool ratio - 1).  Every user's gap shares
-        # the single pool factor, so the cross-sectional spread of the gaps
-        # says nothing about the sampling error of their mean.
-        # Algebraically the mean gap equals
-        # (1-theta) * scale * mean_j[e^(mu_j + eps_j) - e^mu_j] whose terms
-        # are i.i.d.; the mean and its SE come from those terms, the pool.
-        gap = (1.0 - theta) * scale
-        reports.append(_three_se_report(
-            f"consumption_gap_n{n}", 0.0, gap * pool_mean,
-            gap * standard_error(pool_m2, n_users)))
-    # provider consumption at the largest size: pooled costs spread over
-    # the provider mass
-    m_hat = n_users / n
-    if not (0.0 < m_hat < 1.0):
-        raise DegenerateInputError("population is all users or all providers")
-    # tau D e^eps times e^(mu_i + eps_i) for a user, 0 for a provider
-    output_scale = params.tau * params.D * math.exp(agg)
-    _, mean_output, m2_output = output
-    se_output = standard_error(m2_output, n)
-    observed_cs = output_scale * mean_output / (1.0 - m_hat)
-    se_cs = output_scale * se_output / (1.0 - m_hat)
-    expected_cs = output_scale * sol.m * sol.tail_mean / (1.0 - sol.m)
-    reports.append(
-        _three_se_report("provider_consumption", expected_cs, observed_cs, se_cs)
-    )
-    return reports
-
-
-def role_sorting_check(
-    abilities: np.ndarray, params: ModelParams
-) -> CheckReport:
-    """Utility comparison must reproduce the threshold classification.
-
-    The roles are assigned at params.tau by the solved threshold, as
-    draw_population assigns them, and the utilities are taken at the same
-    tau.  A user's log certainty equivalent is mu_i plus a constant, so
-    the two roles' utilities cross at one ability, where the log CEs are
-    equal; an agent prefers to be a user iff its ability exceeds it.
-    Agents within the boundary band |mu_i - K| < 1e-8 are excluded (the
-    sign there is numerically undecidable by construction).
-    """
-    tau = params.tau
-    sol = solve_threshold(tau, params)
-    crossing = sol.K + (log_ce_provider(tau, sol.m, sol.tail_mean, params)
-                        - log_ce_user(sol.K, tau, params))
-    outside = abilities[np.abs(abilities - sol.K) >= _BOUNDARY_BAND]
-    agree = int(np.count_nonzero((outside > crossing) == sol.is_user(outside)))
-    fraction = agree / outside.size if outside.size else 1.0
-    return CheckReport(
-        statistic="role_sorting_agreement",
-        expected=1.0,
-        observed=fraction,
-        se=0.0,
-        passed=fraction == 1.0,
-    )

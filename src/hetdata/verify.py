@@ -87,7 +87,9 @@ def indifference_gaps(sol: threshold.ThresholdSolution,
 
 def check_threshold_indifference(seed: int) -> CheckResult:
     """User and provider utilities coincide at the threshold ability, in
-    levels and in log certainty equivalents."""
+    levels and in log certainty equivalents.  The log-CE gate is the
+    role-sorting check: a user's log CE has slope 1 in ability, so the
+    roles' utilities cross that gap times max(1, |CE|) from K."""
     gaps = [indifference_gaps(threshold.solve_threshold(p.tau, p), p)
             for base in _random_param_sets(seed, 10)
             for p in (replace(base, gamma=g) for g in (base.gamma, 1.0))]

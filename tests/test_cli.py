@@ -463,6 +463,30 @@ class TestGridEnd:
         with pytest.raises(ConfigError, match="1e\\+06 points"):
             _parse_grid("0:1000000:1", "grid")
 
+    # a step below the float spacing at a rounds every point to a (the first
+    # three); one below the spacing past the binade at 2 rounds two points
+    # to 2.0 (the last)
+    REPEATING = ["0.3:0.30000000000000004:1e-17", "1:1.0000000000000002:1e-16",
+                 "1e16:1.0000000000000002e16:1",
+                 "1.9999999999999996:2.000000000000001:2.220446049250313e-16"]
+
+    @pytest.mark.parametrize("spec", REPEATING)
+    def test_repeated_point_refused(self, spec):
+        with pytest.raises(ConfigError, match="^--grid: .* repeats a point"):
+            _parse_grid(spec, "grid")
+
+    @pytest.mark.parametrize("command", ["threshold", "statics"])
+    @pytest.mark.parametrize("spec", REPEATING)
+    def test_repeated_point_is_a_config_error(self, command, spec, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        assert main([command, "--tau-grid", spec,
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --tau-grid: ")
+        assert "repeats a point" in err
+        assert not out.exists()
+
 
 class TestArtifacts:
     def test_statics_outputs(self, tmp_path):

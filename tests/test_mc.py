@@ -11,15 +11,13 @@ from hetdata import mc
 from hetdata.errors import DegenerateInputError, InvalidInputError
 from hetdata.mc import (
     _BLOCK,
-    consumption_convergence,
     draw_population,
     lln_check,
     market_clearing_check,
-    role_sorting_check,
     within_three_se,
 )
 from hetdata.model import default_params
-from hetdata.numerics import make_stream, mean_and_m2, standard_error
+from hetdata.numerics import make_stream, mean_and_m2
 from hetdata.statics import aggregate_output
 from hetdata.threshold import ThresholdSolution, solve_threshold
 
@@ -411,133 +409,6 @@ class TestLlnStatistics:
         assert 0.85 < np.std(z, ddof=1) < 1.15
 
 
-class TestConsumptionConvergence:
-    def test_theta_one_exact(self):
-        params = default_params(theta=1.0 - 1e-12)
-        reports = consumption_convergence(params, [1000], make_stream(6, 0))
-        gap = [r for r in reports if r.statistic.startswith("consumption_gap")][0]
-        assert abs(gap.observed) < 1e-10
-
-    def test_deviation_shrinks_with_n(self):
-        params = default_params(theta=0.1)
-        reports = consumption_convergence(
-            params, [1000, 10_000, 100_000], make_stream(6, 1)
-        )
-        gaps = [r for r in reports if r.statistic.startswith("consumption_gap")]
-        assert gaps[-1].passed
-        ses = [r.se for r in gaps]
-        assert ses[0] > ses[-1]  # ~1/sqrt(n) shrinkage
-
-    def test_provider_consumption_matches_closed_form(self):
-        params = default_params()
-        reports = consumption_convergence(params, [200_000], make_stream(6, 2))
-        provider = [r for r in reports if r.statistic == "provider_consumption"][0]
-        assert provider.passed
-
-    # from each start, the first seed whose stream 9 draws no user or one
-    # among 2 agents: no ddof=1 standard error exists for the gap
-    @pytest.mark.parametrize("start", [2, 3, 4, 5])
-    def test_fewer_than_two_users_raises(self, start):
-        params = default_params()
-        seed = next(s for s in itertools.count(start)
-                    if user_count(2, params, make_stream(s, 9)) < 2)
-        with pytest.raises(DegenerateInputError, match=r"n=2 .* drew [01]$"):
-            consumption_convergence(params, [2, 5000], make_stream(seed, 9))
-
-    def test_sizes_must_increase(self):
-        with pytest.raises(InvalidInputError):
-            consumption_convergence(default_params(), [100, 50], make_stream(6, 3))
-
-
-class TestConsumptionPool:
-    """consumption_convergence reduces its own pool, e^(mu + eps) - e^mu
-    over the users, in the draw of draw_population."""
-
-    @pytest.mark.parametrize("seed, n", [(1, 1000), (42, 4097)])
-    def test_pool_follows_the_abilities(self, seed, n):
-        params = default_params(sigma_mu=0.5, mu_bar=0.3, sigma_idio=0.8)
-        gap, _ = consumption_convergence(params, [n], make_stream(seed, 9))
-        k = user_count(n, params, make_stream(seed, 9))
-        abilities, users, output, agg = one_block(n, k, params,
-                                                  make_stream(seed, 9))
-        mean, m2 = mean_and_m2(output - np.exp(abilities[users]), k)
-        scale = (1.0 - params.theta) * (
-            params.D * math.exp(agg) * (1.0 - params.tau))
-        assert (gap.observed, gap.se) == (scale * mean,
-                                          scale * standard_error(m2, k))
-
-    def test_peak_memory_is_one_block(self):
-        # a size's last block is dropped before the next size is drawn: a
-        # smaller size first costs less than a block's 1 B of role per agent
-        # (keeping its ability buffer added 360 KB to the peak)
-        params = default_params()
-
-        def peak(sizes):
-            tracemalloc.start()
-            try:
-                consumption_convergence(params, sizes, make_stream(1, 1))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        peak([4 * _BLOCK])  # warm the threshold
-        assert peak([_BLOCK, 4 * _BLOCK]) - peak([4 * _BLOCK]) < _BLOCK
-
-    def test_sizes_below_one_refused(self):
-        with pytest.raises(InvalidInputError, match="sizes >= 1"):
-            consumption_convergence(default_params(), [0, 100],
-                                    make_stream(6, 3))
-
-
-class TestConsumptionBitwise:
-    """The pooled sums give the plain array expressions: each gap within
-    1e-12 of its standard error, which, like the provider row, keeps its
-    bits."""
-
-    @staticmethod
-    def _reference(params, sizes, stream):
-        theta, rows = params.theta, []
-        for n in sizes:
-            abilities, users, eps_i, agg = reference_draw(n, params, stream)
-            mu = abilities[users]
-            scale = params.D * math.exp(agg) * (1.0 - params.tau)
-            own = theta * scale * np.exp(mu + eps_i)
-            pool_ratio = float(np.sum(np.exp(mu + eps_i)) / np.sum(np.exp(mu)))
-            built = own + (1.0 - theta) * scale * np.exp(mu) * pool_ratio
-            closed = scale * np.exp(mu) * (theta * np.exp(eps_i) + 1.0 - theta)
-            pool_terms = np.exp(mu + eps_i) - np.exp(mu)
-            se = (1.0 - theta) * scale * float(
-                np.std(pool_terms, ddof=1) / math.sqrt(len(pool_terms)))
-            rows.append((f"consumption_gap_n{n}", 0.0,
-                         float(np.mean(built - closed)), se))
-        # the users' output, 0 for each provider, at the largest size
-        scale = params.tau * params.D * math.exp(agg)
-        mean, se = TestInPlacePasses._reference_mean_se(np.exp(mu + eps_i), n)
-        m_hat = float(np.mean(users))
-        sol = solve_threshold(params.tau, params)
-        rows.append((
-            "provider_consumption",
-            scale * sol.m * sol.tail_mean / (1.0 - sol.m),
-            scale * mean / (1.0 - m_hat),
-            scale * se / (1.0 - m_hat),
-        ))
-        return rows
-
-    @pytest.mark.parametrize("params", TestInPlacePasses.PARAMS)
-    @pytest.mark.parametrize("seed", [1, 7, 42])
-    @pytest.mark.parametrize("sizes", [[50], [100, 4097], [30, 1000, 20_000]])
-    def test_bitwise_equal_to_array_expressions(self, params, seed, sizes):
-        got = [(r.statistic, r.expected, r.observed, r.se)
-               for r in consumption_convergence(params, sizes,
-                                                make_stream(seed, 9))]
-        want = self._reference(params, sizes, make_stream(seed, 9))
-        assert [(name, expected, se) for name, expected, _, se in
-                _hex_rows(got)] == [(name, expected, se) for name, expected,
-                                    _, se in _hex_rows(want)]
-        for (*_, observed, se), (*_, ref, _) in zip(got, want):
-            assert abs(observed - ref) <= 1e-12 * se
-        assert _hex_rows(got[-1:]) == _hex_rows(want[-1:])
-
-
 class TestThreeSeRule:
     def test_three_se_bound(self):
         assert within_three_se(1.3, 1.0, 0.1)
@@ -548,42 +419,3 @@ class TestThreeSeRule:
         assert within_three_se(1.0 + 3.0 * 2.0 ** -52, 1.0, 0.0)
         assert not within_three_se(1.0 + 4.0 * 2.0 ** -52, 1.0, 0.0)
         assert not within_three_se(1e-300, 0.0, 0.0)
-
-
-class TestRoleSorting:
-    @pytest.mark.parametrize("gamma", [1.0, 2.0])
-    def test_full_agreement(self, gamma):
-        params = default_params(gamma=gamma)
-        abilities = reference_draw(10_000, params, make_stream(7, 0))[0]
-        report = role_sorting_check(abilities, params)
-        assert report.passed and report.observed == 1.0
-
-    @pytest.mark.parametrize("tau", [0.3, 0.7])
-    def test_agreement_at_the_sample_tau(self, tau):
-        # the roles are assigned at params.tau, the only tau the check uses
-        params = default_params(tau=tau)
-        abilities = reference_draw(2000, params, make_stream(7, 2))[0]
-        report = role_sorting_check(abilities, params)
-        assert report.passed and report.observed == 1.0
-
-    def test_displaced_threshold_disagrees(self, monkeypatch):
-        # roles from a K 0.01 too high: the agents between the two abilities
-        # prefer to use data but are classed as providers
-        params = default_params()
-        abilities = reference_draw(10_000, params, make_stream(7, 0))[0]
-        sol = solve_threshold(params.tau, params)
-        shifted = dataclasses.replace(sol, K=sol.K + 0.01)
-        monkeypatch.setattr(mc, "solve_threshold", lambda tau, p: shifted)
-        between = np.count_nonzero((abilities > sol.K + 1e-8)
-                                   & (abilities <= shifted.K - 1e-8))
-        report = role_sorting_check(abilities, params)
-        assert between > 0 and not report.passed
-        assert report.observed == (10_000 - between) / 10_000
-
-    def test_boundary_agent_excluded(self):
-        params = default_params()
-        abilities = reference_draw(100, params, make_stream(7, 1))[0]
-        # exactly on the boundary: a provider, by the tie rule
-        abilities[0] = solve_threshold(params.tau, params).K
-        report = role_sorting_check(abilities, params)
-        assert report.passed

@@ -606,6 +606,30 @@ class TestLogCertaintyEquivalents:
                     compared += 1
         assert compared == 1000  # every gamma != 1 case, both roles
 
+    # the parameters of verify's random sets, gamma = 1 too
+    @given(st.one_of(st.just(1.0), st.floats(1.2, 5.0)), st.floats(0.3, 1.5),
+           st.floats(0.05, 0.4), st.floats(0.1, 0.8), st.floats(0.05, 0.6),
+           st.floats(0.2, 0.8), st.floats(0.5, 2.0), st.floats(-10.0, 10.0),
+           st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-6, 1e-6)))
+    @settings(max_examples=300, deadline=None)
+    def test_user_log_ce_has_slope_one(self, gamma, sigma_mu, sigma_agg,
+                                       sigma_idio, theta, tau, D, mu, d):
+        # a user's log CE is mu_i plus a constant, so the two roles' log CEs
+        # cross at K plus the gap at K that verify's indifference gate reads,
+        # and every agent off that crossing sorts by ability.  The difference
+        # of the two five-term sums missed d by at most 3.8 eps of their
+        # largest term over 600,000 draws from this box; 8 eps leaves a
+        # factor of 2
+        params = default_params(gamma=gamma, sigma_mu=sigma_mu,
+                                sigma_agg=sigma_agg, sigma_idio=sigma_idio,
+                                theta=theta, tau=tau, D=D)
+        x = mu + d
+        rise = log_ce_user(x, tau, params) - log_ce_user(mu, tau, params)
+        largest = max(abs(t) for t in (
+            math.log1p(-tau), math.log(D), mu, x,
+            gamma * shock_mean(sigma_agg), _moment_term(params)))
+        assert abs(rise - d) <= 8.0 * 2.0 ** -52 * largest
+
     def test_displaced_threshold_fails_the_log_gate_only(self):
         # the levels are about -2.2e-12 here, so the level gate cannot see
         # a threshold 0.01 off; the log certainty equivalents can

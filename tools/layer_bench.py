@@ -7,12 +7,11 @@ and ``threshold.provider_utility`` over a fixed, seeded set of parameter
 sets drawn from the box of perfbench's ``param_scan`` workload
 (``ParamScan.BOX``, imported from ``perfbench/workloads.py``; a quarter at
 gamma = 1), and the array layers ``mc.draw_population``,
-``mc.lln_check``, ``mc.market_clearing_check``, ``mc.role_sorting_check``,
-``mc.consumption_convergence`` and ``wealth.mc_expected_capital`` at
-verify's sizes, and adds the result, under ``--label``, to the JSON file
-``--out``.  A label already there for the same source and seed keeps, for
-each time, the best of both runs, so that runs of two checkouts can be
-alternated:
+``mc.lln_check``, ``mc.market_clearing_check`` and
+``wealth.mc_expected_capital`` at verify's sizes, and adds the result,
+under ``--label``, to the JSON file ``--out``.  A label already there
+for the same source and seed keeps, for each time, the best of both runs,
+so that runs of two checkouts can be alternated:
 
     PYTHONPATH=src python tools/layer_bench.py --label change --out BENCH.json
     PYTHONPATH=/path/to/other/checkout/src python tools/layer_bench.py \
@@ -55,10 +54,7 @@ The array layers get one time per call, in milliseconds, also the best of
 parameters (``call_ms``; its threshold solve is a memo hit), in blocks
 that it reduces as it draws them, ``mc.lln_check`` and
 ``mc.market_clearing_check`` read the sums of one such sample, drawn
-once (``call_ms`` each; they touch no array), ``mc.role_sorting_check``
-classifies 10^4 abilities drawn at default parameters (``call_ms``),
-``mc.consumption_convergence`` draws and reduces populations of 10^3, 10^5
-and 10^6 agents at default parameters in one call (``call_ms``), and
+once (``call_ms`` each; they touch no array), and
 ``wealth.mc_expected_capital`` simulates 10^5 paths of each of verify's
 three ``jump_diffusion_mean`` cases with its memo cleared (one
 ``<case>_ms`` each).  ``cli.wealth_grid``
@@ -108,8 +104,6 @@ MU_RANGE = (3.0, 8.0)
 CASES = 60
 
 POPULATION = 10**6  # verify's default --population
-CONSUMPTION_SIZES = (10**3, 10**5, 10**6)
-ROLE_AGENTS = 10**4
 PATHS = 10**5       # verify's default --paths
 MC_CASES = {  # verify.check_jump_diffusion_mean's cases
     "degenerate_alpha0": {"alpha": 0.0, "w": 0.0},
@@ -195,19 +189,12 @@ def _array_calls(seed: int, out: str) -> dict:
     wealth command, which writes into the directory out."""
     params = model.default_params()
     sample = mc.draw_population(POPULATION, params, numerics.make_stream(seed, 1))
-    abilities = numerics.make_stream(seed, 2).normal(
-        params.mu_bar, params.sigma_mu, ROLE_AGENTS)
     calls = {("mc.draw_population", "call_ms"):
              lambda: mc.draw_population(POPULATION, params,
                                         numerics.make_stream(seed, 1)),
              ("mc.lln_check", "call_ms"): lambda: mc.lln_check(sample, params),
              ("mc.market_clearing_check", "call_ms"):
-             lambda: mc.market_clearing_check(sample, params),
-             ("mc.role_sorting_check", "call_ms"):
-             lambda: mc.role_sorting_check(abilities, params),
-             ("mc.consumption_convergence", "call_ms"):
-             lambda: mc.consumption_convergence(params, CONSUMPTION_SIZES,
-                                                numerics.make_stream(seed, 1))}
+             lambda: mc.market_clearing_check(sample, params)}
     for name, overrides in MC_CASES.items():
         case = model.default_params(**overrides)
 
