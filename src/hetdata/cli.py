@@ -162,15 +162,15 @@ def load_config(argv: List[str]) -> RunConfig:
     if args.tau is not None:
         params = _with_tau(params, "tau", args.tau)
 
+    # each grid increases, so its ends are its extremes: the points checked
     tau_grid = _parse_grid(args.tau_grid, "tau-grid") if args.tau_grid else None
     if tau_grid is not None:
-        for tau in tau_grid:
-            _with_tau(params, "tau-grid", tau)
+        _with_tau(params, "tau-grid", tau_grid[0])
+        _with_tau(params, "tau-grid", tau_grid[-1])
         # statics compares the grid's first and last points as tau_L < tau_H
         if len(tau_grid) < 2 and "statics" in stages:
             raise ConfigError(f"--tau-grid needs two or more points for "
                               f"{args.command}, got {args.tau_grid!r}")
-    # each grid increases, so its ends are its extremes
     lambda_grid = (_parse_grid(args.lambda_grid, "lambda-grid")
                    if args.lambda_grid else None)
     if "wealth" in stages:

@@ -220,7 +220,7 @@ def check_lambda_matching() -> CheckResult:
     params = default_params()
     t = params.t_star
     # target e^(t*) corresponds to lambda = 1: invert f_mu for that mu
-    mu_trivial = t - math.log(wealth.f_mu(0.0, params))
+    mu_trivial = t - wealth.log_f_mu(0.0, params)
     trivial = wealth.solve_lambda(mu_trivial, params)
     trivial_ok = abs(trivial - 1.0) <= 1e-10
 

@@ -6,10 +6,9 @@ release.  Seed is fixed so reruns are bit-reproducible.
 """
 import math
 
-import numpy as np
 import pytest
 
-from hetdata import cli, statics, threshold, verify, wealth
+from hetdata import cli, statics, verify, wealth
 from hetdata.errors import NoSolutionError
 from hetdata.model import default_params
 
@@ -101,7 +100,7 @@ def test_criterion_7_jump_diffusion_mean():
 def test_criterion_8_lambda_matching():
     result = verify.check_lambda_matching()
     params = default_params()
-    mu_trivial = params.t_star - math.log(wealth.f_mu(0.0, params))
+    mu_trivial = params.t_star - wealth.log_f_mu(0.0, params)
     with pytest.raises(NoSolutionError):
         wealth.solve_lambda(mu_trivial - 50.0, params)
     _report(

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,11 @@ from hetdata.cli import (
     load_config,
     main,
 )
-from hetdata import mc, statics, threshold, verify, wealth
+from hetdata import cli, mc, statics, threshold, verify, wealth
 from hetdata.errors import ConfigError
 from hetdata.model import ModelParams, default_params, load_params
 from hetdata.numerics import make_stream
+from domain import census, validated_params
 
 
 def _write_params(tmp_path, **overrides):
@@ -470,6 +471,16 @@ class TestGridEnd:
                  "1e16:1.0000000000000002e16:1",
                  "1.9999999999999996:2.000000000000001:2.220446049250313e-16"]
 
+    def test_tau_grid_validates_its_two_ends(self, monkeypatch):
+        # the band is an interval and the grid increases: its ends decide
+        calls, real = [], cli.validate
+        monkeypatch.setattr(cli, "validate", lambda params: (
+            calls.append(params.tau) or real(params)))
+        config = load_config(["threshold", "--tau-grid",
+                              "0.000001:0.999999:0.000001"])
+        assert len(config.tau_grid) == MAX_GRID_POINTS - 1
+        assert calls == [config.tau_grid[0], config.tau_grid[-1]]
+
     @pytest.mark.parametrize("spec", REPEATING)
     def test_repeated_point_refused(self, spec):
         with pytest.raises(ConfigError, match="^--grid: .* repeats a point"):
@@ -651,6 +662,23 @@ class TestParamsFileKinds:
             assert main(["threshold", "--params", str(path),
                          "--out", str(out)]) == EXIT_CONFIG
             assert not out.exists()
+
+
+class TestValidatedDomain:
+    """Every command the census runs, on a file that validate accepts,
+    exits 0, 1, 2 or 3: no untyped exception and no RuntimeWarning, which
+    the census's run_command raises as an error."""
+
+    @given(validated_params())
+    @settings(max_examples=100, deadline=None)
+    def test_every_command_exits_with_a_code(self, params):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.json"
+            path.write_text(json.dumps(asdict(params)))
+            for argv in census.COMMANDS:
+                code, kind = census.run_command(argv + [
+                    "--params", str(path), "--out", str(Path(tmp) / argv[0])])
+                assert code in ("0", "1", "2", "3"), (argv, kind)
 
 
 def _leaves(payload):

@@ -52,19 +52,6 @@ def reference_draw(n, params, stream, roles=None):
     return (*map(np.concatenate, zip(*blocks)), agg)
 
 
-def one_block(n, k, params, stream):
-    """n <= _BLOCK agents of which k are users, from the values of the one
-    block's generator, abilities then shocks, and the stream's aggregate
-    shock.  Returns (abilities, users, the users' e^(mu + eps), aggregate
-    shock)."""
-    z = stream.spawn(1)[0].standard_normal(n + k)
-    ability, idio, agg = gaussian_laws(params)
-    abilities = ability[0] + ability[1] * z[:n]
-    users = abilities > solve_threshold(params.tau, params).K
-    output = np.exp(abilities[users] + (idio[0] + idio[1] * z[n:]))
-    return abilities, users, output, agg[0] + agg[1] * stream.standard_normal()
-
-
 def user_count(n, params, stream):
     return draw_population(n, params, stream).n_users
 
@@ -98,10 +85,11 @@ class TestDrawPopulation:
         sample = draw_population(n, params, make_stream(seed, 9))
         # one block: its generator draws the abilities, then one shock per
         # user; the aggregate shock is the stream's own first draw
-        stream = make_stream(seed, 9)
+        abilities, users, shocks, agg = reference_draw(
+            n, params, make_stream(seed, 9))
         k = sample.n_users
-        abilities, users, output, agg = one_block(n, k, params, stream)
         assert int(np.count_nonzero(users)) == k
+        output = np.exp(abilities[users] + shocks)
         assert sample.output == (n, *mean_and_m2(output, n))
         assert sample.weight_sums == (float(np.sum(np.exp(abilities))),)
         assert sample.agg_shock == agg
@@ -284,45 +272,30 @@ class TestInPlacePasses:
         assert sample == draw_population(1000, params, make_stream(5, 1))
 
 
+def assert_lln_matches(sample, reference, params):
+    """Both LLN reports against numpy's mean and ddof=1 std of the
+    zero-filled n-element terms: the sums run over the users alone, so the
+    bits may differ from numpy's by rounding."""
+    abilities, users, shocks, agg = reference
+    n = len(abilities)
+    terms = np.zeros(n)
+    terms[users] = np.exp(abilities[users] + shocks)
+    mean = float(np.mean(terms))
+    se = float(np.std(terms, ddof=1)) / math.sqrt(n)
+    scale = params.D * math.exp(agg)
+    expected = [(mean, se), (scale * mean, scale * se)]
+    for report, (observed, error) in zip(lln_check(sample, params), expected):
+        assert report.observed == pytest.approx(observed, rel=1e-14)
+        assert report.se == pytest.approx(error, rel=1e-14)
+        assert report.passed == within_three_se(observed, report.expected,
+                                                error)
+
+
 class TestBlockedReductions:
     """The draw reduces 2^16 agents at a time; against the full arrays."""
 
     B = _BLOCK
     SIZES = [2, B - 1, B, B + 1, 3 * B + 7]
-
-    @staticmethod
-    def _reference_lln(abilities, users, shocks, agg, params):
-        """Two passes over the n-element terms, providers' zeros included."""
-        n = len(abilities)
-        terms = np.zeros(n)
-        terms[users] = np.exp(abilities[users] + shocks)
-        mean = float(np.sum(terms)) / n
-        m2 = float(np.sum((terms - mean) ** 2))
-        se = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-        scale = params.D * math.exp(agg)
-        return [(mean, se), (scale * mean, scale * se)]
-
-    def _assert_lln_matches(self, sample, reference, params):
-        reports = lln_check(sample, params)
-        for report, (observed, se) in zip(
-                reports, self._reference_lln(*reference, params)):
-            assert report.observed == pytest.approx(observed, rel=1e-14)
-            assert report.se == pytest.approx(se, rel=1e-14)
-            assert report.passed == within_three_se(observed, report.expected,
-                                                    se)
-
-    @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("params", TestInPlacePasses.PARAMS)
-    def test_lln_matches_full_arrays(self, params, n):
-        checked = 0
-        for seed in (1, 2, 7):
-            sample = draw_population(n, params, make_stream(seed, 1))
-            if sample.n_users:
-                self._assert_lln_matches(
-                    sample, reference_draw(n, params, make_stream(seed, 1)),
-                    params)
-                checked += 1
-        assert checked
 
     @pytest.mark.parametrize("n", SIZES)
     def test_clearing_matches_full_arrays(self, n):
@@ -356,7 +329,7 @@ class TestBlockedReductions:
             sample = draw_population(n, params, make_stream(6, 1))
             reference = reference_draw(n, params, make_stream(6, 1), roles)
             assert sample.n_users == np.count_nonzero(reference[1])
-            self._assert_lln_matches(sample, reference, params)
+            assert_lln_matches(sample, reference, params)
 
     def test_repeated_calls_bitwise_equal(self):
         params = default_params()
@@ -374,24 +347,19 @@ class TestLlnStatistics:
         default_params(sigma_mu=1.5, sigma_idio=0.1, tau=0.8, D=2.0)]
 
     @pytest.mark.parametrize("params", PARAMS)
-    @pytest.mark.parametrize("n", [2, 50, 1000, 100_000])
+    @pytest.mark.parametrize("n", [2, 50, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   100_000, 3 * _BLOCK + 7])
     def test_matches_numpy_on_zero_filled_terms(self, params, n):
-        # the sums run over the users alone, so the bits may differ from
-        # numpy's n-element ones by rounding
+        # at the first three seeds whose sample holds a user
         checked = 0
         for seed in range(20):
             sample = draw_population(n, params, make_stream(seed, 4))
-            if not sample.n_users:
-                continue
-            abilities, users, shocks, _ = reference_draw(n, params,
-                                                         make_stream(seed, 4))
-            terms = np.zeros(n)
-            terms[users] = np.exp(abilities[users] + shocks)
-            report = lln_check(sample, params)[0]
-            assert report.observed == pytest.approx(np.mean(terms), rel=1e-14)
-            assert report.se == pytest.approx(
-                np.std(terms, ddof=1) / math.sqrt(n), rel=1e-14)
-            checked += 1
+            if sample.n_users:
+                assert_lln_matches(sample, reference_draw(
+                    n, params, make_stream(seed, 4)), params)
+                checked += 1
+                if checked == 3:
+                    break
         assert checked
 
     def test_three_se_coverage(self):

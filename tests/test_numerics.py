@@ -25,17 +25,9 @@ from hetdata.numerics import (
     portfolio_moment,
     solve_bracketed,
 )
+from oracle import kernel_oracle, mp_cdf, mp_pdf
 
-mpmath.mp.dps = 50
 STD = (0.0, 1.0)  # the standard normal's (mean, std)
-
-
-def mp_pdf(x, mean=0.0, var=1.0):
-    return float(mpmath.npdf(x, mean, mpmath.sqrt(var)))
-
-
-def mp_cdf(x, mean=0.0, var=1.0):
-    return float(mpmath.ncdf(x, mean, mpmath.sqrt(var)))
 
 
 class TestGaussianSpec:
@@ -117,14 +109,6 @@ class TestHazard:
                 kernel(1e308, -1e308, 1.0)
 
 
-def _kernel_oracle(name, x):
-    x = mpmath.mpf(x)
-    if name == "erfcx":
-        return mpmath.exp(x * x) * mpmath.erfc(x)
-    # log1p keeps the digits of log Phi(x) as it nears 0 in the right tail
-    return mpmath.log1p(-mpmath.ncdf(-x)) if x > 0 else mpmath.log(mpmath.ncdf(x))
-
-
 def _kernel_points():
     """A seeded subsample of the accuracy grid (6,300 points in [-40, 40]
     and 300 in [-1000, -40]), plus the ends of each kernel's branches."""
@@ -144,7 +128,7 @@ class TestKernelAccuracy:
     def _worst(kernel, name, points):
         worst = 0.0
         for x in points:
-            exact = _kernel_oracle(name, x)
+            exact = kernel_oracle(name, x)
             if sys.float_info.min <= abs(exact) <= sys.float_info.max:
                 error = abs((mpmath.mpf(float(kernel(x))) - exact) / exact)
                 worst = max(worst, float(error))

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hetdata import threshold, verify
@@ -18,7 +18,6 @@ from hetdata.errors import (
 )
 from hetdata.model import TAU_MAX, TAU_MIN, default_params
 from hetdata.numerics import log_ndtr, make_stream, portfolio_moment, shock_mean
-from hetdata.statics import aggregate_output, output_ratio, threshold_sensitivity
 from hetdata.threshold import (
     _moment_term,
     log_ce_provider,
@@ -29,8 +28,8 @@ from hetdata.threshold import (
     tail_expectation,
     user_utility,
 )
-
-mpmath.mp.dps = 50
+from domain import box
+from oracle import mp_sf, mp_threshold
 
 
 def F_threshold(tau, mu, params):
@@ -39,10 +38,6 @@ def F_threshold(tau, mu, params):
     logit = math.log(tau) - math.log1p(-tau)
     v = params.sigma_mu * params.sigma_mu
     return logit + 0.5 * v - _moment_term(params) + log_ratio_and_slope(mu, v)[0]
-
-
-def mp_sf(x, mean=0.0, var=1.0):
-    return float(1 - mpmath.ncdf(x, mean, mpmath.sqrt(var)))
 
 
 class TestTailExpectation:
@@ -132,25 +127,6 @@ class TestFThreshold:
                 solve_threshold.__wrapped__(tau, params)
 
 
-def bisection_oracle(tau, params, lo=-30.0, hi=30.0, step=1e-6):
-    """Plain bisection down to a 1e-6 bracket, then midpoint refinement."""
-    g = lambda mu: mu - F_threshold(tau, mu, params)
-    while hi - lo > step:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # polish the 1e-6 bracket by continued bisection to float resolution
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 class TestSolveThreshold:
     def test_symmetry_identity(self):
         params = default_params(theta=1e-12, sigma_mu=1.0)
@@ -158,18 +134,11 @@ class TestSolveThreshold:
         assert sol.mu_k == pytest.approx(0.5, abs=1e-12)
         assert sol.m == pytest.approx(1.0 - 0.6914624612740131, abs=1e-10)
 
-    def test_matches_bisection_oracle(self):
-        params = default_params(theta=0.1, gamma=2.0, sigma_idio=0.5, sigma_mu=1.0)
-        sol = solve_threshold(0.6, params)
-        assert sol.mu_k == pytest.approx(bisection_oracle(0.6, params), abs=1e-8)
-
     def test_solution_invariants(self):
         params = default_params()
         for tau in (0.2, 0.5, 0.8):
             sol = solve_threshold(tau, params)
-            assert sol.m == pytest.approx(
-                float(1 - mpmath.ncdf(sol.mu_k, 0, 1)), abs=1e-10
-            )
+            assert sol.m == pytest.approx(mp_sf(sol.mu_k), abs=1e-10)
             assert sol.tail_mean >= math.exp(0.5)
             assert abs(sol.residual) <= 1e-10
             assert sol.K == sol.mu_k + params.mu_bar
@@ -179,10 +148,8 @@ class TestSolveThreshold:
         ms = [solve_threshold(t, params).m for t in np.linspace(0.1, 0.9, 9)]
         assert all(b < a for a, b in zip(ms, ms[1:]))
 
-    # the census box of ROADMAP item 12, for the inputs F depends on
-    @given(st.one_of(st.just(1.0), st.floats(0.3, 12.0)),
-           st.floats(0.05, 3.0), st.floats(0.01, 3.0),
-           st.floats(0.001, 0.999), st.floats(0.01, 0.99))
+    # the census box, for the inputs F depends on
+    @given(*map(box, ("gamma", "sigma_mu", "sigma_idio", "theta", "tau")))
     @settings(max_examples=200, deadline=None)
     def test_first_lower_end_lies_below_root(self, gamma, sigma_mu,
                                              sigma_idio, theta, tau):
@@ -199,46 +166,6 @@ class TestSolveThreshold:
         v = sigma_mu * sigma_mu
         F = logit + 0.5 * v - moment + log_ratio_and_slope(lo, v)[0]
         assert F > lo + 20.0
-
-    def test_symmetry_across_sigma_and_gamma(self):
-        for sigma_mu in (0.25, 0.5, 1.0, 2.0):
-            for gamma in (1.0, 2.0, 5.0):
-                params = default_params(
-                    theta=1e-12, sigma_mu=sigma_mu, gamma=gamma
-                )
-                sol = solve_threshold(0.5, params)
-                assert abs(sol.mu_k - 0.5 * sigma_mu ** 2) <= 1e-10
-
-
-def mp_threshold(tau, params, moment, start):
-    """Root of G(mu) = mu - F(tau, mu) by bisection at 40 digits, from the
-    float parameters and the float moment term (the quadrature is not the
-    solver's).  The bracket is centred on start and widened until G changes
-    sign across it; G is increasing, so it then holds the one root, however
-    far start is from it.  Bisects to 30 digits of the root, or of sigma_mu
-    where the root is nearer 0."""
-    with mpmath.workdps(40):
-        t = mpmath.mpf(tau)
-        logit = mpmath.log(t / (1 - t))
-        s = mpmath.mpf(params.sigma_mu)
-        v = s * s
-        c = logit + v / 2 - moment
-
-        def G(mu):
-            return (mu - c - mpmath.log(mpmath.ncdf((v - mu) / s))
-                    + mpmath.log(mpmath.ncdf(mu / s)))
-
-        d = mpmath.mpf(10) ** -6 * max(abs(start), s)
-        while not G(start - d) < 0 < G(start + d):
-            d *= 16
-        lo, hi = start - d, start + d
-        while hi - lo > mpmath.mpf(10) ** -30 * max(abs(lo), abs(hi), s):
-            mid = (lo + hi) / 2
-            if G(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
 
 
 def count_evaluations(monkeypatch):
@@ -259,20 +186,21 @@ def count_evaluations(monkeypatch):
 MAX_EVALUATIONS = 6
 
 
-# (gamma, sigma_mu, sigma_idio, theta, tau): ROADMAP item 12's census box
-# for gamma, sigma_idio and theta; tau over its validated band and at its
-# ends; sigma_mu log-uniform from just above validate's floor, 2^-511, to
-# 3, and up to 36, just short of the tail mean's overflow
-SOLVE_BOX = (st.one_of(st.just(1.0), st.floats(0.3, 12.0)),
+# (gamma, sigma_mu, sigma_idio, theta, tau): the census box for gamma,
+# sigma_idio and theta; tau over its validated band and at its ends;
+# sigma_mu log-uniform from just above validate's floor, 2^-511, to 3, and
+# up to 36, just short of the tail mean's overflow
+SOLVE_BOX = (box("gamma"),
              st.one_of(st.floats(math.log(1.5e-154), math.log(3.0)).map(math.exp),
                        st.floats(3.0, 36.0)),
-             st.floats(0.01, 3.0), st.floats(0.001, 0.999),
+             box("sigma_idio"), box("theta"),
              st.one_of(st.floats(TAU_MIN, TAU_MAX),
                        st.sampled_from([TAU_MIN, TAU_MAX])))
 
 
 class TestNewtonSolve:
     @given(*SOLVE_BOX)
+    @example(gamma=2.0, sigma_mu=1.0, sigma_idio=0.5, theta=0.1, tau=0.6)
     @settings(max_examples=100, deadline=None)
     def test_matches_mpmath_bisection(self, gamma, sigma_mu, sigma_idio,
                                       theta, tau):
@@ -285,8 +213,8 @@ class TestNewtonSolve:
             except HetdataError:  # an unconverged moment or tail mean
                 assume(False)
         assert len(points) == sol.iterations <= MAX_EVALUATIONS
-        exact = mp_threshold(tau, params, _moment_term(params), sol.mu_k)
-        exact_m = mpmath.ncdf(-exact / mpmath.mpf(sigma_mu))
+        exact, exact_m = mp_threshold(tau, params, _moment_term(params),
+                                      sol.mu_k)
         # relative to mu_k, or to min(1, sigma_mu), the scale of the stopping
         # step, where mu_k nears 0; m relative to itself.  The worst seen in
         # 2,599 seeded sets of this box: 5.0e-14 on mu_k and 8.9e-14 on m

@@ -27,39 +27,13 @@ from hetdata.wealth import (
     mc_expected_capital,
     solve_lambda,
 )
+from oracle import capital_oracle, friction_oracle
 
 # lambda=2, W0=1, r_f=0.02, alpha=0.5, mu0=0.08, t=1: the jumps (w=0.1,
 # L=0.2) leave the mean, so rate = r_f + alpha mu0 - lambda
 # = 0.02 + 0.04 - 2 = -1.94
 REFERENCE = default_params()
 REFERENCE_EK1 = 2.0 * math.exp(-1.94)
-
-mpmath.mp.dps = 50
-
-
-def _oracle(mu_i, params):
-    """(log f, u*) in 50-digit arithmetic from the float parameters, where
-    u* = lambda* t* = -W_{-1}(-e^(-c)), c = log f - log t*, is the root of
-    u - log u = c on the branch u >= t*, or None where there is none."""
-    mpf = mpmath.mpf
-    rate = mpf(params.r_f) + mpf(params.alpha) * mpf(params.mu0)
-    log_f = (mpf(mu_i) - mpf(params.sigma_agg) ** 2 / 2
-             - mpf(params.sigma_idio) ** 2 / 2 + mpmath.log(params.D)
-             + mpmath.log(1 - mpf(params.tau)) - mpmath.log(params.EK_target)
-             + rate * params.t_star)
-    c = log_f - mpmath.log(params.t_star)
-    if c < 1:
-        return log_f, None
-    u = -mpmath.lambertw(-mpmath.exp(-c), -1).real
-    return log_f, (u if u >= params.t_star else None)
-
-
-def _capital_oracle(params, t, lam):
-    """E K_t = lambda W0 e^((r_f + alpha mu0 - lambda) t) in 50-digit
-    arithmetic from the float parameters."""
-    mpf = mpmath.mpf
-    rate = mpf(params.r_f) + mpf(params.alpha) * mpf(params.mu0) - mpf(lam)
-    return mpf(lam) * mpf(params.W0) * mpmath.exp(rate * mpf(t))
 
 
 def _outcome(layer, *args):
@@ -126,7 +100,7 @@ class TestExpectedCapital:
         # read 0, though E K_t is 0 to double precision, 1.93e287 or 3.6e-39
         params = default_params(W0=1e300)
         assert expected_capital(params, t, lam) == pytest.approx(
-            float(_capital_oracle(params, t, lam)), rel=1e-13)
+            float(capital_oracle(params, t, lam)), rel=1e-13)
 
 
 class TestJumpsLeaveTheMean:
@@ -148,11 +122,11 @@ class TestJumpsLeaveTheMean:
         # grows with the exponent's size: over 30,000 draws of this box the
         # worst E K_t was off by relative 2.0e-16 (1 + |rate t|), and the
         # worst log f by 4.1e-16 (1 + |mu_i|)
-        exact = _capital_oracle(params, t, lam)
+        exact = capital_oracle(params, t, lam)
         rate_t = (params.r_f + params.alpha * params.mu0 - lam) * t
-        assert (abs(expected_capital(params, t, lam) / exact - 1)
+        assert (abs(expected_capital(params, t, lam) - exact) / exact
                 <= 1e-15 * (1 + abs(rate_t)))
-        log_f, _ = _oracle(mu_i, params)
+        log_f, _ = friction_oracle(mu_i, params)
         assert abs(log_f_mu(mu_i, params) - log_f) <= 2e-15 * (1 + abs(mu_i))
 
 
@@ -506,7 +480,7 @@ class TestSolveLambda:
     def test_trivial_root(self):
         params = default_params()
         # pick mu so the target level is exactly e^(t*)
-        mu = params.t_star - math.log(f_mu(0.0, params))
+        mu = params.t_star - log_f_mu(0.0, params)
         lam = solve_lambda(mu, params)
         assert type(lam) is float
         assert lam == pytest.approx(1.0, abs=1e-10)
@@ -518,7 +492,7 @@ class TestSolveLambda:
     @pytest.mark.parametrize("offset", [0.0, 1e-13, 5e-13, 9e-13])
     def test_just_below_branch_minimum_is_trivial_root(self, offset):
         params = default_params()
-        mu = params.t_star - math.log(f_mu(0.0, params))
+        mu = params.t_star - log_f_mu(0.0, params)
         assert mu == -1.1938758248682007
         assert solve_lambda(mu - offset, params) == 1.0
 
@@ -566,9 +540,9 @@ class TestSolveLambda:
         params = default_params()
         for mu_i, approx in ((695.0, 352.0288), (705.0, 357.0359)):
             lam = solve_lambda(mu_i, params)
-            _, u_star = _oracle(mu_i, params)
+            _, star = friction_oracle(mu_i, params)
             assert lam == pytest.approx(approx, abs=1e-4)
-            assert abs(lam - u_star / params.t_star) <= 1e-15 * lam
+            assert abs(lam - star) <= 1e-15 * lam
 
     def test_no_solution_reported(self):
         # the target and the branch minimum e^(t*) are reported as logs
@@ -616,7 +590,7 @@ class TestSolveLambdaOracle:
     def test_matches_lambert_w(self, case):
         mu_i, params = case
         t = params.t_star
-        log_f, u_star = _oracle(mu_i, params)
+        log_f, star = friction_oracle(mu_i, params)
         logs = []  # wealth's math module, with log recording its arguments
         counting_math = types.SimpleNamespace(
             **dict(vars(math), log=lambda x: logs.append(x) or math.log(x)))
@@ -627,7 +601,7 @@ class TestSolveLambdaOracle:
             except NoSolutionError as err:
                 # f < e^(t*) (1 - 1e-12): the oracle's f is below e^(t*) too
                 assert err.target < err.branch_minimum
-                assert u_star is None
+                assert star is None
                 return
         # four logs build c and the start (D, EK_target, t*, c); each further
         # one is a Newton step
@@ -635,16 +609,15 @@ class TestSolveLambdaOracle:
         if lam == 1.0:  # the branch start, within its tolerance of e^(t*)
             assert abs(log_f - t) <= 2e-12 * max(1.0, t)
             return
-        assert u_star is not None
-        kappa = 1.0 / (1.0 - 1.0 / float(u_star))
-        star = u_star / t
+        assert star is not None
+        kappa = 1.0 / (1.0 - 1.0 / float(star * t))
         assert abs(lam - star) <= 1e-13 * kappa * star
 
 
 class TestFigure1:
     def test_trivial_intersection(self):
         params = default_params()
-        mu = params.t_star - math.log(f_mu(0.0, params))
+        mu = params.t_star - log_f_mu(0.0, params)
         _, levels = figure1_curves(params, [1.0, 1.5, 2.0], [mu])
         assert levels[0][2] == pytest.approx(1.0, abs=1e-10)
 

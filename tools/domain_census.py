@@ -21,14 +21,9 @@ so two checkouts can be compared at one seed:
     PYTHONPATH=/path/to/other/checkout/src python tools/domain_census.py \\
         --seed 2026 --count 400
 
-The box: gamma = 1 for a quarter of the files, else U[0.3, 12]; mu_bar
-U[-5, 5], sigma_mu U[0.05, 3], sigma_agg U[0.01, 1], sigma_idio U[0.01, 3];
-theta U[0.001, 0.999], tau and eta U[0.01, 0.99]; D, d0 and W0
-log-uniform on [1e-2, 1e2]; r_f U[-0.05, 0.1], alpha U[0, 1], mu0
-U[0.01, 0.5], w U[0, 50], sigma_w U[0, 5]; a one-point loss (half of the
-files) or a two-point one, each value U[0, 0.95] and the first
-probability U[0.05, 0.95]; t* U[1.01, 60] and
-EK_target log-uniform on [1e-4, 1e2].
+The box is stated once, by ``GAMMA``, ``UNIFORM``, ``LOG_UNIFORM`` and
+``LOSS`` below; the tests' ``validated_params()`` strategy
+(``tests/domain.py``) is built from the same statement.
 """
 from __future__ import annotations
 
@@ -54,6 +49,8 @@ COMMANDS = (
     ["figure1"],
 )
 
+# gamma = 1 for this share of the files, else U[lo, hi]
+GAMMA = (0.25, (0.3, 12.0))
 UNIFORM = {
     "mu_bar": (-5.0, 5.0), "sigma_mu": (0.05, 3.0), "sigma_agg": (0.01, 1.0),
     "sigma_idio": (0.01, 3.0), "theta": (0.001, 0.999), "tau": (0.01, 0.99),
@@ -63,21 +60,25 @@ UNIFORM = {
 }
 LOG_UNIFORM = {"D": (1e-2, 1e2), "d0": (1e-2, 1e2), "W0": (1e-2, 1e2),
                "EK_target": (1e-4, 1e2)}
+# a one-point loss for this share of the files, else a two-point one: each
+# value U[values], the first probability U[first_prob]
+LOSS = {"one_point": 0.5, "values": (0.0, 0.95), "first_prob": (0.05, 0.95)}
 
 
 def draw_record(gen: np.random.Generator) -> dict:
     """One parameter record from the box, as a params file holds it."""
-    record = {"gamma": 1.0 if gen.random() < 0.25 else gen.uniform(0.3, 12.0)}
+    share, (lo, hi) = GAMMA
+    record = {"gamma": 1.0 if gen.random() < share else gen.uniform(lo, hi)}
     for name, (lo, hi) in UNIFORM.items():
         record[name] = gen.uniform(lo, hi)
     for name, (lo, hi) in LOG_UNIFORM.items():
         record[name] = math.exp(gen.uniform(math.log(lo), math.log(hi)))
-    if gen.random() < 0.5:
-        record["loss"] = gen.uniform(0.0, 0.95)
+    if gen.random() < LOSS["one_point"]:
+        record["loss"] = gen.uniform(*LOSS["values"])
     else:
-        p = gen.uniform(0.05, 0.95)
-        record["loss"] = {"values": [gen.uniform(0.0, 0.95),
-                                     gen.uniform(0.0, 0.95)],
+        p = gen.uniform(*LOSS["first_prob"])
+        record["loss"] = {"values": [gen.uniform(*LOSS["values"]),
+                                     gen.uniform(*LOSS["values"])],
                           "probs": [p, 1.0 - p]}
     return record
 
