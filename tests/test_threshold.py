@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hetdata import threshold, verify
@@ -134,6 +134,14 @@ class TestSolveThreshold:
         assert sol.mu_k == pytest.approx(0.5, abs=1e-12)
         assert sol.m == pytest.approx(1.0 - 0.6914624612740131, abs=1e-10)
 
+    def test_matches_bisection_oracle(self):
+        params = default_params(theta=0.1, gamma=2.0, sigma_idio=0.5, sigma_mu=1.0)
+        sol = solve_threshold(0.6, params)
+        exact, exact_m = mp_threshold(0.6, params, _moment_term(params),
+                                      sol.mu_k)
+        assert abs(sol.mu_k - exact) <= 1e-12 * max(abs(exact), 1.0)
+        assert abs(sol.m - exact_m) <= 1e-12 * exact_m
+
     def test_solution_invariants(self):
         params = default_params()
         for tau in (0.2, 0.5, 0.8):
@@ -200,7 +208,6 @@ SOLVE_BOX = (box("gamma"),
 
 class TestNewtonSolve:
     @given(*SOLVE_BOX)
-    @example(gamma=2.0, sigma_mu=1.0, sigma_idio=0.5, theta=0.1, tau=0.6)
     @settings(max_examples=100, deadline=None)
     def test_matches_mpmath_bisection(self, gamma, sigma_mu, sigma_idio,
                                       theta, tau):
