@@ -14,24 +14,11 @@ class NumericalRangeError(HetdataError, ArithmeticError):
 
 
 class EvaluationError(HetdataError):
-    """A user-supplied callable returned a non-finite value."""
+    """A function could not be evaluated: it raised, or returned NaN or inf."""
 
 
 class SolverError(HetdataError):
     """A solver failed to locate a root."""
-
-
-class ConvergenceError(SolverError):
-    """The portfolio-moment quadrature reached its highest order unconverged."""
-
-    def __init__(self, theta, sigma1, gamma, order, change):
-        self.theta, self.sigma1, self.gamma = theta, sigma1, gamma
-        self.order, self.change = order, change
-        super().__init__(
-            f"portfolio moment quadrature did not converge at theta={theta}, "
-            f"sigma_idio={sigma1}, gamma={gamma}: the last doubling, to order "
-            f"{order}, changed the value by {change}"
-        )
 
 
 class NoSolutionError(SolverError):

@@ -94,3 +94,27 @@ def capital_oracle(params, t, lam):
     mpf = mpmath.mpf
     rate = mpf(params.r_f) + mpf(params.alpha) * mpf(params.mu0) - mpf(lam)
     return mpf(lam) * mpf(params.W0) * mpmath.exp(rate * mpf(t))
+
+
+@mpmath.workdps(20)
+def mp_moment(theta, sigma1, gamma):
+    """portfolio_moment's E[(theta e^eps + 1-theta)^(1-gamma)], or
+    E[log(...)] at gamma = 1, eps ~ N(-sigma1^2/2, sigma1^2), as a 20-digit
+    mpf from the float inputs.  mpmath's quad over the standardized shock
+    t, split at the mean t = 0, at eps0 = log((1-theta)/theta), where the
+    base turns from flat to exponential, and at (1-gamma) sigma1, the end
+    of the interval that holds every maximum of the integrand."""
+    theta, s, g = mpmath.mpf(theta), mpmath.mpf(sigma1), mpmath.mpf(gamma)
+    mean, q = -s * s / 2, 1 - theta
+
+    def f(t):
+        log_base = mpmath.log(theta * mpmath.exp(mean + s * t) + q)
+        if g == 1:
+            return log_base * mpmath.exp(-t * t / 2)
+        return mpmath.exp((1 - g) * log_base - t * t / 2)
+
+    points = {mpmath.mpf(0), (1 - g) * s}
+    if 0 < theta < 1:
+        points.add((mpmath.log(q / theta) - mean) / s)
+    return (mpmath.quad(f, [-mpmath.inf, *sorted(points), mpmath.inf])
+            / mpmath.sqrt(2 * mpmath.pi))

@@ -144,13 +144,15 @@ class TestExitCodes:
         assert "no root exists" in capsys.readouterr().err
 
     def test_unconverged_moment_exits_3_naming_inputs(self, tmp_path, capsys):
-        path = _write_params(tmp_path, theta=0.9, sigma_idio=2.0, gamma=8.0)
+        # the moment itself is past the float range
+        path = _write_params(tmp_path, theta=0.999, sigma_idio=3.0, gamma=200.0)
         code = main(["threshold", "--params", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert "did not converge" in err and "RuntimeWarning" not in err
-        for text in ("theta=0.9", "sigma_idio=2.0", "gamma=8.0"):
+        assert err.startswith("solver error:") and "Traceback" not in err
+        assert "OverflowError" in err and "RuntimeWarning" not in err
+        for text in ("theta=0.999", "sigma_idio=3.0", "gamma=200.0"):
             assert text in err
 
     def test_overflowing_tail_mean_exits_3_naming_inputs(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hetdata.errors import (
-    ConvergenceError,
     DegenerateInputError,
+    EvaluationError,
     InvalidInputError,
     NoSolutionError,
     NumericalRangeError,
@@ -41,9 +41,9 @@ class TestSensitivityMemo:
     # the sensitivity's memo is solve_threshold's, whose sharing and whose
     # refusal to keep a failed call TestSolveThresholdMemo checks
     def test_failed_call_leaves_no_entry(self):
-        unconverged = default_params(theta=0.9, sigma_idio=2.0, gamma=8.0)
+        overflowing = default_params(theta=0.999, sigma_idio=3.0, gamma=200.0)
         for tau, params, error in [(1e-7, default_params(), InvalidInputError),
-                                   (0.5, unconverged, ConvergenceError)]:
+                                   (0.5, overflowing, EvaluationError)]:
             with pytest.raises(error):
                 threshold_sensitivity(tau, params)
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hetdata import threshold, verify
 from hetdata.errors import (
-    ConvergenceError,
     DegenerateInputError,
+    EvaluationError,
     HetdataError,
     InvalidInputError,
     NumericalRangeError,
@@ -165,10 +165,7 @@ class TestSolveThreshold:
         # is below -20 there for every validated parameter set
         params = default_params(gamma=gamma, sigma_mu=sigma_mu,
                                 sigma_idio=sigma_idio, theta=theta, tau=tau)
-        try:
-            moment = _moment_term(params)
-        except HetdataError:  # an unconverged moment (ROADMAP item 2)
-            assume(False)
+        moment = _moment_term(params)
         logit = math.log(tau) - math.log1p(-tau)
         lo = min(logit, 0.0) - 6.0 * sigma_mu
         v = sigma_mu * sigma_mu
@@ -217,7 +214,7 @@ class TestNewtonSolve:
             points = count_evaluations(monkeypatch)
             try:
                 sol = solve_threshold.__wrapped__(tau, params)
-            except HetdataError:  # an unconverged moment or tail mean
+            except HetdataError:  # a tail mean that overflows
                 assume(False)
         assert len(points) == sol.iterations <= MAX_EVALUATIONS
         exact, exact_m = mp_threshold(tau, params, _moment_term(params),
@@ -307,7 +304,7 @@ class TestThresholdSlope:
                                 sigma_idio=sigma_idio, theta=theta, tau=tau)
         try:
             sol = solve_threshold(tau, params)
-        except HetdataError:  # an unconverged moment or tail mean
+        except HetdataError:  # a tail mean that overflows
             assume(False)
         assert sol.dmu_dtau.hex() == reevaluated_sensitivity(
             tau, params, sol.mu_k).hex()
@@ -358,9 +355,9 @@ class TestSolveThresholdMemo:
 
     def test_failed_call_leaves_no_entry(self):
         solve_threshold.cache_clear()
-        unconverged = default_params(theta=0.9, sigma_idio=2.0, gamma=8.0)
+        overflowing = default_params(theta=0.999, sigma_idio=3.0, gamma=200.0)
         for tau, params, error in [(1e-7, default_params(), InvalidInputError),
-                                   (0.5, unconverged, ConvergenceError)]:
+                                   (0.5, overflowing, EvaluationError)]:
             for _ in range(2):
                 with pytest.raises(error):
                     solve_threshold(tau, params)

@@ -38,16 +38,14 @@ call with the layers below warm: for ``threshold_sensitivity`` a
 evaluations of its G per miss over the cases, counted (untimed) through
 ``threshold.log_ratio_and_slope``, which each evaluation calls once.
 
-``_hermite_nodes`` stays warm throughout: it is built once per quadrature
-order, not per parameter set.  ``validate`` and ``default_params`` have
-no memo and get one time each, ``call_us``: ``validate`` of each case's
-whole record, and ``default_params`` with each case's seven
-``ParamScan.BOX`` overrides, as a ``param_scan`` op calls it.  So do the
-two level utilities, each at its case's solved threshold with the
-threshold and moment memos warm: ``user_utility`` at ``K`` and
-``provider_utility`` at ``(m, tail_mean)``, as verify's indifference check
-and perfbench's ops call them.  A layer that raises on any case stops the
-script.
+``validate`` and ``default_params`` have no memo and get one time each,
+``call_us``: ``validate`` of each case's whole record, and
+``default_params`` with each case's seven ``ParamScan.BOX`` overrides, as
+a ``param_scan`` op calls it.  So do the two level utilities, each at its
+case's solved threshold with the threshold and moment memos warm:
+``user_utility`` at ``K`` and ``provider_utility`` at ``(m, tail_mean)``,
+as verify's indifference check and perfbench's ops call them.  A layer
+that raises on any case stops the script.
 
 The array layers get one time per call, in milliseconds, also the best of
 ``--repeats``: ``mc.draw_population`` draws 10^6 agents at default
@@ -245,8 +243,6 @@ def bench(seed: int, repeats: int, out: str) -> dict:
     raw_cases = _raw_cases(seed)
     raws = [raw for raw, _ in raw_cases]
     overrides = [{k: raw[k] for k in ParamScan.BOX} for raw in raws]
-    for order in (40, 80, 160, 320):
-        numerics._hermite_nodes(order)
     times = {layer: {"miss_us": [], "cold_us": [], "hit_us": []}
              for layer in LAYERS}
     for layer in ("model.validate", "model.default_params",
