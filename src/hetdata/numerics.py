@@ -2,9 +2,8 @@
 
 Every other module builds on these five pieces:
 
-* Gaussian kernels on the math module (erfcx, log_ndtr) and the log tail
-  and hazard built on them, stable deep in either tail (no 1-cdf
-  cancellation),
+* Gaussian kernels on the math module: log_ndtr, and the log tail and
+  hazard built on it, stable deep in either tail (no 1-cdf cancellation),
 * the trapezoid rule for the portfolio moment E[(θe^ε + 1-θ)^(1-γ)],
   exponentially convergent on a step and window derived from its strip
   of analyticity, in one pass,
@@ -29,9 +28,9 @@ from .errors import (
 )
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _LOG_HALF = math.log(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def shock_mean(sigma: float) -> float:
@@ -39,45 +38,33 @@ def shock_mean(sigma: float) -> float:
     return -0.5 * (sigma * sigma)
 
 
-def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2) erfc(x) of a float.
-
-    Below 25 it is exp(x^2) erfc(x) with x^2 split exactly, as Cody (1969,
-    Math. Comp. 23:631) splits it: rounding x*x first would cost up to
-    log2(x^2) bits.  From 25, where erfc nears underflow, it is the Laplace
-    continued fraction 1/(sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))))
-    evaluated bottom-up from eight levels, which have converged there (as
-    in S. G. Johnson's Faddeeva package).  Below -26.64, exp(x^2)
-    overflows: inf.
-    """
-    if x >= 25.0:
-        t = x
-        for k in range(8, 0, -1):
-            t = x + 0.5 * k / t
-        return _INV_SQRT_PI / t
-    if x < -26.64:
-        return math.inf
-    # x^2 = hi + lo exactly (Dekker 1971), x split in halves by 2^27 + 1
-    hi = x * x
-    t = 134217729.0 * x
-    x_hi = t - (t - x)
-    x_lo = x - x_hi
-    lo = ((x_hi * x_hi - hi) + 2.0 * x_hi * x_lo) + x_lo * x_lo
-    scaled = math.exp(hi) * math.erfc(x)
-    return scaled + scaled * lo  # times exp(lo), lo being below 2^-44
-
-
 def log_ndtr(z: float) -> float:
     """log Phi(z) of the standard normal at a float, without underflow.
 
     log1p(-Phi(-z)) above 0; log(erfc(t)/2) with t = -z/sqrt 2 while erfc(t)
-    is a normal float (t < 26); log erfcx(t) - t^2 + log(1/2) beyond."""
+    is a normal float (t < 26).  Beyond, erfc(t) = e^(-t^2) / (sqrt(pi) c),
+    c the Laplace continued fraction t + (1/2)/(t + 1/(t + (3/2)/(t + ...)))
+    evaluated bottom-up from eight levels, which have converged there (as in
+    S. G. Johnson's Faddeeva package)."""
     if z > 0.0:
         return math.log1p(-0.5 * math.erfc(z / _SQRT2))
     t = -z / _SQRT2
     if t < 26.0:
         return math.log(0.5 * math.erfc(t))
-    return math.log(erfcx(t)) - t * t + _LOG_HALF
+    c = t
+    for k in range(8, 0, -1):
+        c = t + 0.5 * k / c
+    return math.log(_INV_SQRT_PI / c) - t * t + _LOG_HALF
+
+
+def log_tail_and_hazard(z: float) -> Tuple[float, float]:
+    """log P(Z > z) and the hazard pdf(z) / P(Z > z) of the standard normal
+    at a float z, the hazard as exp(log pdf - log tail) from the one
+    log_ndtr value.  In the left tail the hazard is the pdf, 0.0 where that
+    underflows; deep in the right tail the exponent cancels z^2/2 against
+    the log tail, which costs the hazard about log2(z^2) bits."""
+    log_tail = log_ndtr(-z)
+    return log_tail, math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_tail)
 
 
 def _standardize(x: float, mean: float, std: float) -> float:
@@ -94,20 +81,6 @@ def _standardize(x: float, mean: float, std: float) -> float:
 def log_normal_sf(x: float, mean: float, std: float) -> float:
     """log P(X > x), X ~ N(mean, std^2); stable deep in the right tail."""
     return log_ndtr(-_standardize(x, mean, std))
-
-
-def hazard_rate(x: float, mean: float, std: float) -> float:
-    """pdf / (1 - cdf) of N(mean, std^2) at x, via erfcx.
-
-    h(z) = sqrt(2/pi) / erfcx(z / sqrt 2) for the standard normal, which
-    stays accurate deep in the right tail where pdf and 1-cdf both
-    underflow, and in the left tail, where it is the pdf.
-    """
-    z = _standardize(x, mean, std)
-    value = _SQRT_2_OVER_PI / erfcx(z / _SQRT2) / std
-    if not math.isfinite(value):
-        raise NumericalRangeError(f"hazard evaluation failed at z={z}")
-    return value
 
 
 # portfolio_moment's trapezoid rule over the standardized shock t, eps = m +

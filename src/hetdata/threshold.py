@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInputError, InvalidInputError, NumericalRangeError
 from .model import TAU_MAX, TAU_MIN, ModelParams
-from .numerics import (log_ndtr, log_normal_sf, portfolio_moment, shock_mean,
-                       solve_bracketed)
+from .numerics import (log_normal_sf, log_tail_and_hazard, portfolio_moment,
+                       shock_mean, solve_bracketed)
 
 _ROOT_TOL = 1e-13  # the solve's tolerance, times min(1, sigma_mu): the root's scale
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -91,14 +90,13 @@ def log_ratio_and_slope(mu: float, v: float) -> tuple[float, float]:
     """The mu-dependent term of F at centered ability mu, for ability
     variance v, and the slope of F: the log ratio log SF(mu; v, v) -
     log CDF(mu; 0, v), and dF/dmu = -(h_hi + r_lo) < 0, where h_hi =
-    pdf/SF of N(v, v) and r_lo = pdf/CDF of N(0, v) at mu.  Each of h_hi
-    and r_lo is exp(log pdf - log tail) from the same two log_ndtr values
-    the ratio uses, so the slope costs two exp more."""
+    pdf/SF of N(v, v) and r_lo = pdf/CDF of N(0, v) at mu.  Both come
+    from numerics.log_tail_and_hazard with the log tails the ratio uses:
+    r_lo and log CDF are the upper tail's at -z_lo, the pdf being even."""
     s = math.sqrt(v)
     z_hi, z_lo = (mu - v) / s, mu / s
-    log_sf_hi, log_cdf_lo = log_ndtr(-z_hi), log_ndtr(z_lo)
-    h_hi = math.exp(-0.5 * z_hi * z_hi - _LOG_SQRT_2PI - log_sf_hi)
-    r_lo = math.exp(-0.5 * z_lo * z_lo - _LOG_SQRT_2PI - log_cdf_lo)
+    log_sf_hi, h_hi = log_tail_and_hazard(z_hi)
+    log_cdf_lo, r_lo = log_tail_and_hazard(-z_lo)
     return log_sf_hi - log_cdf_lo, -(h_hi + r_lo) / s
 
 
@@ -137,7 +135,7 @@ def solve_threshold(tau: float, params: ModelParams) -> ThresholdSolution:
     # (Jensen: E[theta e^eps + 1 - theta] = 1).
     lo = min(logit, 0.0) - 6.0 * params.sigma_mu
     z = 0.5 * v / s  # z_lo at v/2, and -z_hi: h_hi = r_lo there
-    slope = 1.0 + 2.0 * math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z)) / s
+    slope = 1.0 + 2.0 * log_tail_and_hazard(-z)[1] / s
     mu, g, slope, steps = solve_bracketed(G, lo, math.inf, 0.5 * v, 0.5 * v - c,
                                           slope, _ROOT_TOL * min(1.0, s))
 

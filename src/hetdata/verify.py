@@ -16,7 +16,7 @@ import numpy as np
 from . import mc, statics, threshold, wealth
 from .errors import DegenerateInputError, NoSolutionError
 from .model import ModelParams, default_params
-from .numerics import hazard_rate, make_stream, portfolio_moment
+from .numerics import log_tail_and_hazard, make_stream, portfolio_moment
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,15 @@ def check_comparative_statics() -> CheckResult:
 # 9,612 kernel evaluations run once per process.
 @functools.cache
 def check_hazard_and_output_ratio() -> CheckResult:
-    """Hazard inequality and tail-ratio monotonicity on the grid."""
+    """Theorem 1's facts on the grid, by the kernels the solve uses: the
+    hazard h(x) > h(x - sigma^2) (numerics.log_tail_and_hazard) and the log
+    tail ratio threshold.log_output_ratio strictly increasing in x."""
     grid = np.arange(-4.0, 4.0 + 1e-12, 0.01).tolist()
     ok = True
     for sigma in (0.5, 1.0, 2.0):
         var = sigma * sigma
-        ok &= all(hazard_rate(x, 0.0, sigma) > hazard_rate(x - var, 0.0, sigma)
-                  for x in grid)
+        ok &= all(log_tail_and_hazard(x / sigma)[1]
+                  > log_tail_and_hazard((x - var) / sigma)[1] for x in grid)
         # log scale: for sigma=0.5 the ratio itself rounds to 1.0 near -4
         log_ratios = [threshold.log_output_ratio(x, sigma) for x in grid]
         ok &= all(b > a for a, b in zip(log_ratios, log_ratios[1:]))

@@ -1,10 +1,12 @@
 """The tests' mpmath references, each defined once.
 
-Every reference sets its own precision with ``mpmath.workdps``; none is
-set globally.  A reference that returns an ``mpf`` keeps its digits after
-the call, so a test may subtract a float from it and read the error.  Do
-not hand one to ``mpmath.diff``, which needs its function evaluated at
-the raised precision it sets.
+Every reference but ``mp_log_ratio`` sets its own precision with
+``mpmath.workdps``; none is set globally.  A reference that returns an
+``mpf`` keeps its digits after the call, so a test may subtract a float
+from it and read the error.  Do not hand such a reference to
+``mpmath.diff``, which needs its function evaluated at the raised
+precision it sets: ``mp_log_ratio`` runs at its caller's precision for
+that.
 """
 import mpmath
 
@@ -16,23 +18,31 @@ def mp_sf(x, mean=0.0, var=1.0):
 
 
 @mpmath.workdps(50)
-def mp_cdf(x, mean=0.0, var=1.0):
-    return float(mpmath.ncdf(x, mean, mpmath.sqrt(var)))
-
-
-@mpmath.workdps(50)
 def mp_pdf(x, mean=0.0, var=1.0):
     return float(mpmath.npdf(x, mean, mpmath.sqrt(var)))
 
 
 @mpmath.workdps(50)
-def kernel_oracle(name, x):
-    """erfcx(x) or log Phi(x) as a 50-digit mpf."""
+def mp_log_ndtr(x):
+    """log Phi(x) as a 50-digit mpf."""
     x = mpmath.mpf(x)
-    if name == "erfcx":
-        return mpmath.exp(x * x) * mpmath.erfc(x)
     # log1p keeps the digits of log Phi(x) as it nears 0 in the right tail
     return mpmath.log1p(-mpmath.ncdf(-x)) if x > 0 else mpmath.log(mpmath.ncdf(x))
+
+
+@mpmath.workdps(50)
+def mp_hazard(z):
+    """pdf(z) / P(Z > z) of the standard normal as a 50-digit mpf; the tail
+    is ncdf(-z), which keeps its digits where 1 - ncdf(z) would cancel."""
+    z = mpmath.mpf(z)
+    return mpmath.npdf(z) / mpmath.ncdf(-z)
+
+
+def mp_log_ratio(mu, v):
+    """log SF(mu; v, v) - log CDF(mu; 0, v), the mu-dependent term of F,
+    as an mpf at the caller's precision, so that mpmath.diff can raise it."""
+    s = mpmath.sqrt(mpmath.mpf(v))
+    return mpmath.log(mpmath.ncdf((v - mu) / s)) - mpmath.log(mpmath.ncdf(mu / s))
 
 
 @mpmath.workdps(40)
@@ -51,8 +61,7 @@ def mp_threshold(tau, params, moment, start):
     c = logit + v / 2 - moment
 
     def G(mu):
-        return (mu - c - mpmath.log(mpmath.ncdf((v - mu) / s))
-                + mpmath.log(mpmath.ncdf(mu / s)))
+        return mu - c - mp_log_ratio(mu, v)
 
     d = mpmath.mpf(10) ** -6 * max(abs(start), s)
     while not G(start - d) < 0 < G(start + d):

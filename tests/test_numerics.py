@@ -20,13 +20,13 @@ from hetdata.errors import (
 )
 from hetdata.model import default_params
 from hetdata.numerics import (
-    hazard_rate,
+    log_tail_and_hazard,
     make_stream,
     portfolio_moment,
     solve_bracketed,
 )
 from domain import validated_params
-from oracle import kernel_oracle, mp_cdf, mp_moment, mp_pdf
+from oracle import mp_hazard, mp_log_ndtr, mp_moment, mp_pdf, mp_sf
 
 STD = (0.0, 1.0)  # the standard normal's (mean, std)
 
@@ -44,111 +44,130 @@ class TestGaussianSpec:
 
     def test_bad_variance_rejected(self):
         for std in (0.0, -1.0, math.nan):
-            for kernel in (numerics.log_normal_sf, hazard_rate):
-                with pytest.raises(InvalidInputError, match="std must be > 0"):
-                    kernel(0.0, 0.0, std)
+            with pytest.raises(InvalidInputError, match="std must be > 0"):
+                numerics.log_normal_sf(0.0, 0.0, std)
 
 
 class TestHazard:
+    """numerics.log_tail_and_hazard, the one statement of the normal hazard:
+    the solve's slope and verify's criterion-4 check both read it."""
+
     def test_value_at_zero(self):
-        assert hazard_rate(0.0, *STD) == pytest.approx(
-            mp_pdf(0.0) / 0.5, rel=1e-13
-        )
+        log_tail, h = log_tail_and_hazard(0.0)
+        assert log_tail == math.log(0.5)
+        assert h == pytest.approx(mp_pdf(0.0) / 0.5, rel=1e-13)
 
     def test_value_at_one(self):
-        expected = mp_pdf(1.0) / (1.0 - mp_cdf(1.0))
-        assert hazard_rate(1.0, *STD) == pytest.approx(expected, rel=1e-13)
+        expected = mp_pdf(1.0) / mp_sf(1.0)
+        assert log_tail_and_hazard(1.0)[1] == pytest.approx(expected, rel=1e-13)
 
     def test_location_scale_identity(self):
+        # log P(X > x), X ~ N(mean, std^2), is the log tail at the
+        # standardized point, bit for bit
         for x in (-2.0, 0.0, 1.3, 5.0):
-            z = (x - 0.7) / 2.0
-            assert hazard_rate(x, 0.7, 2.0) == pytest.approx(
-                hazard_rate(z, *STD) / 2.0, rel=1e-13
-            )
+            assert (numerics.log_normal_sf(x, 0.7, 2.0)
+                    == log_tail_and_hazard((x - 0.7) / 2.0)[0])
 
     def test_strictly_increasing_on_wide_grid(self):
         grid = np.linspace(-5.0, 5.0, 501)
-        values = [hazard_rate(float(x), *STD) for x in grid]
+        values = [log_tail_and_hazard(float(z))[1] for z in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_deep_right_tail_no_blowup(self):
         # asymptotically h(z) ~ z; ratio must stay close
-        h = hazard_rate(50.0, *STD)
+        h = log_tail_and_hazard(50.0)[1]
         assert 50.0 < h < 50.03
 
+    def test_within_z_squared_eps_of_mpmath(self):
+        # the exponent -z^2/2 - log sqrt(2 pi) - log tail carries rounding of
+        # about z^2 eps, which exp turns into relative error; the worst of
+        # these points was 0.55 of the bound, at z = 37.3.  Below z = -37.6
+        # the hazard, the pdf there, is no longer a normal float.
+        rng = np.random.default_rng(20261022)
+        for z in rng.uniform(-38.0, 38.0, 1500).tolist():
+            exact = mp_hazard(z)
+            if exact >= sys.float_info.min:
+                h = mpmath.mpf(log_tail_and_hazard(z)[1])
+                assert abs(h - exact) <= (2.0 * (1.0 + z * z)
+                                          * sys.float_info.epsilon * exact)
+
     @pytest.mark.parametrize("var", [0.25, 1.0, 4.0])
-    def test_grid_points_match_erfcx_formula_bitwise(self, var):
-        # verify's grid and its shift by var, which reaches z = -8.5 at var
-        # 0.25, plus a wide grid deep into both tails (erfcx overflows
-        # below z = -37.7, where the hazard is 0)
+    def test_verify_grid_within_64_eps(self, var):
+        # verify's grid and its shift by var, standardized as its check
+        # standardizes them: z reaches -8.5 at var 0.25; the worst was 51
+        # eps, at z = 7.96
         grid = np.arange(-4.0, 4.0 + 1e-12, 0.01)
         std = math.sqrt(var)
-        for points in (grid, grid - var, np.linspace(-60.0, 60.0, 1201)):
-            for x in points.tolist():
-                h = hazard_rate(x, 0.0, std)
-                assert type(h) is float
-                z = x / std
-                expected = (math.sqrt(2.0 / math.pi)
-                            / numerics.erfcx(z / math.sqrt(2.0)) / std)
-                assert h.hex() == expected.hex()
+        for x in np.concatenate([grid, grid - var]).tolist():
+            z = x / std
+            exact = mp_hazard(z)
+            h = mpmath.mpf(log_tail_and_hazard(z)[1])
+            assert abs(h - exact) <= 64.0 * sys.float_info.epsilon * exact
+
+    def test_solver_slope_is_the_hazards_bitwise(self):
+        # dF/dmu = -(h(z_hi) + h(-z_lo)) / s: the pdf is even, so the lower
+        # tail's pdf/CDF at z_lo is the hazard at -z_lo
+        for v in (0.0025, 0.25, 1.0, 4.0, 400.0):
+            s = math.sqrt(v)
+            for k in np.linspace(-8.0, 8.0, 33).tolist():
+                mu = 0.5 * v + k * s
+                z_hi, z_lo = (mu - v) / s, mu / s
+                slope = -(log_tail_and_hazard(z_hi)[1]
+                          + log_tail_and_hazard(-z_lo)[1]) / s
+                assert threshold.log_ratio_and_slope(mu, v)[1] == slope
 
     def test_left_tail_is_the_pdf(self):
         for z in (-8.0, -20.0, -37.0):
-            assert hazard_rate(z, *STD) == pytest.approx(mp_pdf(z), rel=1e-12)
+            assert log_tail_and_hazard(z)[1] == pytest.approx(mp_pdf(z),
+                                                              rel=1e-12)
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidInputError):
                 numerics.log_normal_sf(bad, *STD)
-            with pytest.raises(InvalidInputError):
-                hazard_rate(bad, *STD)
 
     def test_overflowing_standardized_point_rejected(self):
         # finite x, but (x - mean) / std overflows to inf
-        for kernel in (numerics.log_normal_sf, hazard_rate):
-            with pytest.raises(InvalidInputError):
-                kernel(1e308, -1e308, 1.0)
+        with pytest.raises(InvalidInputError):
+            numerics.log_normal_sf(1e308, -1e308, 1.0)
 
 
 def _kernel_points():
     """A seeded subsample of the accuracy grid (6,300 points in [-40, 40]
-    and 300 in [-1000, -40]), plus the ends of each kernel's branches."""
+    and 300 in [-1000, -40], where the continued fraction runs), plus the
+    ends of log_ndtr's branches."""
     rng = np.random.default_rng(20261018)
-    edges = [0.0, 25.0, -26.6, -26.64, -26.0 * math.sqrt(2.0)]
+    edges = [0.0, -26.0 * math.sqrt(2.0)]
     edges += [math.nextafter(x, d) for x in edges for d in (-math.inf, math.inf)]
     return (rng.uniform(-40.0, 40.0, 1200).tolist()
             + rng.uniform(-1000.0, -40.0, 300).tolist() + edges)
 
 
 class TestKernelAccuracy:
-    """erfcx and log_ndtr against an mpmath oracle, where the exact value
-    is a normal float: the worst relative error is no larger than
-    scipy.special's on the same points."""
+    """log_ndtr against an mpmath oracle, where the exact value is a normal
+    float: the worst relative error is no larger than scipy.special's on
+    the same points."""
 
     @staticmethod
-    def _worst(kernel, name, points):
+    def _worst(kernel, points):
         worst = 0.0
         for x in points:
-            exact = kernel_oracle(name, x)
+            exact = mp_log_ndtr(x)
             if sys.float_info.min <= abs(exact) <= sys.float_info.max:
                 error = abs((mpmath.mpf(float(kernel(x))) - exact) / exact)
                 worst = max(worst, float(error))
         return worst / sys.float_info.epsilon
 
-    @pytest.mark.parametrize("name", ["erfcx", "log_ndtr"])
+    @pytest.mark.parametrize("name", ["log_ndtr"])
     def test_worst_error_within_scipy(self, name):
         points = _kernel_points()
-        ours = self._worst(getattr(numerics, name), name, points)
-        theirs = self._worst(getattr(special, name), name, points)
+        ours = self._worst(getattr(numerics, name), points)
+        theirs = self._worst(getattr(special, name), points)
         assert ours <= theirs, (ours, theirs)
 
     def test_returns_python_floats(self):
-        for kernel in (numerics.erfcx, numerics.log_ndtr):
-            assert type(kernel(0.5)) is float
-
-    def test_erfcx_overflows_to_inf(self):
-        assert numerics.erfcx(-27.0) == math.inf
-        assert math.isfinite(numerics.erfcx(-26.6))
+        assert type(numerics.log_ndtr(0.5)) is float
+        assert all(type(x) is float for x in log_tail_and_hazard(0.5))
 
 
 class TestQuadrature:

@@ -29,7 +29,7 @@ from hetdata.threshold import (
     user_utility,
 )
 from domain import box
-from oracle import mp_sf, mp_threshold
+from oracle import mp_log_ratio, mp_sf, mp_threshold
 
 
 def F_threshold(tau, mu, params):
@@ -272,17 +272,12 @@ class TestNewtonSolve:
     def test_slope_matches_mpmath(self, sigma_mu):
         v = sigma_mu * sigma_mu
         with mpmath.workdps(40):
-            s = mpmath.sqrt(mpmath.mpf(v))
-
-            def log_ratio(mu):
-                return (mpmath.log(mpmath.ncdf((v - mu) / s))
-                        - mpmath.log(mpmath.ncdf(mu / s)))
-
             for k in np.linspace(-8.0, 8.0, 33).tolist():
                 mu = 0.5 * v + k * sigma_mu
                 value, slope = log_ratio_and_slope(mu, v)
-                assert abs(value - log_ratio(mu)) <= 1e-13 * max(1.0, abs(value))
-                exact = mpmath.diff(log_ratio, mpmath.mpf(mu))
+                assert (abs(value - mp_log_ratio(mpmath.mpf(mu), v))
+                        <= 1e-13 * max(1.0, abs(value)))
+                exact = mpmath.diff(lambda m: mp_log_ratio(m, v), mpmath.mpf(mu))
                 assert abs(slope - exact) <= 1e-12 * abs(exact)
 
 

@@ -4,7 +4,7 @@ import types
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetdata import wealth
@@ -507,21 +507,6 @@ class TestSolveLambda:
         lams = [solve_lambda(float(m), params) for m in grid]
         assert all(b > a for a, b in zip(lams, lams[1:]))
 
-    def test_fine_grid_bisection_oracle(self):
-        params = default_params()
-        target = f_mu(1.0, params)
-        lo, hi = 1.0, 100.0
-        g = lambda lam: lam * params.t_star - math.log(lam) - math.log(target)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        assert solve_lambda(1.0, params) == pytest.approx(
-            0.5 * (lo + hi), abs=1e-10
-        )
-
     def test_root_below_overflow_bound(self):
         # lambda* ~ 303.955 lies below e^(lambda t*)'s bound 700 / t* = 350,
         # so the residual can be checked against f_mu itself
@@ -586,6 +571,7 @@ class TestSolveLambdaOracle:
     took more than 20 Newton steps."""
 
     @given(_friction_cases())
+    @example((1.0, default_params()))
     @settings(max_examples=300, deadline=None)
     def test_matches_lambert_w(self, case):
         mu_i, params = case

@@ -60,7 +60,10 @@ three ``jump_diffusion_mean`` cases with its memo cleared (one
 --lambda-grid 1:3:0.1``, in-process, with the ``mc_expected_capital`` memo
 cleared, writing its ``wealth.csv`` to a temporary directory, and
 ``cli.report`` (``call_ms``) is ``hetdata report --seed SEED`` the same way,
-with every artifact of the command written there.  Each layer timed by
+with every artifact of the command written there.
+``verify.hazard_and_output_ratio`` (``call_ms``) is
+``verify.check_hazard_and_output_ratio`` with its ``functools.cache``
+cleared, so its whole grid is evaluated each call.  Each layer timed by
 ``call_ms`` also gets ``minflt``, the minor page faults of one call (the
 process's ``ru_minflt`` before and after it), the fewest of ``--repeats``:
 memory the allocator gave back to the OS after the previous call and
@@ -89,7 +92,8 @@ from pathlib import Path
 import numpy as np
 
 import hetdata
-from hetdata import cli, mc, model, numerics, statics, threshold, wealth
+from hetdata import (cli, mc, model, numerics, statics, threshold, verify,
+                     wealth)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import ParamScan  # noqa: E402
@@ -183,8 +187,8 @@ def _fresh(raw_cases: list) -> list:
 
 
 def _array_calls(seed: int, out: str) -> dict:
-    """(layer, key): one zero-argument call of an array layer, or of the
-    wealth command, which writes into the directory out."""
+    """(layer, key): one zero-argument call of an array layer, of the
+    hazard check, or of a command, which writes into the directory out."""
     params = model.default_params()
     sample = mc.draw_population(POPULATION, params, numerics.make_stream(seed, 1))
     calls = {("mc.draw_population", "call_ms"):
@@ -201,6 +205,11 @@ def _array_calls(seed: int, out: str) -> dict:
             wealth.mc_expected_capital(case, wealth.LAMBDA_DEFAULT,
                                        case.t_star, PATHS, seed)
         calls[("wealth.mc_expected_capital", f"{name}_ms")] = simulate
+
+    def hazard_check():
+        verify.check_hazard_and_output_ratio.cache_clear()
+        verify.check_hazard_and_output_ratio()
+    calls[("verify.hazard_and_output_ratio", "call_ms")] = hazard_check
 
     def command(*argv):
         def call():
