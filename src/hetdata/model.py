@@ -42,10 +42,6 @@ class LossSpec:
     def constant(cls, value: float) -> "LossSpec":
         return cls(values=(float(value),), probs=(1.0,))
 
-    @classmethod
-    def two_point(cls, v1: float, v2: float, p1: float) -> "LossSpec":
-        return cls(values=(float(v1), float(v2)), probs=(float(p1), 1.0 - float(p1)))
-
     @property
     def mean(self) -> float:
         return sum(v * p for v, p in zip(self.values, self.probs))
@@ -189,6 +185,42 @@ def validate(raw: Union[dict, ModelParams]) -> ModelParams:
     if violations:
         raise ParamError(violations)
     return ModelParams(**vals)
+
+
+# The census box: a part of the validated domain, each range inside its
+# _RANGE_CHECKS range, so validate accepts every draw.  gamma = 1 for this
+# share of the records, else U[lo, hi]
+GAMMA = (0.25, (0.3, 12.0))
+UNIFORM = {
+    "mu_bar": (-5.0, 5.0), "sigma_mu": (0.05, 3.0), "sigma_agg": (0.01, 1.0),
+    "sigma_idio": (0.01, 3.0), "theta": (0.001, 0.999), "tau": (0.01, 0.99),
+    "eta": (0.01, 0.99), "r_f": (-0.05, 0.1), "alpha": (0.0, 1.0),
+    "mu0": (0.01, 0.5), "w": (0.0, 50.0), "sigma_w": (0.0, 5.0),
+    "t_star": (1.01, 60.0),
+}
+LOG_UNIFORM = {"D": (1e-2, 1e2), "d0": (1e-2, 1e2), "W0": (1e-2, 1e2),
+               "EK_target": (1e-4, 1e2)}
+# a one-point loss for this share of the records, else a two-point one: each
+# value U[values], the first probability U[first_prob]
+LOSS = {"one_point": 0.5, "values": (0.0, 0.95), "first_prob": (0.05, 0.95)}
+
+
+def draw_record(gen) -> dict:
+    """One parameter record from the box, as a params file holds it."""
+    share, (lo, hi) = GAMMA
+    record = {"gamma": 1.0 if gen.random() < share else gen.uniform(lo, hi)}
+    for name, (lo, hi) in UNIFORM.items():
+        record[name] = gen.uniform(lo, hi)
+    for name, (lo, hi) in LOG_UNIFORM.items():
+        record[name] = math.exp(gen.uniform(math.log(lo), math.log(hi)))
+    if gen.random() < LOSS["one_point"]:
+        record["loss"] = gen.uniform(*LOSS["values"])
+    else:
+        p = gen.uniform(*LOSS["first_prob"])
+        record["loss"] = {"values": [gen.uniform(*LOSS["values"]),
+                                     gen.uniform(*LOSS["values"])],
+                          "probs": [p, 1.0 - p]}
+    return record
 
 
 def load_params(path) -> ModelParams:

@@ -2,7 +2,8 @@
 
 Each check returns a CheckResult with a stable name, a pass flag, and the
 numbers that were compared, so the emitted JSON is reproducible for a
-fixed seed.  Tolerances are fixed here, not configurable.
+fixed seed.  Tolerances are fixed here, not configurable.  Criterion 2
+draws its sets from the validated domain, by ``model.draw_record``.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import mc, statics, threshold, wealth
 from .errors import DegenerateInputError, NoSolutionError
-from .model import ModelParams, default_params
+from .model import ModelParams, default_params, draw_record, validate
 from .numerics import log_tail_and_hazard, make_stream, portfolio_moment
 
 
@@ -45,31 +46,14 @@ def check_symmetry_fixed_point() -> CheckResult:
     )
 
 
-def _random_param_sets(seed: int, count: int) -> List[ModelParams]:
-    gen = make_stream(seed, 900)
-    sets = []
-    for _ in range(count):
-        sets.append(
-            default_params(
-                gamma=float(gen.uniform(1.2, 5.0)),
-                sigma_mu=float(gen.uniform(0.3, 1.5)),
-                sigma_agg=float(gen.uniform(0.05, 0.4)),
-                sigma_idio=float(gen.uniform(0.1, 0.8)),
-                theta=float(gen.uniform(0.05, 0.6)),
-                tau=float(gen.uniform(0.2, 0.8)),
-                D=float(gen.uniform(0.5, 2.0)),
-            )
-        )
-    return sets
-
-
 # The level gate has no power where the levels are tiny (at gamma = 8,
 # D = 50 a threshold 0.01 off passes it with a gap of 1.5e-13), so the log
 # certainty equivalents are gated too.  Their gap at K is G(mu_k), and the
-# solve stops once |G/G'| <= (1e-13 min(1, sigma_mu) + 8 eps |mu_k|)/2:
-# over seeds 0-999 of this box G' <= 6.2 and |mu_k| <= 2.1, so |G| <=
-# 3.2e-13, and the six-term sums round by some 10 eps of |CE| <= 2.  1e-10
-# leaves a factor of 300; a threshold 1e-8 off fails it at seeds 0-49.
+# solve stops once |G| <= G' (1e-13 min(1, sigma_mu) + 8 eps |mu_k|)/2:
+# over seeds 0-999 of the census box G' <= 60 and |mu_k| <= 9.16, so |G| <=
+# 3.5e-12 (1.23e-13 measured), and the six-term sums round by some 10 eps
+# of |CE| <= 14.2.  1e-10 leaves a factor of about 28; a threshold 1e-8 off
+# fails it at seeds 0-49.
 _LEVEL_TOL, _LOG_CE_TOL = 1e-8, 1e-10
 
 
@@ -90,8 +74,9 @@ def check_threshold_indifference(seed: int) -> CheckResult:
     levels and in log certainty equivalents.  The log-CE gate is the
     role-sorting check: a user's log CE has slope 1 in ability, so the
     roles' utilities cross that gap times max(1, |CE|) from K."""
+    gen = make_stream(seed, 900)
     gaps = [indifference_gaps(threshold.solve_threshold(p.tau, p), p)
-            for base in _random_param_sets(seed, 10)
+            for base in (validate(draw_record(gen)) for _ in range(10))
             for p in (replace(base, gamma=g) for g in (base.gamma, 1.0))]
     worst, worst_log_ce = map(max, zip(*gaps))
     return CheckResult(

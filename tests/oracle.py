@@ -13,8 +13,9 @@ import mpmath
 
 @mpmath.workdps(50)
 def mp_sf(x, mean=0.0, var=1.0):
-    """P(X > x), X ~ N(mean, var), as a float."""
-    return float(1 - mpmath.ncdf(x, mean, mpmath.sqrt(var)))
+    """P(X > x), X ~ N(mean, var), as a float: P(-X < -x), which keeps its
+    digits where 1 - ncdf(x) would cancel."""
+    return float(mpmath.ncdf(-x, -mean, mpmath.sqrt(var)))
 
 
 @mpmath.workdps(50)

@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 
 from hetdata.errors import InvalidInputError, ParamError
 from hetdata.model import (
+    GAMMA,
+    LOG_UNIFORM,
+    LOSS,
+    UNIFORM,
     LossSpec,
     ModelParams,
     default_params,
@@ -169,7 +173,7 @@ class TestLossSpec:
         assert loss.mean == 0.2
 
     def test_two_point(self):
-        loss = LossSpec.two_point(0.1, 0.5, 0.75)
+        loss = LossSpec((0.1, 0.5), (0.75, 0.25))
         assert loss.mean == pytest.approx(0.1 * 0.75 + 0.5 * 0.25)
 
     def test_value_out_of_range(self):
@@ -179,7 +183,7 @@ class TestLossSpec:
     @pytest.mark.parametrize("value", [1.0, 1.0 + 2.0 ** -52, 1.5, math.inf])
     def test_refuses_a_value_of_one_or_more(self, value):
         for make in (lambda: LossSpec.constant(value),
-                     lambda: LossSpec.two_point(0.1, value, 0.5)):
+                     lambda: LossSpec((0.1, value), (0.5, 0.5))):
             with pytest.raises(InvalidInputError, match=r"\[0, 1\)"):
                 make()
 
@@ -213,6 +217,25 @@ class TestJsonLoading:
         path.write_text(json.dumps(record))
         with pytest.raises(ParamError, match="taw"):
             load_params(path)
+
+
+def _box_ends(name):
+    """The values at the ends of the census box's range for one field."""
+    if name == "gamma":
+        return [1.0, *GAMMA[1]]
+    if name == "loss":
+        lo, hi = LOSS["values"]
+        return [lo, hi, *({"values": [lo, hi], "probs": [p, 1.0 - p]}
+                          for p in LOSS["first_prob"])]
+    return list(LOG_UNIFORM.get(name) or UNIFORM[name])
+
+
+# each range check reads one field and accepts an interval, so a box whose
+# every end passes alone lies inside the validated domain: no draw is refused
+@pytest.mark.parametrize("name", ["gamma", *UNIFORM, *LOG_UNIFORM, "loss"])
+def test_each_box_end_is_validated(name):
+    for value in _box_ends(name):
+        validate(base_record(**{name: value}))
 
 
 def test_default_params_valid():

@@ -170,6 +170,13 @@ class TestKernelAccuracy:
         assert all(type(x) is float for x in log_tail_and_hazard(0.5))
 
 
+@pytest.mark.parametrize("x", [14.0, 15.0, 20.0])
+def test_oracle_sf_keeps_its_digits_in_the_right_tail(x):
+    # 1 - ncdf(x) at 50 digits read 0.0 for 2.75e-89 at x = 20
+    exact = mpmath.exp(mp_log_ndtr(-x))
+    assert abs(mp_sf(x) - exact) <= 1e-14 * exact
+
+
 class TestQuadrature:
     """The trapezoid rule on integrands whose moments are closed-form."""
 

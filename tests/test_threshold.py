@@ -16,7 +16,8 @@ from hetdata.errors import (
     NumericalRangeError,
     SolverError,
 )
-from hetdata.model import TAU_MAX, TAU_MIN, default_params
+from hetdata.model import (TAU_MAX, TAU_MIN, default_params, draw_record,
+                           validate)
 from hetdata.numerics import log_ndtr, make_stream, portfolio_moment, shock_mean
 from hetdata.threshold import (
     _moment_term,
@@ -490,16 +491,30 @@ def _agg_moment(params):
     return math.exp(-0.5 * a * s2 + 0.5 * a * a * s2)
 
 
+def _verify_sets(seed):
+    """verify's threshold_indifference sets at one seed, from its stream."""
+    gen = make_stream(seed, 900)
+    return [validate(draw_record(gen)) for _ in range(10)]
+
+
 # verify's threshold_indifference cases at seeds 0-49: 1,000 solved sets
 VERIFY_CASES = [
     (params, solve_threshold(params.tau, params))
     for seed in range(50)
-    for base in verify._random_param_sets(seed, 10)
+    for base in _verify_sets(seed)
     for params in (base, dataclasses.replace(base, gamma=1.0))
 ]
 
 
 class TestLogCertaintyEquivalents:
+    @pytest.mark.parametrize("seed", [0, 49])
+    def test_cases_are_verifys_sets(self, seed):
+        cases = VERIFY_CASES[20 * seed:20 * seed + 20]
+        gaps = [verify.indifference_gaps(sol, params) for params, sol in cases]
+        worst = dict(zip(("worst_rel_error", "worst_log_ce_gap"),
+                         map(max, zip(*gaps))))
+        assert verify.check_threshold_indifference(seed).detail == worst
+
     def test_gap_at_threshold_is_the_solve_residual(self):
         for params, sol in VERIFY_CASES:
             gap = (log_ce_user(sol.K, params.tau, params)
@@ -531,12 +546,12 @@ class TestLogCertaintyEquivalents:
                 elif math.isfinite(old) and old != 0.0:
                     assert abs(new - old) <= 1e-13 * abs(old)
                     compared += 1
-        assert compared == 1000  # every gamma != 1 case, both roles
+        # every gamma != 1 case, both roles
+        assert compared == 2 * sum(p.gamma != 1.0 for p, _ in VERIFY_CASES)
 
-    # the parameters of verify's random sets, gamma = 1 too
-    @given(st.one_of(st.just(1.0), st.floats(1.2, 5.0)), st.floats(0.3, 1.5),
-           st.floats(0.05, 0.4), st.floats(0.1, 0.8), st.floats(0.05, 0.6),
-           st.floats(0.2, 0.8), st.floats(0.5, 2.0), st.floats(-10.0, 10.0),
+    # the census box's ranges of the fields the log CE reads
+    @given(box("gamma"), box("sigma_mu"), box("sigma_agg"), box("sigma_idio"),
+           box("theta"), box("tau"), box("D"), st.floats(-10.0, 10.0),
            st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-6, 1e-6)))
     @settings(max_examples=300, deadline=None)
     def test_user_log_ce_has_slope_one(self, gamma, sigma_mu, sigma_agg,
@@ -544,9 +559,9 @@ class TestLogCertaintyEquivalents:
         # a user's log CE is mu_i plus a constant, so the two roles' log CEs
         # cross at K plus the gap at K that verify's indifference gate reads,
         # and every agent off that crossing sorts by ability.  The difference
-        # of the two five-term sums missed d by at most 3.8 eps of their
-        # largest term over 600,000 draws from this box; 8 eps leaves a
-        # factor of 2
+        # of the two five-term sums missed d by at most 5.2 eps of their
+        # largest term over 150,000 draws from the box; 8 eps leaves a
+        # factor of 1.5
         params = default_params(gamma=gamma, sigma_mu=sigma_mu,
                                 sigma_agg=sigma_agg, sigma_idio=sigma_idio,
                                 theta=theta, tau=tau, D=D)

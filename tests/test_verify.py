@@ -1,4 +1,9 @@
-from hetdata import verify
+from dataclasses import replace
+
+from hypothesis import given, settings
+
+from hetdata import threshold, verify
+from domain import validated_params
 
 
 class TestHazardCheckMemo:
@@ -14,3 +19,14 @@ class TestHazardCheckMemo:
         record["detail"]["extra"] = True
         fresh = verify.check_hazard_and_output_ratio().to_dict()
         assert fresh["detail"] == {"grid_points": 801}
+
+
+# criterion 2 on the whole census box that verify draws its sets from,
+# both gamma branches
+@given(validated_params())
+@settings(max_examples=50, deadline=None)
+def test_indifference_holds_on_the_box(params):
+    for p in (params, replace(params, gamma=1.0)):
+        sol = threshold.solve_threshold(p.tau, p)
+        level, log_ce = verify.indifference_gaps(sol, p)
+        assert level <= verify._LEVEL_TOL and log_ce <= verify._LOG_CE_TOL

@@ -14,22 +14,22 @@ wraps in parentheses; exit 3 is the solver's typed error; an exception
 that is not a ``HetdataError``, a ``RuntimeWarning`` among them, is
 counted under ``untyped``.  It is a report, not a gate: a count says
 where the domain that ``validate`` accepts fails, and the box does not
-shrink to improve one.  The draws do not depend on the hetdata source,
-so two checkouts can be compared at one seed:
+shrink to improve one.  To compare two checkouts at one seed, both must
+state the box in ``hetdata.model``:
 
     PYTHONPATH=src python tools/domain_census.py --seed 2026 --count 400
     PYTHONPATH=/path/to/other/checkout/src python tools/domain_census.py \\
         --seed 2026 --count 400
 
-The box is stated once, by ``GAMMA``, ``UNIFORM``, ``LOG_UNIFORM`` and
-``LOSS`` below; the tests' ``validated_params()`` strategy
-(``tests/domain.py``) is built from the same statement.
+The box is stated once, by ``GAMMA``, ``UNIFORM``, ``LOG_UNIFORM``,
+``LOSS`` and ``draw_record`` in ``hetdata.model``; verify's criterion-2
+sets and the tests' ``validated_params()`` strategy (``tests/domain.py``)
+draw from the same statement.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import tempfile
 import warnings
@@ -40,7 +40,7 @@ import numpy as np
 
 from hetdata import cli
 from hetdata.errors import ConfigError, HetdataError, ParamError
-from hetdata.model import validate
+from hetdata.model import draw_record, validate
 
 COMMANDS = (
     ["threshold"],
@@ -48,40 +48,6 @@ COMMANDS = (
     ["wealth", "--paths", "1000", "--seed", "1"],
     ["figure1"],
 )
-
-# gamma = 1 for this share of the files, else U[lo, hi]
-GAMMA = (0.25, (0.3, 12.0))
-UNIFORM = {
-    "mu_bar": (-5.0, 5.0), "sigma_mu": (0.05, 3.0), "sigma_agg": (0.01, 1.0),
-    "sigma_idio": (0.01, 3.0), "theta": (0.001, 0.999), "tau": (0.01, 0.99),
-    "eta": (0.01, 0.99), "r_f": (-0.05, 0.1), "alpha": (0.0, 1.0),
-    "mu0": (0.01, 0.5), "w": (0.0, 50.0), "sigma_w": (0.0, 5.0),
-    "t_star": (1.01, 60.0),
-}
-LOG_UNIFORM = {"D": (1e-2, 1e2), "d0": (1e-2, 1e2), "W0": (1e-2, 1e2),
-               "EK_target": (1e-4, 1e2)}
-# a one-point loss for this share of the files, else a two-point one: each
-# value U[values], the first probability U[first_prob]
-LOSS = {"one_point": 0.5, "values": (0.0, 0.95), "first_prob": (0.05, 0.95)}
-
-
-def draw_record(gen: np.random.Generator) -> dict:
-    """One parameter record from the box, as a params file holds it."""
-    share, (lo, hi) = GAMMA
-    record = {"gamma": 1.0 if gen.random() < share else gen.uniform(lo, hi)}
-    for name, (lo, hi) in UNIFORM.items():
-        record[name] = gen.uniform(lo, hi)
-    for name, (lo, hi) in LOG_UNIFORM.items():
-        record[name] = math.exp(gen.uniform(math.log(lo), math.log(hi)))
-    if gen.random() < LOSS["one_point"]:
-        record["loss"] = gen.uniform(*LOSS["values"])
-    else:
-        p = gen.uniform(*LOSS["first_prob"])
-        record["loss"] = {"values": [gen.uniform(*LOSS["values"]),
-                                     gen.uniform(*LOSS["values"])],
-                          "probs": [p, 1.0 - p]}
-    return record
-
 
 def run_command(argv: list) -> tuple:
     """(exit code, error type) of one in-process CLI run, with cli.main's

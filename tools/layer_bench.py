@@ -63,7 +63,11 @@ cleared, writing its ``wealth.csv`` to a temporary directory, and
 with every artifact of the command written there.
 ``verify.hazard_and_output_ratio`` (``call_ms``) is
 ``verify.check_hazard_and_output_ratio`` with its ``functools.cache``
-cleared, so its whole grid is evaluated each call.  Each layer timed by
+cleared, so its whole grid is evaluated each call, and
+``verify.threshold_indifference`` (``call_ms``) is
+``verify.check_threshold_indifference`` at ``--seed`` with the
+``portfolio_moment`` and ``solve_threshold`` memos cleared, so each of its
+20 sets is solved afresh.  Each layer timed by
 ``call_ms`` also gets ``minflt``, the minor page faults of one call (the
 process's ``ru_minflt`` before and after it), the fewest of ``--repeats``:
 memory the allocator gave back to the OS after the previous call and
@@ -222,6 +226,12 @@ def _array_calls(seed: int, out: str) -> dict:
     calls[("cli.wealth_grid", "call_ms")] = command("wealth", "--lambda-grid",
                                                     "1:3:0.1")
     calls[("cli.report", "call_ms")] = command("report")
+
+    def indifference_check():  # last, as it clears the memos the rest warm
+        numerics.portfolio_moment.cache_clear()
+        threshold.solve_threshold.cache_clear()
+        verify.check_threshold_indifference(seed)
+    calls[("verify.threshold_indifference", "call_ms")] = indifference_check
     return calls
 
 
